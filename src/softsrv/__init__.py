@@ -66,7 +66,7 @@ from .templates import (
     split_questions,
 )
 from .toygrammar import CorpusExample, builtin_grammar, generic_corpus, make_toy_corpus
-from .training import TrainConfig, load_params, preset_train_config, save_params, train
+from .training import TrainConfig, load_params, save_params, train
 from .vocab import Vocabulary, build_vocab
 
 __version__ = "0.1.0"
@@ -125,7 +125,6 @@ __all__ = [
     "normalize_tokens",
     "perplexity",
     "preset_config",
-    "preset_train_config",
     "pretrain_backbone",
     "pt_generate",
     "pt_generate_answers",

@@ -452,16 +452,6 @@ def loss_and_prefix_grad(model: BackboneModel, prefix: np.ndarray, target) -> tu
     return loss, pg[0].T.copy()
 
 
-def loss_grad_wrt_prefix(model: BackboneModel, prefix: np.ndarray, target) -> np.ndarray:
-    return loss_and_prefix_grad(model, prefix, target)[1]
-
-
-def token_embed(model: BackboneModel, ids) -> np.ndarray:
-    """Embedding-table columns for a token sequence, shape (d, len(ids))."""
-    ids = _check_ids(model, ids)
-    return model.weights["tok_emb"][ids].T.copy()
-
-
 def continuation_logits(model: BackboneModel, ids) -> np.ndarray:
     """Logits for the token following a plain token sequence (no prefix)."""
     ids = _check_ids(model, ids)

@@ -85,9 +85,3 @@ class LossTrace:
 
     def finish(self) -> None:
         self.elapsed_s = time.time() - self.started_unix
-
-    def mean_over(self, start: int, stop: int) -> float:
-        window = self.losses[start:stop]
-        if not window:
-            raise ValidationError("empty loss window")
-        return float(np.mean(window))

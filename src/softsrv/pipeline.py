@@ -1,28 +1,28 @@
 """Staged experiment runner with artifact-based resume.
 
-Stages run in a fixed order, each writing its artifacts into the run
-directory. A stage whose artifacts already exist is loaded instead of
-recomputed, so interrupting and rerunning a run directory picks up where
-it stopped. Every stage is seeded from the config, artifacts serialize
-deterministically, and summary.txt excludes wall-clock, so two runs of
-the same config produce byte-identical files.
+STAGE_TABLE declares each stage's artifacts, the config it reads and the
+stages it reads from. A stage's fingerprint is a sha256 over those config
+values and its upstream fingerprints. The reuse rule: a stage is loaded from
+its artifacts only when all of them exist and fingerprints.tsv records its
+current fingerprint; otherwise it is rebuilt. The record is dropped before a
+build and written back once all its artifacts are written, so a config
+change rebuilds the stages it touches and everything downstream, and an
+interrupted build is never trusted. Every stage is seeded from the config,
+artifacts serialize deterministically, and summary.txt excludes wall-clock,
+so two runs of the same config produce byte-identical files.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+from dataclasses import asdict, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from . import vocab as V
-from .backbone import (
-    BackboneConfig,
-    BackboneModel,
-    load_backbone,
-    pretrain_backbone,
-    save_backbone,
-)
+from .backbone import BackboneConfig, BackboneModel, load_backbone, pretrain_backbone, save_backbone
 from .config import ExperimentConfig, VARIANTS, save_config, to_ini_text
 from .embedder import embed_sequence
 from .errors import StageError, ValidationError
@@ -46,9 +46,58 @@ STAGES = (
 # exit codes 10.. keep stage failures distinguishable from argparse (2)
 STAGE_EXIT_CODES = {name: 10 + i for i, name in enumerate(STAGES)}
 
+FINGERPRINTS = "fingerprints.tsv"
+
+
+class Stage(NamedTuple):
+    name: str  # the STAGES entry its failures report
+    artifacts: str  # files its builder writes; its loader reads the first
+    keys: str  # config read: "section" or "section.field,field"; "*" is all of it
+    upstream: str  # stage keys whose fingerprints feed its own
+
+
+# Rows follow dependency order; Pipeline._load_<key> and _build_<key> get the
+# artifact paths. A row may declare more config than its stage reads, never
+# less. Stages that encode text use the vocabulary, which the corpus and
+# backbone.vocab_size determine; summary.txt embeds the config.
+STAGE_TABLE = {
+    "corpus": Stage("corpus", "corpus.json", "corpus seeds.corpus", ""),
+    "backbone": Stage("backbone", "backbone.ckpt backbone_trace.tsv", "backbone seeds.backbone", "corpus"),
+    "embedder": Stage("embedder", "embedder.ckpt embedder_trace.tsv",
+                      "embedder backbone.max_seq,vocab_size seeds.embedder", "corpus"),
+    "student_base": Stage("student", "student_base.ckpt student_base_trace.tsv",
+                          "student.d,n_layers,n_heads,ffn_dim,pretrain_steps,pretrain_lr,pretrain_batch "
+                          "backbone.max_seq,vocab_size seeds.student", "corpus"),
+    "params": Stage("train", "params.ckpt train_trace.tsv",
+                    "generation.method softsrv trainer embedder.d_e seeds.train", "corpus backbone embedder"),
+    "questions": Stage("generate", "questions.jsonl",
+                       "generation.method,n_raw,question_temperature,pt_temperature,max_new_tokens,"
+                       "pt_template,ptsr_max_rounds,ptsr_stop_text seeds.generate",
+                       "corpus backbone embedder params"),
+    "answers": Stage("answers", "answered.jsonl",
+                     "generation.method,answer_temperature,max_new_tokens seeds.answers",
+                     "corpus backbone questions"),
+    "postprocess": Stage("postprocess", "final.jsonl selected.jsonl contaminated.jsonl",
+                         "postprocess seeds.postprocess", "corpus answers"),
+    "mauve": Stage("mauve", "mauve_report.txt", "mauve embedder.d_e seeds.mauve", "corpus embedder postprocess"),
+    "student": Stage("student", "student_report.txt",
+                     "student.finetune_steps,finetune_lr,finetune_batch seeds.student",
+                     "corpus student_base postprocess"),
+    "summary": Stage("summary", "summary.txt", "*", "corpus params questions answers postprocess mauve student"),
+}
+
 
 def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
+
+
+def _config_text(cfg: ExperimentConfig, key: str) -> str:
+    if key == "*":
+        return to_ini_text(cfg)
+    section, _, names = key.partition(".")
+    target = getattr(cfg, section)
+    names = names.split(",") if names else [f.name for f in fields(target)]
+    return "".join(f"{section}.{n} = {getattr(target, n)!r}\n" for n in names)
 
 
 def _trace_text(trace: LossTrace) -> str:
@@ -75,69 +124,116 @@ class Pipeline:
         self.out = Path(out_dir if out_dir is not None else cfg.paths.out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         save_config(self.out / "config.ini", cfg)
-        self._corpus: dict | None = None
+        self._memo: dict[str, object] = {}
         self._vocab: Vocabulary | None = None
-        self._backbone: BackboneModel | None = None
-        self._embedder: BackboneModel | None = None
-        self._student_base: BackboneModel | None = None
-        self._params = None
-
-    def _stage(self, name: str, fn):
-        try:
-            return fn()
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError(name, exc) from exc
 
     # ------------------------------------------------------------------
-    # corpus
+    # the reuse rule
+
+    def _fingerprints(self) -> dict[str, str]:
+        """The current fingerprint of every stage, upstream rows first."""
+        fingerprints = {}
+        for key, stage in STAGE_TABLE.items():
+            text = "".join(_config_text(self.cfg, k) for k in stage.keys.split())
+            text += "".join(f"{up}\t{fingerprints[up]}\n" for up in stage.upstream.split())
+            fingerprints[key] = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return fingerprints
+
+    def _recorded(self) -> dict[str, str]:
+        path = self.out / FINGERPRINTS
+        text = path.read_text(encoding="utf-8") if path.exists() else ""
+        return dict(line.partition("\t")[::2] for line in text.splitlines())
+
+    def _record(self, key: str, fingerprint: str | None) -> None:
+        recorded = self._recorded()
+        recorded.pop(key, None)
+        if fingerprint is not None:
+            recorded[key] = fingerprint
+        _write_text(self.out / FINGERPRINTS, "".join(f"{k}\t{v}\n" for k, v in sorted(recorded.items())))
+
+    def _get(self, key: str):
+        """Memoized stage value: loaded when its artifacts are current, else built."""
+        if key not in self._memo:
+            stage = STAGE_TABLE[key]
+            paths = [self.out / name for name in stage.artifacts.split()]
+            try:
+                fingerprint = self._fingerprints()[key]
+                if self._recorded().get(key) == fingerprint and all(p.exists() for p in paths):
+                    self._memo[key] = getattr(self, "_load_" + key)(*paths)
+                else:
+                    self._record(key, None)
+                    self._memo[key] = getattr(self, "_build_" + key)(*paths)
+                    self._record(key, fingerprint)
+            except StageError:
+                raise
+            except Exception as exc:
+                raise StageError(stage.name, exc) from exc
+        return self._memo[key]
 
     def ensure_corpus(self) -> dict:
-        return self._stage("corpus", self._corpus_impl)
+        return self._get("corpus")
 
-    def _corpus_impl(self) -> dict:
-        if self._corpus is not None:
-            return self._corpus
-        path = self.out / "corpus.json"
-        if path.exists():
-            raw = json.loads(path.read_text(encoding="utf-8"))
-            self._corpus = {
-                "grammar": raw["grammar"],
-                "train": [CorpusExample(**d) for d in raw["train"]],
-                "test": [CorpusExample(**d) for d in raw["test"]],
-                "aux": [CorpusExample(**d) for d in raw["aux"]],
-                "generic": list(raw["generic"]),
-            }
-            return self._corpus
+    def ensure_backbone(self) -> BackboneModel:
+        return self._get("backbone")
+
+    def ensure_embedder(self) -> BackboneModel:
+        return self._get("embedder")
+
+    def ensure_student_base(self) -> BackboneModel:
+        return self._get("student_base")
+
+    def ensure_params(self):
+        return self._get("params")
+
+    def ensure_questions(self) -> list[SyntheticRecord]:
+        return self._get("questions")
+
+    def ensure_answers(self) -> list[SyntheticRecord]:
+        return self._get("answers")
+
+    def ensure_postprocess(self) -> list[SyntheticRecord]:
+        return self._get("postprocess")
+
+    def ensure_mauve(self) -> float:
+        return self._get("mauve")
+
+    def ensure_student(self) -> dict:
+        return self._get("student")
+
+    def run_all(self) -> str:
+        return self._get("summary")
+
+    # ------------------------------------------------------------------
+    # corpus and frozen models
+
+    def _load_corpus(self, path: Path) -> dict:
+        raw = json.loads(path.read_text(encoding="utf-8"))
+        return {
+            "grammar": raw["grammar"],
+            "train": [CorpusExample(**d) for d in raw["train"]],
+            "test": [CorpusExample(**d) for d in raw["test"]],
+            "aux": [CorpusExample(**d) for d in raw["aux"]],
+            "generic": list(raw["generic"]),
+        }
+
+    def _build_corpus(self, path: Path) -> dict:
         c = self.cfg.corpus
         grammar = builtin_grammar(c.grammar)
         train_fold, test_fold = make_toy_corpus(grammar, c.n_examples, self.cfg.seeds.corpus)
         other_id = "truefalse" if c.grammar == "arithmetic" else "arithmetic"
         aux_fold, _ = make_toy_corpus(builtin_grammar(other_id), c.n_aux, self.cfg.seeds.corpus + 1)
-        generic = generic_corpus(c.n_generic, self.cfg.seeds.corpus + 2)
-        self._corpus = {
-            "grammar": c.grammar,
-            "train": train_fold,
-            "test": test_fold,
-            "aux": aux_fold,
-            "generic": generic,
-        }
         payload = {
             "grammar": c.grammar,
-            "train": [{"question": e.question, "answer": e.answer} for e in train_fold],
-            "test": [{"question": e.question, "answer": e.answer} for e in test_fold],
-            "aux": [{"question": e.question, "answer": e.answer} for e in aux_fold],
-            "generic": generic,
+            "train": [asdict(e) for e in train_fold],
+            "test": [asdict(e) for e in test_fold],
+            "aux": [asdict(e) for e in aux_fold],
+            "generic": generic_corpus(c.n_generic, self.cfg.seeds.corpus + 2),
         }
         _write_text(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
-        return self._corpus
+        return self._load_corpus(path)
 
     def vocabulary(self) -> Vocabulary:
         if self._vocab is not None:
-            return self._vocab
-        if self._backbone is not None:
-            self._vocab = self._backbone.vocab
             return self._vocab
         data = self.ensure_corpus()
         texts = []
@@ -151,116 +247,60 @@ class Pipeline:
         self._vocab = build_vocab(texts, max_size=self.cfg.backbone.vocab_size)
         return self._vocab
 
-    def _pretrain_sequences(self, vocabulary: Vocabulary) -> list[list[int]]:
+    def _pretrain_sequences(self) -> list[list[int]]:
         data = self.ensure_corpus()
+        vocabulary = self.vocabulary()
         seqs = [vocabulary.encode(_qa_text(ex)) for ex in data["train"]]
         seqs += [vocabulary.encode(ex.question) for ex in data["train"]]
         seqs += [vocabulary.encode(_qa_text(ex)) for ex in data["aux"]]
         seqs += [vocabulary.encode(s) for s in data["generic"]]
         return seqs
 
-    # ------------------------------------------------------------------
-    # frozen models
-
-    def ensure_backbone(self) -> BackboneModel:
-        return self._stage("backbone", self._backbone_impl)
-
-    def _backbone_impl(self) -> BackboneModel:
-        if self._backbone is not None:
-            return self._backbone
-        path = self.out / "backbone.ckpt"
-        if path.exists():
-            self._backbone = load_backbone(path)
-            return self._backbone
-        b = self.cfg.backbone
-        vocabulary = self.vocabulary()
+    def _frozen(self, section, seed: int, seqs, ckpt: Path, trace: Path, dtype="float64") -> BackboneModel:
+        """Pretrain one frozen model from its config section and save it."""
         config = BackboneConfig(
-            d=b.d, n_layers=b.n_layers, n_heads=b.n_heads,
-            ffn_dim=b.ffn_dim, max_seq=b.max_seq, dtype=b.dtype,
+            d=section.d, n_layers=section.n_layers, n_heads=section.n_heads,
+            ffn_dim=section.ffn_dim, max_seq=self.cfg.backbone.max_seq, dtype=dtype,
         )
-        model, trace = pretrain_backbone(
-            self._pretrain_sequences(vocabulary), vocabulary, config,
-            steps=b.pretrain_steps, lr=b.pretrain_lr,
-            seed=self.cfg.seeds.backbone, batch_size=b.pretrain_batch,
+        model, losses = pretrain_backbone(
+            seqs, self.vocabulary(), config, steps=section.pretrain_steps,
+            lr=section.pretrain_lr, seed=seed, batch_size=section.pretrain_batch,
         )
-        save_backbone(path, model)
-        _write_text(self.out / "backbone_trace.tsv", _trace_text(trace))
-        self._backbone = model
+        save_backbone(ckpt, model)
+        _write_text(trace, _trace_text(losses))
         return model
 
-    def ensure_embedder(self) -> BackboneModel:
-        return self._stage("embedder", self._embedder_impl)
+    def _load_frozen(self, ckpt: Path, trace: Path) -> BackboneModel:
+        return load_backbone(ckpt)
 
-    def _embedder_impl(self) -> BackboneModel:
-        if self._embedder is not None:
-            return self._embedder
-        path = self.out / "embedder.ckpt"
-        if path.exists():
-            self._embedder = load_backbone(path)
-            return self._embedder
+    _load_backbone = _load_embedder = _load_student_base = _load_frozen
+
+    def _build_backbone(self, *paths: Path) -> BackboneModel:
+        b = self.cfg.backbone
+        return self._frozen(b, self.cfg.seeds.backbone, self._pretrain_sequences(), *paths, dtype=b.dtype)
+
+    def _build_embedder(self, *paths: Path) -> BackboneModel:
         e = self.cfg.embedder
         if e.d_e > e.d:
             raise ValidationError("embedder.d_e cannot exceed embedder.d")
-        vocabulary = self.vocabulary()
-        config = BackboneConfig(
-            d=e.d, n_layers=e.n_layers, n_heads=e.n_heads,
-            ffn_dim=e.ffn_dim, max_seq=self.cfg.backbone.max_seq,
-        )
-        model, trace = pretrain_backbone(
-            self._pretrain_sequences(vocabulary), vocabulary, config,
-            steps=e.pretrain_steps, lr=e.pretrain_lr,
-            seed=self.cfg.seeds.embedder, batch_size=e.pretrain_batch,
-        )
-        save_backbone(path, model)
-        _write_text(self.out / "embedder_trace.tsv", _trace_text(trace))
-        self._embedder = model
-        return model
+        return self._frozen(e, self.cfg.seeds.embedder, self._pretrain_sequences(), *paths)
 
-    def ensure_student_base(self) -> BackboneModel:
-        return self._stage("student", self._student_base_impl)
-
-    def _student_base_impl(self) -> BackboneModel:
-        if self._student_base is not None:
-            return self._student_base
-        path = self.out / "student_base.ckpt"
-        if path.exists():
-            self._student_base = load_backbone(path)
-            return self._student_base
-        s = self.cfg.student
-        data = self.ensure_corpus()
-        vocabulary = self.vocabulary()
-        config = BackboneConfig(
-            d=s.d, n_layers=s.n_layers, n_heads=s.n_heads,
-            ffn_dim=s.ffn_dim, max_seq=self.cfg.backbone.max_seq,
-        )
+    def _build_student_base(self, *paths: Path) -> BackboneModel:
         # the proxy student never sees either grammar before fine-tuning
-        model, trace = pretrain_backbone(
-            [vocabulary.encode(t) for t in data["generic"]], vocabulary, config,
-            steps=s.pretrain_steps, lr=s.pretrain_lr,
-            seed=self.cfg.seeds.student, batch_size=s.pretrain_batch,
-        )
-        save_backbone(path, model)
-        _write_text(self.out / "student_base_trace.tsv", _trace_text(trace))
-        self._student_base = model
-        return model
+        seqs = [self.vocabulary().encode(t) for t in self.ensure_corpus()["generic"]]
+        return self._frozen(self.cfg.student, self.cfg.seeds.student, seqs, *paths)
 
     # ------------------------------------------------------------------
     # soft-prompt training
 
-    def ensure_params(self):
-        return self._stage("train", self._params_impl)
+    def _load_params(self, ckpt: Path, trace: Path):
+        return load_params(ckpt, self.ensure_backbone())
 
-    def _params_impl(self):
+    def _build_params(self, ckpt: Path, trace: Path):
         method = self.cfg.generation.method
         if method not in VARIANTS:
             raise ValidationError(f"method {method!r} does not train soft prompts")
-        if self._params is not None:
-            return self._params
         backbone = self.ensure_backbone()
-        path = self.out / "params.ckpt"
-        if path.exists():
-            self._params, _ = load_params(path, backbone)
-            return self._params
         s = self.cfg.softsrv
         tr = self.cfg.trainer
         embedder = self.ensure_embedder() if method != "ss_np" else None
@@ -277,22 +317,20 @@ class Pipeline:
             betas=(tr.beta1, tr.beta2), eps=tr.eps,
             grad_clip=tr.grad_clip, seed=self.cfg.seeds.train,
         )
-        trained, trace = train(backbone, embedder, dataset, params, cfg)
-        save_params(path, trained)
-        _write_text(self.out / "train_trace.tsv", _trace_text(trace))
-        self._params = trained
+        trained, losses = train(backbone, embedder, dataset, params, cfg)
+        save_params(ckpt, trained)
+        _write_text(trace, _trace_text(losses))
         return trained
 
     # ------------------------------------------------------------------
-    # synthesis
+    # synthesis and postprocess
 
-    def ensure_questions(self) -> list[SyntheticRecord]:
-        return self._stage("generate", self._questions_impl)
+    def _load_records(self, path: Path, *others: Path) -> list[SyntheticRecord]:
+        return read_records(path)
 
-    def _questions_impl(self) -> list[SyntheticRecord]:
-        path = self.out / "questions.jsonl"
-        if path.exists():
-            return read_records(path)
+    _load_questions = _load_answers = _load_postprocess = _load_records
+
+    def _build_questions(self, path: Path) -> list[SyntheticRecord]:
         g = self.cfg.generation
         backbone = self.ensure_backbone()
         data = self.ensure_corpus()
@@ -326,13 +364,7 @@ class Pipeline:
         write_records(path, records)
         return records
 
-    def ensure_answers(self) -> list[SyntheticRecord]:
-        return self._stage("answers", self._answers_impl)
-
-    def _answers_impl(self) -> list[SyntheticRecord]:
-        path = self.out / "answered.jsonl"
-        if path.exists():
-            return read_records(path)
+    def _build_answers(self, path: Path) -> list[SyntheticRecord]:
         g = self.cfg.generation
         backbone = self.ensure_backbone()
         questions = self.ensure_questions()
@@ -352,16 +384,7 @@ class Pipeline:
         write_records(path, records)
         return records
 
-    # ------------------------------------------------------------------
-    # postprocess
-
-    def ensure_postprocess(self) -> list[SyntheticRecord]:
-        return self._stage("postprocess", self._postprocess_impl)
-
-    def _postprocess_impl(self) -> list[SyntheticRecord]:
-        final_path = self.out / "final.jsonl"
-        if final_path.exists():
-            return read_records(final_path)
+    def _build_postprocess(self, final_path: Path, selected_path: Path, contaminated_path: Path):
         p = self.cfg.postprocess
         answered = self.ensure_answers()
         data = self.ensure_corpus()
@@ -372,7 +395,7 @@ class Pipeline:
             iterations=p.kmeans_iterations, seed=self.cfg.seeds.postprocess,
         )
         selected = [answered[i] for i in picked]
-        write_records(self.out / "selected.jsonl", selected)
+        write_records(selected_path, selected)
 
         candidates = [
             r.question if r.answer is None else r.question + " " + r.answer
@@ -381,33 +404,22 @@ class Pipeline:
         reference = [_qa_text(ex) for ex in data["test"]]
         kept_idx, removed = decontaminate_report(candidates, reference, n=p.decontam_n)
         final = [selected[i] for i in kept_idx]
-        audited = []
-        for i, gram in removed:
-            rec = selected[i]
-            prov = dict(rec.provenance)
-            prov["matched_ngram"] = list(gram)
-            audited.append(
-                SyntheticRecord(
-                    question=rec.question, answer=rec.answer,
-                    seed_index=rec.seed_index, method_tag=rec.method_tag,
-                    provenance=prov,
-                )
-            )
-        write_records(self.out / "contaminated.jsonl", audited)
+        audited = [
+            replace(selected[i], provenance={**selected[i].provenance, "matched_ngram": list(gram)})
+            for i, gram in removed
+        ]
+        write_records(contaminated_path, audited)
         write_records(final_path, final)
         return final
 
     # ------------------------------------------------------------------
-    # evaluation
+    # evaluation and summary
 
-    def ensure_mauve(self) -> float:
-        return self._stage("mauve", self._mauve_impl)
+    def _load_mauve(self, path: Path) -> float:
+        first = path.read_text(encoding="utf-8").splitlines()[0]
+        return float(first.split("\t")[1])
 
-    def _mauve_impl(self) -> float:
-        path = self.out / "mauve_report.txt"
-        if path.exists():
-            first = path.read_text(encoding="utf-8").splitlines()[0]
-            return float(first.split("\t")[1])
+    def _build_mauve(self, path: Path) -> float:
         m = self.cfg.mauve
         final = self.ensure_postprocess()
         if not final:
@@ -428,20 +440,11 @@ class Pipeline:
         _write_text(path, report.to_text())
         return report.score
 
-    def ensure_student(self) -> dict:
-        return self._stage("student", self._student_impl)
+    def _load_student(self, path: Path) -> dict:
+        report = dict(line.split("\t") for line in path.read_text(encoding="utf-8").splitlines() if line)
+        return {key: float(report[key]) for key in ("base_ppl", "tuned_ppl", "ratio")}
 
-    def _student_impl(self) -> dict:
-        path = self.out / "student_report.txt"
-        if path.exists():
-            fields = dict(
-                line.split("\t") for line in path.read_text(encoding="utf-8").splitlines() if line
-            )
-            return {
-                "base_ppl": float(fields["base_ppl"]),
-                "tuned_ppl": float(fields["tuned_ppl"]),
-                "ratio": float(fields["ratio"]),
-            }
+    def _build_student(self, path: Path) -> dict:
         s = self.cfg.student
         base = self.ensure_student_base()
         final = self.ensure_postprocess()
@@ -459,16 +462,10 @@ class Pipeline:
         _write_text(path, report.to_text())
         return {"base_ppl": report.base_ppl, "tuned_ppl": report.tuned_ppl, "ratio": report.ratio}
 
-    # ------------------------------------------------------------------
-    # summary
+    def _load_summary(self, path: Path) -> str:
+        return path.read_text(encoding="utf-8")
 
-    def run_all(self) -> str:
-        return self._stage("summary", self._summary_impl)
-
-    def _summary_impl(self) -> str:
-        path = self.out / "summary.txt"
-        if path.exists():
-            return path.read_text(encoding="utf-8")
+    def _build_summary(self, path: Path) -> str:
         data = self.ensure_corpus()
         self.ensure_backbone()
         if self.cfg.generation.method in VARIANTS:

@@ -23,9 +23,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .backbone import BackboneModel
+from .config import VARIANTS
 from .errors import ValidationError
-
-VARIANTS = ("ss_np", "ss_mp", "ss_mc")
 
 
 @dataclass

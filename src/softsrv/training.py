@@ -21,7 +21,7 @@ from .backbone import BackboneModel, batch_loss_and_grads
 from .checkpoint import read_checkpoint, write_checkpoint
 from .embedder import embed_sequence
 from .errors import TrainingDivergedError, ValidationError
-from .optim import AdamState, LossTrace, adam_step, clip_global_norm, init_adam
+from .optim import LossTrace, adam_step, clip_global_norm, init_adam
 from .prompts import (
     MixtureParams,
     MlpConcatParams,
@@ -47,22 +47,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 0 or self.batch_size < 1 or self.lr <= 0:
             raise ValidationError("steps >= 0, batch_size >= 1, lr > 0 required")
-
-
-# Named presets: "paper" mirrors the large-scale recipe, "desk" is the
-# laptop-sized default used throughout the test suite.
-PRESETS: dict[str, dict] = {
-    "paper": {"t": 128, "steps": 20000, "lr": 5e-6, "batch_size": 8},
-    "desk": {"t": 16, "steps": 2000, "lr": 1e-3, "batch_size": 8},
-}
-
-
-def preset_train_config(name: str, seed: int = 0) -> tuple[TrainConfig, int]:
-    """Returns (TrainConfig, prompt width t) for a named preset."""
-    if name not in PRESETS:
-        raise ValidationError(f"unknown preset {name!r}")
-    p = PRESETS[name]
-    return TrainConfig(steps=p["steps"], lr=p["lr"], batch_size=p["batch_size"], seed=seed), p["t"]
 
 
 def train(
@@ -152,19 +136,12 @@ def _params_meta(params: SoftSRVParams) -> dict:
     return meta
 
 
-def save_params(path, params: SoftSRVParams, adam: AdamState | None = None) -> None:
+def save_params(path, params: SoftSRVParams) -> None:
     tensors = {f"param.{name}": arr for name, arr in param_arrays(params)}
-    meta = _params_meta(params)
-    if adam is not None:
-        meta["adam_step"] = adam.step
-        for name, arr in adam.m.items():
-            tensors[f"adam_m.{name}"] = arr
-        for name, arr in adam.v.items():
-            tensors[f"adam_v.{name}"] = arr
-    write_checkpoint(path, "softsrv_params", meta, tensors)
+    write_checkpoint(path, "softsrv_params", _params_meta(params), tensors)
 
 
-def load_params(path, backbone: BackboneModel | None = None) -> tuple[SoftSRVParams, AdamState | None]:
+def load_params(path, backbone: BackboneModel | None = None) -> SoftSRVParams:
     _, meta, tensors = read_checkpoint(path, expect_kind="softsrv_params")
     variant, d, t, d_e = meta["variant"], meta["d"], meta["t"], meta["d_e"]
     if backbone is not None:
@@ -194,13 +171,4 @@ def load_params(path, backbone: BackboneModel | None = None) -> tuple[SoftSRVPar
         params = MlpConcatParams(d=d, t=t, d_e=d_e, columns=columns)
     else:
         raise ValidationError(f"unknown variant {variant!r} in checkpoint")
-
-    adam = None
-    if "adam_step" in meta:
-        names = [n for n, _ in param_arrays(params)]
-        adam = AdamState(
-            m={n: tensors[f"adam_m.{n}"] for n in names},
-            v={n: tensors[f"adam_v.{n}"] for n in names},
-            step=int(meta["adam_step"]),
-        )
-    return params, adam
+    return params

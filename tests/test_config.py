@@ -40,6 +40,15 @@ def test_paper_preset_pins_the_large_scale_recipe():
     cfg.validate()
 
 
+def test_presets_pin_width_steps_and_lr():
+    cfg = preset_config("paper")
+    assert (cfg.softsrv.t, cfg.trainer.steps, cfg.trainer.lr, cfg.trainer.batch_size) == (128, 20000, 5e-6, 8)
+    cfg = preset_config("desk")
+    assert (cfg.softsrv.t, cfg.trainer.steps, cfg.trainer.lr, cfg.trainer.batch_size) == (16, 2000, 1e-3, 8)
+    with pytest.raises(ConfigError):
+        preset_config("giant")
+
+
 def test_unknown_preset_rejected():
     with pytest.raises(ConfigError):
         preset_config("galactic")

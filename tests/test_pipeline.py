@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from softsrv import pipeline
 from softsrv.config import preset_config
 from softsrv.errors import StageError
 from softsrv.pipeline import STAGE_EXIT_CODES, STAGES, Pipeline, run_experiment
 from softsrv.records import read_records
+from softsrv.training import load_params
 
 
 def mini_config(method="ss_np"):
@@ -57,7 +59,7 @@ ARTIFACTS = [
     "config.ini", "corpus.json", "backbone.ckpt", "backbone_trace.tsv",
     "embedder.ckpt", "student_base.ckpt", "params.ckpt", "train_trace.tsv",
     "questions.jsonl", "answered.jsonl", "selected.jsonl", "final.jsonl",
-    "mauve_report.txt", "student_report.txt", "summary.txt",
+    "mauve_report.txt", "student_report.txt", "summary.txt", "fingerprints.tsv",
 ]
 
 
@@ -127,6 +129,127 @@ def test_resume_reuses_existing_stage_artifacts(finished_run, tmp_path):
     assert (probe / "params.ckpt").read_bytes() == marker
     assert summary == (out / "summary.txt").read_text(encoding="utf-8")
     assert (probe / "mauve_report.txt").read_bytes() == (out / "mauve_report.txt").read_bytes()
+
+
+def _copy_run(src, dst):
+    shutil.copytree(src, dst)
+    return dst
+
+
+def test_method_switch_in_one_directory_rebuilds_the_prompt_and_records(finished_run, tmp_path):
+    probe = _copy_run(finished_run[0], tmp_path / "switch")
+    summary = run_experiment(mini_config("ss_mc"), str(probe))
+    assert load_params(probe / "params.ckpt").variant == "ss_mc"
+    assert all(r.method_tag == "SS_MC" for r in read_records(probe / "questions.jsonl"))
+    assert all(r.method_tag == "SS_MC" for r in read_records(probe / "final.jsonl"))
+    assert "method\tss_mc" in summary
+
+
+@pytest.mark.parametrize("start", ["empty", "regenerating"])
+def test_interrupted_build_is_redone_in_full(finished_run, tmp_path, monkeypatch, start):
+    out, _ = finished_run
+    probe = tmp_path / "crash"
+    if start == "regenerating":
+        # a finished run whose questions and everything after them were deleted to be redone
+        _copy_run(out, probe)
+        for name in ("questions.jsonl", "answered.jsonl", "selected.jsonl", "contaminated.jsonl",
+                     "final.jsonl", "mauve_report.txt", "student_report.txt", "summary.txt"):
+            (probe / name).unlink()
+    real_write = pipeline.write_records
+
+    def crash_after_four(path, records):
+        real_write(path, records[:4])
+        raise OSError("simulated crash mid-write")
+
+    monkeypatch.setattr(pipeline, "write_records", crash_after_four)
+    with pytest.raises(StageError) as err:
+        run_experiment(mini_config(), str(probe))
+    assert err.value.stage == "generate"
+    assert len(read_records(probe / "questions.jsonl")) == 4
+    monkeypatch.undo()
+    run_experiment(mini_config(), str(probe))
+    for name in ARTIFACTS:
+        assert (probe / name).read_bytes() == (out / name).read_bytes(), name
+
+
+# one key read by each stage, in table order, then the method itself
+CONFIG_CHANGES = [
+    ("corpus", "n_generic", 24),
+    ("backbone", "pretrain_steps", 25),
+    ("embedder", "pretrain_steps", 8),
+    ("student", "pretrain_steps", 15),
+    ("trainer", "steps", 8),
+    ("generation", "question_temperature", 0.8),
+    ("generation", "answer_temperature", 0.8),
+    ("postprocess", "n_select", 5),
+    ("mauve", "grid_size", 11),
+    ("student", "finetune_steps", 6),
+    ("paths", "out_dir", "runs/elsewhere"),
+    ("generation", "method", "ss_mc"),
+]
+
+
+@pytest.mark.parametrize(
+    "section,key,value", CONFIG_CHANGES, ids=[f"{s}.{k}" for s, k, _ in CONFIG_CHANGES]
+)
+def test_resume_after_a_config_change_matches_a_fresh_run(finished_run, tmp_path, section, key, value):
+    cfg = mini_config()
+    setattr(getattr(cfg, section), key, value)
+    resumed = _copy_run(finished_run[0], tmp_path / "resumed")
+    run_experiment(cfg, str(resumed))
+    fresh = tmp_path / "fresh"
+    run_experiment(cfg, str(fresh))
+    names = sorted(p.name for p in fresh.iterdir())
+    assert names == sorted(p.name for p in resumed.iterdir())
+    for name in names:
+        assert (resumed / name).read_bytes() == (fresh / name).read_bytes(), name
+
+
+def test_mauve_change_reuses_the_frozen_models_and_the_prompt(finished_run, tmp_path, monkeypatch):
+    probe = _copy_run(finished_run[0], tmp_path / "mauve_k")
+    kept = {name: (probe / name).read_bytes() for name in ("backbone.ckpt", "params.ckpt")}
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an upstream stage was rebuilt")
+
+    monkeypatch.setattr(pipeline, "pretrain_backbone", must_not_run)
+    monkeypatch.setattr(pipeline, "train", must_not_run)
+    cfg = mini_config()
+    cfg.mauve.k = 2
+    run_experiment(cfg, str(probe))
+    for name, data in kept.items():
+        assert (probe / name).read_bytes() == data, name
+    assert "k\t2" in (probe / "mauve_report.txt").read_text(encoding="utf-8").splitlines()
+
+
+# the softsrv.pipeline globals perfbench/tracing.py replaces with timing shims
+WRAPPED_NAMES = (
+    "train", "pretrain_backbone", "embed_sequence",
+    "generate_questions", "generate_answers", "ptsr_generate", "pt_generate_answers",
+    "diverse_subsample", "decontaminate_report", "mauve_score",
+    "write_records", "read_records",
+)
+
+
+def test_stages_look_up_wrapped_names_at_call_time(tmp_path, monkeypatch):
+    calls = dict.fromkeys(WRAPPED_NAMES, 0)
+
+    def counting(name, original):
+        def shim(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return shim
+
+    for name in WRAPPED_NAMES:
+        monkeypatch.setattr(pipeline, name, counting(name, getattr(pipeline, name)))
+    run_experiment(mini_config("ss_np"), str(tmp_path / "ss_np"))
+    run_experiment(mini_config("ptsr"), str(tmp_path / "ptsr"))
+    assert all(calls.values()), calls
+    # a resumed summary loads questions, answers and final records through the shim
+    calls["read_records"] = 0
+    (tmp_path / "ss_np" / "summary.txt").unlink()
+    run_experiment(mini_config("ss_np"), str(tmp_path / "ss_np"))
+    assert calls["read_records"] == 4
 
 
 def test_template_method_skips_soft_prompt_stages(tmp_path):

@@ -7,7 +7,7 @@ from softsrv.backbone import BackboneConfig, checksum, init_backbone, freeze, ca
 from softsrv.errors import CheckpointFormatError, ValidationError
 from softsrv.optim import init_adam
 from softsrv.prompts import init_params, materialize, param_arrays
-from softsrv.training import TrainConfig, load_params, preset_train_config, save_params, train
+from softsrv.training import TrainConfig, load_params, save_params, train
 from softsrv.vocab import EOS, build_vocab
 
 
@@ -133,8 +133,7 @@ def test_params_round_trip_through_checkpoint(setup, tmp_path, variant):
     params = init_params(variant, backbone, t=3, d_e=6, seed=11, k=3, mlp_hidden=4)
     path = tmp_path / f"{variant}.ckpt"
     save_params(path, params)
-    loaded, adam = load_params(path, backbone)
-    assert adam is None
+    loaded = load_params(path, backbone)
     assert loaded.variant == params.variant
     assert (loaded.d, loaded.t, loaded.d_e) == (params.d, params.t, params.d_e)
     for (na, a), (nb, b) in zip(param_arrays(params), param_arrays(loaded)):
@@ -161,12 +160,3 @@ def test_width_mismatch_on_load_rejected(setup, tmp_path):
     wide = freeze(init_backbone(BackboneConfig(d=16, n_layers=1, n_heads=2, ffn_dim=8, max_seq=48), other_vocab, 1))
     with pytest.raises(ValidationError):
         load_params(path, wide)
-
-
-def test_presets_pin_width_steps_and_lr():
-    cfg, t = preset_train_config("paper", seed=1)
-    assert (t, cfg.steps, cfg.lr, cfg.batch_size) == (128, 20000, 5e-6, 8)
-    cfg, t = preset_train_config("desk", seed=1)
-    assert (t, cfg.steps, cfg.lr, cfg.batch_size) == (16, 2000, 1e-3, 8)
-    with pytest.raises(ValidationError):
-        preset_train_config("giant")
