@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .postprocess import kmeans_pp_init
+from .postprocess import kmeans_pp_init, nearest_centroid
 
 DEFAULT_K = 32
 DEFAULT_C = 5.0
@@ -65,8 +65,7 @@ def _lloyd(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     centroids = kmeans_pp_init(X, k, rng)
     labels = None
     for _ in range(_LLOYD_MAX_ITER):
-        d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        new_labels = d2.argmin(axis=1)
+        new_labels = nearest_centroid(X, centroids)
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -91,8 +90,7 @@ def quantize(gen_vecs, ref_vecs, k: int = DEFAULT_K, seed: int = 0) -> Quantized
     centroids = _lloyd(union[order], k, np.random.default_rng(seed))
 
     def hist(side: np.ndarray) -> np.ndarray:
-        d2 = ((side[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-        labels = d2.argmin(axis=1)
+        labels = nearest_centroid(side, centroids)
         return np.bincount(labels, minlength=k).astype(np.float64) / len(side)
 
     return QuantizedPair(p=hist(gen), q=hist(ref), k=k)

@@ -4,10 +4,12 @@ STAGE_TABLE declares each stage's artifacts, the config it reads and the
 stages it reads from. A stage's fingerprint is a sha256 over those config
 values and its upstream fingerprints. The reuse rule: a stage is loaded from
 its artifacts only when all of them exist and fingerprints.tsv records its
-current fingerprint; otherwise it is rebuilt. The record is dropped before a
-build and written back once all its artifacts are written, so a config
-change rebuilds the stages it touches and everything downstream, and an
-interrupted build is never trusted. Every stage is seeded from the config,
+current fingerprint; otherwise it is rebuilt. Before a build the records of
+the stage and of everything downstream of it are dropped, and the stage's own
+is written back once all its artifacts are written. So a config change
+rebuilds the stages it touches and everything downstream, an interrupted
+build is never trusted, and no stage stays recorded as current on top of
+artifacts a later command replaced. Every stage is seeded from the config,
 artifacts serialize deterministically, and summary.txt excludes wall-clock,
 so two runs of the same config produce byte-identical files.
 """
@@ -87,6 +89,15 @@ STAGE_TABLE = {
 }
 
 
+def _downstream(key: str) -> set[str]:
+    """The stage key and every stage that reads from it, directly or not."""
+    found = {key}
+    for other, stage in STAGE_TABLE.items():  # rows follow dependency order
+        if found.intersection(stage.upstream.split()):
+            found.add(other)
+    return found
+
+
 def _write_text(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
@@ -145,9 +156,12 @@ class Pipeline:
         return dict(line.partition("\t")[::2] for line in text.splitlines())
 
     def _record(self, key: str, fingerprint: str | None) -> None:
+        """Record a finished build, or drop the entries a rebuild of key makes stale."""
         recorded = self._recorded()
-        recorded.pop(key, None)
-        if fingerprint is not None:
+        if fingerprint is None:
+            for stale in _downstream(key):
+                recorded.pop(stale, None)
+        else:
             recorded[key] = fingerprint
         _write_text(self.out / FINGERPRINTS, "".join(f"{k}\t{v}\n" for k, v in sorted(recorded.items())))
 

@@ -58,16 +58,14 @@ def tfidf_vectorize(docs: list[str]) -> CorpusMatrix:
         raise ValidationError("no word tokens in any document")
     col = {tok: j for j, tok in enumerate(vocab)}
     n, f = len(docs), len(vocab)
-    counts = np.zeros((n, f), dtype=np.float64)
-    for i, toks in enumerate(tokenized):
-        for tok in toks:
-            counts[i, col[tok]] += 1.0
-    df = (counts > 0).sum(axis=0)
-    idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
-    rows = counts * idf
+    row_ids = np.repeat(np.arange(n, dtype=np.int64), [len(toks) for toks in tokenized])
+    col_ids = np.fromiter((col[tok] for toks in tokenized for tok in toks), np.int64, len(row_ids))
+    # float weights make bincount return the float64 count matrix directly
+    rows = np.bincount(row_ids * f + col_ids, weights=np.ones(len(row_ids)), minlength=n * f).reshape(n, f)
+    df = np.count_nonzero(rows, axis=0)
+    rows *= np.log((1.0 + n) / (1.0 + df)) + 1.0
     norms = np.sqrt((rows * rows).sum(axis=1))
-    safe = np.where(norms > 0, norms, 1.0)
-    rows = rows / safe[:, None]
+    rows /= np.where(norms > 0, norms, 1.0)[:, None]
     return CorpusMatrix(rows=rows, dims=f, row_norms=norms, vocabulary=vocab)
 
 
@@ -118,7 +116,8 @@ def kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
         total = d2.sum()
         if total <= 0:
             # all remaining mass on already-covered points: pick any unchosen
-            pool = [i for i in range(n) if i not in set(chosen)]
+            taken = set(chosen)
+            pool = [i for i in range(n) if i not in taken]
             nxt = pool[int(rng.integers(len(pool)))]
         else:
             u = rng.random() * total
@@ -136,10 +135,26 @@ class ClusterAssignment:
     k: int
 
 
-def _nearest(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # ties resolve to the lowest centroid id via argmin
-    d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    return d2.argmin(axis=1)
+# rows per distance block in nearest_centroid; at k=700 a block is under 6 MB
+NEAREST_CHUNK = 1024
+
+
+def nearest_centroid(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Index of each row's nearest centroid; ties resolve to the lowest id.
+
+    Squared distances are ||x||^2 - 2 x.c + ||c||^2, one matmul per block of
+    NEAREST_CHUNK rows, so memory grows with chunk * k rather than n * k * d.
+    """
+    c2 = (centroids * centroids).sum(axis=1)
+    labels = np.empty(X.shape[0], dtype=np.intp)
+    for start in range(0, X.shape[0], NEAREST_CHUNK):
+        block = X[start:start + NEAREST_CHUNK]
+        d2 = block @ centroids.T
+        d2 *= -2.0
+        d2 += (block * block).sum(axis=1)[:, None]
+        d2 += c2
+        labels[start:start + NEAREST_CHUNK] = d2.argmin(axis=1)
+    return labels
 
 
 def minibatch_kmeans(
@@ -169,12 +184,20 @@ def minibatch_kmeans(
     counts = np.zeros(k, dtype=np.int64)
     for _ in range(iterations):
         idx = rng.choice(n, size=min(batch_size, n), replace=False)
-        labels = _nearest(X[idx], centroids)
-        for point, c in zip(X[idx], labels):
+        batch = X[idx]
+        labels = nearest_centroid(batch, centroids)
+        # round r moves every centroid that has an r-th member in the batch,
+        # so each centroid takes its members one at a time in batch order
+        order = np.argsort(labels, kind="stable")
+        grouped = labels[order]
+        rank = np.arange(len(order)) - np.searchsorted(grouped, grouped)
+        for r in range(rank.max(initial=-1) + 1):
+            members = order[rank == r]
+            c = labels[members]
             counts[c] += 1
-            eta = 1.0 / counts[c]
-            centroids[c] = (1.0 - eta) * centroids[c] + eta * point
-    return ClusterAssignment(labels=_nearest(X, centroids), centroids=centroids, k=k)
+            eta = (1.0 / counts[c])[:, None]
+            centroids[c] = (1.0 - eta) * centroids[c] + eta * batch[members]
+    return ClusterAssignment(labels=nearest_centroid(X, centroids), centroids=centroids, k=k)
 
 
 def inertia(X: np.ndarray | CorpusMatrix, assignment: ClusterAssignment) -> float:

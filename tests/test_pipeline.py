@@ -145,6 +145,18 @@ def test_method_switch_in_one_directory_rebuilds_the_prompt_and_records(finished
     assert "method\tss_mc" in summary
 
 
+def test_rebuilding_a_stage_drops_the_records_downstream_of_it(finished_run, tmp_path):
+    out, _ = finished_run
+    probe = _copy_run(out, tmp_path / "retrain")
+    # as `softsrv train --method ss_mc` run in a finished ss_np directory
+    Pipeline(mini_config("ss_mc"), probe).ensure_params()
+    assert load_params(probe / "params.ckpt").variant == "ss_mc"
+    run_experiment(mini_config(), str(probe))
+    assert load_params(probe / "params.ckpt").variant == "ss_np"
+    for name in ARTIFACTS:
+        assert (probe / name).read_bytes() == (out / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("start", ["empty", "regenerating"])
 def test_interrupted_build_is_redone_in_full(finished_run, tmp_path, monkeypatch, start):
     out, _ = finished_run

@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from softsrv.errors import ValidationError
 from softsrv.postprocess import (
+    NEAREST_CHUNK,
     ClusterAssignment,
     CorpusMatrix,
     decontaminate,
@@ -16,7 +18,9 @@ from softsrv.postprocess import (
     dedup_exact,
     diverse_subsample,
     inertia,
+    kmeans_pp_init,
     minibatch_kmeans,
+    nearest_centroid,
     normalize_tokens,
     round_robin_subsample,
     svd_reduce,
@@ -78,6 +82,31 @@ def test_tfidf_matches_dictionary_oracle():
     want, vocab = oracle_tfidf(docs)
     assert matrix.vocabulary == vocab
     np.testing.assert_allclose(matrix.rows, want, rtol=1e-12, atol=1e-15)
+
+
+def loop_tfidf(docs):
+    """The per-token count loop tfidf_vectorize replaces, same arithmetic."""
+    toks = [re.findall(r"[a-z0-9]+", d.lower()) for d in docs]
+    vocab = sorted({t for ts in toks for t in ts})
+    counts = np.zeros((len(docs), len(vocab)))
+    for i, ts in enumerate(toks):
+        for t in ts:
+            counts[i, vocab.index(t)] += 1.0
+    df = (counts > 0).sum(axis=0)
+    rows = counts * (np.log((1.0 + len(docs)) / (1.0 + df)) + 1.0)
+    norms = np.sqrt((rows * rows).sum(axis=1))
+    return rows / np.where(norms > 0, norms, 1.0)[:, None], norms, vocab
+
+
+def test_tfidf_equals_the_count_loop_exactly():
+    rng = np.random.default_rng(2)
+    words = [f"w{i}" for i in range(40)]
+    docs = [" ".join(rng.choice(words, size=int(rng.integers(0, 30)))) for _ in range(60)]
+    matrix = tfidf_vectorize(docs)
+    rows, norms, vocab = loop_tfidf(docs)
+    assert matrix.vocabulary == vocab
+    np.testing.assert_array_equal(matrix.rows, rows)
+    np.testing.assert_array_equal(matrix.row_norms, norms)
 
 
 def test_tfidf_rows_are_unit_norm():
@@ -151,6 +180,91 @@ def blobs(n_per, centers, spread, seed):
     for cx, cy in centers:
         pts.append(rng.normal((cx, cy), spread, size=(n_per, 2)))
     return np.vstack(pts)
+
+
+def broadcast_nearest(X, centroids):
+    """The dense (n, k, d) assignment nearest_centroid replaces."""
+    d2 = ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    return d2.argmin(axis=1)
+
+
+@pytest.mark.parametrize("n", [37, NEAREST_CHUNK - 1, NEAREST_CHUNK, NEAREST_CHUNK + 1])
+def test_nearest_centroid_matches_the_broadcast_oracle(n):
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, 5))
+    centroids = rng.standard_normal((9, 5))
+    np.testing.assert_array_equal(nearest_centroid(X, centroids), broadcast_nearest(X, centroids))
+
+
+def test_nearest_centroid_ties_resolve_to_the_lowest_id():
+    rng = np.random.default_rng(12)
+    base = rng.standard_normal((4, 3))
+    # first occurrences: base[2] at 0, base[0] at 1, base[1] at 3, base[3] at 6
+    centroids = base[[2, 0, 2, 1, 0, 1, 3, 3]]
+    X = np.vstack([base, rng.standard_normal((60, 3))])
+    labels = nearest_centroid(X, centroids)
+    assert labels[:4].tolist() == [1, 3, 0, 6]
+    assert set(labels.tolist()) <= {0, 1, 3, 6}
+    np.testing.assert_array_equal(labels, broadcast_nearest(X, centroids))
+
+
+def test_nearest_centroid_memory_stays_small_at_paper_shape():
+    # 100k docs, k=700, 100 dims: the (n, k, d) broadcast would allocate about 56 GB
+    rng = np.random.default_rng(13)
+    X = rng.standard_normal((100_000, 100))
+    centroids = X[rng.choice(len(X), size=700, replace=False)]
+    tracemalloc.start()
+    try:
+        labels = nearest_centroid(X, centroids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6, peak
+    np.testing.assert_array_equal(labels[-20:], broadcast_nearest(X[-20:], centroids))
+
+
+def loop_minibatch_kmeans(X, k, batch_size, iterations, seed):
+    """The per-point centroid update the round-based minibatch_kmeans replaces."""
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    sub = rng.choice(n, size=min(n, max(3 * k, 3 * batch_size)), replace=False)
+    centroids = kmeans_pp_init(X[sub], k, rng)
+    counts = np.zeros(k, dtype=np.int64)
+    for _ in range(iterations):
+        idx = rng.choice(n, size=min(batch_size, n), replace=False)
+        for point, c in zip(X[idx], broadcast_nearest(X[idx], centroids)):
+            counts[c] += 1
+            eta = 1.0 / counts[c]
+            centroids[c] = (1.0 - eta) * centroids[c] + eta * point
+    return broadcast_nearest(X, centroids), centroids
+
+
+@pytest.mark.parametrize("n,k,batch", [(40, 1, 16), (80, 6, 32), (30, 4, 30)], ids=["k=1", "batch>k", "batch=n"])
+def test_round_based_update_equals_the_per_point_loop(n, k, batch):
+    X = np.random.default_rng(n + k).standard_normal((n, 4))
+    got = minibatch_kmeans(X, k, batch_size=batch, iterations=15, seed=k)
+    labels, centroids = loop_minibatch_kmeans(X, k, batch, 15, k)
+    np.testing.assert_array_equal(got.labels, labels)
+    np.testing.assert_array_equal(got.centroids, centroids)
+
+
+def test_kmeans_pp_fallback_draws_as_the_list_scan_did():
+    # three distinct points, so picks 4-7 have no distance mass left
+    X = np.repeat(np.eye(3), 4, axis=0)
+    rng, oracle = np.random.default_rng(14), np.random.default_rng(14)
+    centroids = kmeans_pp_init(X, 7, rng)
+    chosen = [int(oracle.integers(12))]
+    d2 = ((X - X[chosen[0]]) ** 2).sum(axis=1)
+    while len(chosen) < 7:
+        if d2.sum() <= 0:
+            pool = [i for i in range(12) if i not in set(chosen)]
+            nxt = pool[int(oracle.integers(len(pool)))]
+        else:
+            nxt = int(np.searchsorted(np.cumsum(d2), oracle.random() * d2.sum(), side="right"))
+        chosen.append(nxt)
+        d2 = np.minimum(d2, ((X - X[nxt]) ** 2).sum(axis=1))
+    np.testing.assert_array_equal(centroids, X[chosen])
+    assert rng.random() == oracle.random()
 
 
 def test_kmeans_separates_well_spaced_blobs():
