@@ -4,12 +4,16 @@ STAGE_TABLE declares each stage's artifacts, the config it reads and the
 stages it reads from. A stage's fingerprint is a sha256 over those config
 values and its upstream fingerprints. The reuse rule: a stage is loaded from
 its artifacts only when all of them exist and fingerprints.tsv records its
-current fingerprint; otherwise it is rebuilt. Before a build the records of
-the stage and of everything downstream of it are dropped, and the stage's own
-is written back once all its artifacts are written. So a config change
-rebuilds the stages it touches and everything downstream, an interrupted
-build is never trusted, and no stage stays recorded as current on top of
-artifacts a later command replaced. Every stage is seeded from the config,
+current fingerprint; otherwise it is rebuilt. The record is dropped before a
+build and written back once all its artifacts are written, so a config
+change rebuilds the stages it touches and everything downstream, and an
+interrupted build is never trusted. A build that may replace artifacts of
+another fingerprint (the stage is recorded with one, or has artifacts but no
+record) also drops the records of every stage downstream of it, so no stage
+stays recorded as current on top of artifacts a later command replaced.
+Builds are deterministic, so rebuilding a stage under its recorded
+fingerprint, or building one that has no artifacts yet, leaves the
+records downstream of it standing. Every stage is seeded from the config,
 artifacts serialize deterministically, and summary.txt excludes wall-clock,
 so two runs of the same config produce byte-identical files.
 """
@@ -155,13 +159,12 @@ class Pipeline:
         text = path.read_text(encoding="utf-8") if path.exists() else ""
         return dict(line.partition("\t")[::2] for line in text.splitlines())
 
-    def _record(self, key: str, fingerprint: str | None) -> None:
-        """Record a finished build, or drop the entries a rebuild of key makes stale."""
+    def _record(self, key: str, fingerprint: str | None, stale: set[str] = frozenset()) -> None:
+        """Drop the entries in stale and key's own, then record fingerprint unless None."""
         recorded = self._recorded()
-        if fingerprint is None:
-            for stale in _downstream(key):
-                recorded.pop(stale, None)
-        else:
+        for name in stale | {key}:
+            recorded.pop(name, None)
+        if fingerprint is not None:
             recorded[key] = fingerprint
         _write_text(self.out / FINGERPRINTS, "".join(f"{k}\t{v}\n" for k, v in sorted(recorded.items())))
 
@@ -172,10 +175,12 @@ class Pipeline:
             paths = [self.out / name for name in stage.artifacts.split()]
             try:
                 fingerprint = self._fingerprints()[key]
-                if self._recorded().get(key) == fingerprint and all(p.exists() for p in paths):
+                recorded = self._recorded().get(key)
+                if recorded == fingerprint and all(p.exists() for p in paths):
                     self._memo[key] = getattr(self, "_load_" + key)(*paths)
                 else:
-                    self._record(key, None)
+                    replaces = recorded != fingerprint and (recorded is not None or any(p.exists() for p in paths))
+                    self._record(key, None, _downstream(key) if replaces else set())
                     self._memo[key] = getattr(self, "_build_" + key)(*paths)
                     self._record(key, fingerprint)
             except StageError:

@@ -140,10 +140,14 @@ NEAREST_CHUNK = 1024
 
 
 def nearest_centroid(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Index of each row's nearest centroid; ties resolve to the lowest id.
+    """Index of each row's nearest centroid; equal distances resolve to the lowest id.
 
     Squared distances are ||x||^2 - 2 x.c + ||c||^2, one matmul per block of
     NEAREST_CHUNK rows, so memory grows with chunk * k rather than n * k * d.
+    That form rounds differently from summing (x - c)^2: identical centroids
+    always tie, but two distinct centroids at nearly or exactly the same
+    distance may rank either way, and the cancellation grows with ||x||
+    against the spread of the centroids.
     """
     c2 = (centroids * centroids).sum(axis=1)
     labels = np.empty(X.shape[0], dtype=np.intp)

@@ -157,6 +157,86 @@ def test_rebuilding_a_stage_drops_the_records_downstream_of_it(finished_run, tmp
         assert (probe / name).read_bytes() == (out / name).read_bytes(), name
 
 
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a stage was rebuilt")
+
+
+def test_rebuild_under_the_recorded_fingerprint_keeps_downstream_records(finished_run, tmp_path, monkeypatch):
+    out, _ = finished_run
+    probe = _copy_run(out, tmp_path / "same")
+    (probe / "final.jsonl").unlink()
+    (probe / "summary.txt").unlink()
+    # postprocess is rebuilt byte for byte, so mauve and the student stay current
+    monkeypatch.setattr(pipeline, "mauve_score", _must_not_run)
+    monkeypatch.setattr(pipeline, "evaluate_student", _must_not_run)
+    run_experiment(mini_config(), str(probe))
+    for name in ARTIFACTS:
+        assert (probe / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_rebuild_over_an_unrecorded_artifact_drops_downstream_records(finished_run, tmp_path, monkeypatch):
+    probe = _copy_run(finished_run[0], tmp_path / "unrecorded")
+    (probe / "params.ckpt").unlink()
+    real_save = pipeline.save_params
+
+    def crash_after_saving(path, params):
+        real_save(path, params)
+        raise OSError("simulated crash before the record")
+
+    monkeypatch.setattr(pipeline, "save_params", crash_after_saving)
+    with pytest.raises(StageError):
+        Pipeline(mini_config(), probe).ensure_params()
+    monkeypatch.undo()
+    # params.ckpt exists without a record, so rebuilding it may replace what
+    # the questions and everything after them were built on
+    Pipeline(mini_config("ss_mc"), probe).ensure_params()
+    recorded = (probe / "fingerprints.tsv").read_text(encoding="utf-8")
+    keys = {line.split("\t")[0] for line in recorded.splitlines()}
+    assert keys == {"corpus", "backbone", "embedder", "student_base", "params"}
+
+
+def test_stage_by_stage_commands_leave_a_directory_run_reuses(finished_run, tmp_path, monkeypatch):
+    out, _ = finished_run
+    probe = tmp_path / "staged"
+    # as `softsrv train`, `generate`, `postprocess`, `mauve` without `pretrain`:
+    # mauve builds the embedder last, after stages that declare it upstream
+    staged = Pipeline(mini_config(), probe)
+    staged.ensure_params()
+    staged.ensure_questions()
+    staged.ensure_postprocess()
+    staged.ensure_mauve()
+    for name in ("train", "generate_questions", "generate_answers", "diverse_subsample", "mauve_score"):
+        monkeypatch.setattr(pipeline, name, _must_not_run)
+    run_experiment(mini_config(), str(probe))
+    for name in ARTIFACTS:
+        assert (probe / name).read_bytes() == (out / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def finished_ptsr_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("mini_ptsr")
+    run_experiment(mini_config("ptsr"), str(out))
+    return out
+
+
+def test_template_run_records_every_stage_it_built(finished_ptsr_run):
+    recorded = (finished_ptsr_run / "fingerprints.tsv").read_text(encoding="utf-8")
+    keys = {line.split("\t")[0] for line in recorded.splitlines()}
+    assert keys == set(pipeline.STAGE_TABLE) - {"params"}
+
+
+def test_mauve_change_on_a_template_run_keeps_its_questions(finished_ptsr_run, tmp_path, monkeypatch):
+    probe = _copy_run(finished_ptsr_run, tmp_path / "mauve_k")
+    for name in ("pretrain_backbone", "ptsr_generate", "pt_generate_answers", "evaluate_student"):
+        monkeypatch.setattr(pipeline, name, _must_not_run)
+    cfg = mini_config("ptsr")
+    cfg.mauve.k = 2
+    run_experiment(cfg, str(probe))
+    assert "k\t2" in (probe / "mauve_report.txt").read_text(encoding="utf-8").splitlines()
+    for name in ("questions.jsonl", "answered.jsonl", "final.jsonl", "student_report.txt"):
+        assert (probe / name).read_bytes() == (finished_ptsr_run / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("start", ["empty", "regenerating"])
 def test_interrupted_build_is_redone_in_full(finished_run, tmp_path, monkeypatch, start):
     out, _ = finished_run
