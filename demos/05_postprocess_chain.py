@@ -28,7 +28,7 @@ print(f"{len(docs)} raw docs, {len(dedup_exact(docs))} after dedup")
 
 unique = [docs[i] for i in dedup_exact(docs)]
 matrix = tfidf_vectorize(unique)
-print("tf-idf matrix:", matrix.rows.shape, "vocabulary", len(matrix.vocabulary))
+print("tf-idf matrix:", matrix.shape, "vocabulary", len(matrix.vocabulary))
 
 reduced = svd_reduce(matrix, 4)
 assignment = minibatch_kmeans(reduced, k=2, batch_size=8, iterations=20, seed=41)

@@ -24,13 +24,15 @@ def embed_sequence(embedder: BackboneModel, ids, d_e: int = DEFAULT_D_E) -> np.n
     ids = [int(i) for i in ids]
     if not ids:
         raise ValidationError("cannot embed an empty sequence")
-    for i in ids:
-        if not 0 <= i < embedder.vocab_size:
-            raise ValidationError(f"token id {i} out of vocabulary range")
+    vocab_size = embedder.vocab_size
+    if min(ids) < 0 or max(ids) >= vocab_size:
+        bad = next(i for i in ids if not 0 <= i < vocab_size)
+        raise ValidationError(f"token id {bad} out of vocabulary range")
     if not 0 < d_e <= embedder.d:
         raise ValidationError(f"d_e={d_e} outside (0, {embedder.d}]")
-    pooled = embedder.weights["tok_emb"][ids].mean(axis=0)
-    return pooled[:d_e].astype(np.float64).copy()
+    # the sum-then-divide that ndarray.mean performs, without its call overhead
+    pooled = np.add.reduce(embedder.weights["tok_emb"][ids], axis=0) / len(ids)
+    return pooled[:d_e].astype(np.float64)
 
 
 def embed_corpus(embedder: BackboneModel, sequences, d_e: int = DEFAULT_D_E) -> np.ndarray:

@@ -63,16 +63,19 @@ def _check_cloud(vecs, name: str) -> np.ndarray:
 
 def _lloyd(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     centroids = kmeans_pp_init(X, k, rng)
+    # one contiguous row per coordinate: bincount adds each cluster's members
+    # in row order, the same sequential sum as X[labels == c].sum(axis=0)
+    columns = np.ascontiguousarray(X.T)
     labels = None
     for _ in range(_LLOYD_MAX_ITER):
         new_labels = nearest_centroid(X, centroids)
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for c in range(k):
-            members = X[labels == c]
-            if len(members):  # empty clusters keep their previous centroid
-                centroids[c] = members.mean(axis=0)
+        counts = np.bincount(labels, minlength=k)
+        sums = np.stack([np.bincount(labels, weights=col, minlength=k) for col in columns], axis=1)
+        filled = counts > 0  # empty clusters keep their previous centroid
+        centroids[filled] = sums[filled] / counts[filled, None]
     return centroids
 
 

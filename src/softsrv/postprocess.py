@@ -7,12 +7,24 @@ draw across clusters. Decontamination removes any candidate sharing at
 least one normalized n-gram (default n=13) with a reference set; texts
 shorter than n tokens are kept. Everything here is deterministic given its
 seed and is checked against brute-force oracles in the tests.
+
+The corpus is never held as one dense (n, f) TF-IDF array when f <= n.
+tfidf_vectorize keeps each document's token column ids and rebuilds dense
+rows one block of ROW_CHUNK rows at a time. svd_reduce sums the f x f Gram
+matrix B.T @ B over those blocks, starting from the first block, so a corpus
+of at most ROW_CHUNK rows gets the one-shot X.T @ X bit for bit. It then
+projects and takes row norms block by block. Larger corpora sum the Gram
+matrix in a different order, so their scores differ from the one-shot
+product in the last bits. When f > n the smaller Gram matrix is n x n and
+the rows are materialised, which costs at most f * f values.
 """
 
 from __future__ import annotations
 
 import re
 import string
+from array import array
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +48,16 @@ def dedup_exact(docs: list[str]) -> list[int]:
     return out
 
 
+# rows per block wherever rows are processed in blocks: nearest_centroid,
+# the TF-IDF rows and svd_reduce; at k=700 a distance block is under 6 MB
+ROW_CHUNK = 1024
+
+
+def _blocks(n: int):
+    """[lo, hi) ranges of ROW_CHUNK rows covering range(n)."""
+    return ((lo, min(lo + ROW_CHUNK, n)) for lo in range(0, n, ROW_CHUNK))
+
+
 @dataclass
 class CorpusMatrix:
     rows: np.ndarray                 # (n, dims)
@@ -43,49 +65,128 @@ class CorpusMatrix:
     row_norms: np.ndarray            # L2 norms before any normalization
     vocabulary: list[str] | None = None
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.rows.shape
 
-def tfidf_vectorize(docs: list[str]) -> CorpusMatrix:
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        return self.rows[lo:hi]
+
+
+def _count_block(columns: np.ndarray, offsets: np.ndarray, f: int, lo: int, hi: int) -> np.ndarray:
+    """Raw term counts of rows [lo, hi) as a dense float64 (hi - lo, f) block."""
+    cols = columns[offsets[lo]:offsets[hi]]
+    local = np.repeat(np.arange(hi - lo), np.diff(offsets[lo:hi + 1]))
+    # float weights make bincount return float64 counts directly, except for
+    # a block without tokens, where it returns int64 zeros
+    counts = np.bincount(local * f + cols, weights=np.ones(len(cols)), minlength=(hi - lo) * f)
+    return counts.astype(np.float64, copy=False).reshape(hi - lo, f)
+
+
+@dataclass
+class TfidfMatrix:
+    """TF-IDF rows kept as token column ids; dense rows exist one block at a time.
+
+    Document i's tokens, in text order, are columns[offsets[i]:offsets[i + 1]].
+    """
+    columns: np.ndarray              # (tokens,) column ids, document after document
+    offsets: np.ndarray              # (n + 1,)
+    idf: np.ndarray                  # (dims,)
+    row_norms: np.ndarray            # (n,) L2 norms before normalization
+    vocabulary: list[str]
+
+    @property
+    def dims(self) -> int:
+        return len(self.vocabulary)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.row_norms), self.dims
+
+    def block(self, lo: int, hi: int) -> np.ndarray:
+        """L2-normalized TF-IDF rows [lo, hi) as a dense (hi - lo, dims) array."""
+        rows = _count_block(self.columns, self.offsets, self.dims, lo, hi)
+        rows *= self.idf
+        norms = self.row_norms[lo:hi]
+        rows /= np.where(norms > 0, norms, 1.0)[:, None]
+        return rows
+
+
+def tfidf_vectorize(docs: list[str]) -> TfidfMatrix:
     """TF-IDF with raw counts, idf = ln((1+N)/(1+df)) + 1, rows L2-normalized.
 
     Tokens are lowercase alphanumeric runs; columns follow sorted vocabulary
-    order so the matrix is deterministic.
+    order so the matrix is deterministic. Documents are tokenized one at a
+    time into column ids; df and the row norms are taken over ROW_CHUNK-row
+    dense count blocks, with the same per-row arithmetic as one dense matrix.
     """
     if not docs:
         raise ValidationError("empty document list")
-    tokenized = [_WORD_RE.findall(doc.lower()) for doc in docs]
-    vocab = sorted({tok for toks in tokenized for tok in toks})
-    if not vocab:
+    # a token's first sighting gives it the next free id
+    first_seen: defaultdict[str, int] = defaultdict()
+    first_seen.default_factory = first_seen.__len__
+    ids = array("i")
+    lengths = array("q")
+    for doc in docs:
+        toks = _WORD_RE.findall(doc.lower())
+        ids.extend(map(first_seen.__getitem__, toks))
+        lengths.append(len(toks))
+    if not first_seen:
         raise ValidationError("no word tokens in any document")
-    col = {tok: j for j, tok in enumerate(vocab)}
+    vocab = sorted(first_seen)
     n, f = len(docs), len(vocab)
-    row_ids = np.repeat(np.arange(n, dtype=np.int64), [len(toks) for toks in tokenized])
-    col_ids = np.fromiter((col[tok] for toks in tokenized for tok in toks), np.int64, len(row_ids))
-    # float weights make bincount return the float64 count matrix directly
-    rows = np.bincount(row_ids * f + col_ids, weights=np.ones(len(row_ids)), minlength=n * f).reshape(n, f)
-    df = np.count_nonzero(rows, axis=0)
-    rows *= np.log((1.0 + n) / (1.0 + df)) + 1.0
-    norms = np.sqrt((rows * rows).sum(axis=1))
-    rows /= np.where(norms > 0, norms, 1.0)[:, None]
-    return CorpusMatrix(rows=rows, dims=f, row_norms=norms, vocabulary=vocab)
+    rank = np.empty(f, dtype=np.intc)
+    rank[np.fromiter(map(first_seen.__getitem__, vocab), np.intp, f)] = np.arange(f)
+    columns = rank[np.frombuffer(ids, dtype=np.intc)]
+    offsets = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.frombuffer(lengths, dtype=np.int64), out=offsets[1:])
+    df = np.zeros(f, dtype=np.intp)
+    for lo, hi in _blocks(n):
+        df += np.count_nonzero(_count_block(columns, offsets, f, lo, hi), axis=0)
+    idf = np.log((1.0 + n) / (1.0 + df)) + 1.0
+    norms = np.empty(n)
+    for lo, hi in _blocks(n):
+        rows = _count_block(columns, offsets, f, lo, hi)
+        rows *= idf
+        norms[lo:hi] = np.sqrt((rows * rows).sum(axis=1))
+    return TfidfMatrix(columns=columns, offsets=offsets, idf=idf, row_norms=norms, vocabulary=vocab)
 
 
-def svd_reduce(matrix: CorpusMatrix, dims: int) -> CorpusMatrix:
+def _orient(V: np.ndarray) -> np.ndarray:
+    """Sign convention: the largest-magnitude loading of each component is positive."""
+    for j in range(V.shape[1]):
+        pivot = int(np.argmax(np.abs(V[:, j])))
+        if V[pivot, j] < 0:
+            V[:, j] = -V[:, j]
+    return V
+
+
+def svd_reduce(matrix: CorpusMatrix | TfidfMatrix, dims: int) -> CorpusMatrix:
     """Project rows onto the top right-singular directions (truncated SVD scores).
 
     Computed by eigendecomposition of the smaller Gram matrix. Each
     component's sign is fixed by making its largest-magnitude loading
     positive, so the output is fully deterministic.
     """
-    X = matrix.rows
-    n, f = X.shape
+    n, f = matrix.shape
     if not 0 < dims <= min(n, f):
         raise ValidationError(f"dims={dims} outside [1, min(n={n}, f={f})]")
     if f <= n:
-        gram = X.T @ X
+        gram = None
+        for lo, hi in _blocks(n):
+            B = matrix.block(lo, hi)
+            if gram is None:
+                gram = B.T @ B
+            else:
+                gram += B.T @ B
         evals, evecs = np.linalg.eigh(gram)
         order = np.argsort(evals)[::-1][:dims]
-        V = evecs[:, order]
+        V = _orient(evecs[:, order])
+        scores = np.empty((n, dims))
+        for lo, hi in _blocks(n):
+            scores[lo:hi] = matrix.block(lo, hi) @ V
     else:
+        X = matrix.block(0, n)
         gram = X @ X.T
         evals, evecs = np.linalg.eigh(gram)
         order = np.argsort(evals)[::-1][:dims]
@@ -95,13 +196,11 @@ def svd_reduce(matrix: CorpusMatrix, dims: int) -> CorpusMatrix:
         V = np.zeros((f, dims))
         nz = sv > 1e-12
         V[:, nz] = (X.T @ U[:, nz]) / sv[nz]
-    # sign convention: largest-magnitude loading of each component positive
-    for j in range(dims):
-        pivot = int(np.argmax(np.abs(V[:, j])))
-        if V[pivot, j] < 0:
-            V[:, j] = -V[:, j]
-    scores = X @ V
-    norms = np.sqrt((scores * scores).sum(axis=1))
+        scores = X @ _orient(V)
+    norms = np.empty(n)
+    for lo, hi in _blocks(n):
+        block = scores[lo:hi]
+        norms[lo:hi] = np.sqrt((block * block).sum(axis=1))
     return CorpusMatrix(rows=scores, dims=dims, row_norms=norms)
 
 
@@ -135,15 +234,11 @@ class ClusterAssignment:
     k: int
 
 
-# rows per distance block in nearest_centroid; at k=700 a block is under 6 MB
-NEAREST_CHUNK = 1024
-
-
 def nearest_centroid(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Index of each row's nearest centroid; equal distances resolve to the lowest id.
 
     Squared distances are ||x||^2 - 2 x.c + ||c||^2, one matmul per block of
-    NEAREST_CHUNK rows, so memory grows with chunk * k rather than n * k * d.
+    ROW_CHUNK rows, so memory grows with chunk * k rather than n * k * d.
     That form rounds differently from summing (x - c)^2: identical centroids
     always tie, but two distinct centroids at nearly or exactly the same
     distance may rank either way, and the cancellation grows with ||x||
@@ -151,13 +246,13 @@ def nearest_centroid(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """
     c2 = (centroids * centroids).sum(axis=1)
     labels = np.empty(X.shape[0], dtype=np.intp)
-    for start in range(0, X.shape[0], NEAREST_CHUNK):
-        block = X[start:start + NEAREST_CHUNK]
+    for lo, hi in _blocks(X.shape[0]):
+        block = X[lo:hi]
         d2 = block @ centroids.T
         d2 *= -2.0
         d2 += (block * block).sum(axis=1)[:, None]
         d2 += c2
-        labels[start:start + NEAREST_CHUNK] = d2.argmin(axis=1)
+        labels[lo:hi] = d2.argmin(axis=1)
     return labels
 
 

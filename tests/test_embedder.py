@@ -70,3 +70,27 @@ def test_embed_corpus_stacks_rows():
     assert got.shape == (3, 3)
     for i, s in enumerate(seqs):
         np.testing.assert_allclose(got[i], embed_sequence(model, s, d_e=3))
+
+
+def test_out_of_range_ids_rejected():
+    model = make_embedder()
+    for bad in ([4, -1], [model.vocab_size], [4, 5, model.vocab_size + 3], [2**70]):
+        with pytest.raises(ValidationError, match=f"token id {bad[-1]} "):
+            embed_sequence(model, bad, d_e=4)
+
+
+def loop_embed(model, ids, d_e):
+    """embed_sequence as it was: a per-token range check, then ndarray.mean."""
+    ids = [int(i) for i in ids]
+    for i in ids:
+        assert 0 <= i < model.vocab_size
+    return model.weights["tok_emb"][ids].mean(axis=0)[:d_e].astype(np.float64).copy()
+
+
+def test_embedding_equals_the_per_token_loop_exactly():
+    model = make_embedder(d=16, seed=3)
+    rng = np.random.default_rng(4)
+    for length in (1, 2, 7, 8, 9, 33, 200):
+        ids = rng.integers(0, model.vocab_size, size=length)
+        for seq in (ids.tolist(), ids, tuple(ids.tolist())):
+            np.testing.assert_array_equal(embed_sequence(model, seq, d_e=11), loop_embed(model, seq, 11))

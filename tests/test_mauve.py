@@ -17,10 +17,12 @@ from softsrv.mauve import (
     DEFAULT_K,
     MauveReport,
     QuantizedPair,
+    _lloyd,
     divergence_curve,
     mauve_score,
     quantize,
 )
+from softsrv.postprocess import kmeans_pp_init, nearest_centroid
 
 trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -165,3 +167,30 @@ def test_curve_validation():
         divergence_curve(pair, c=5.0, lambda_grid=[0.0, 0.5])
     with pytest.raises(ValidationError):
         mauve_score(np.zeros((2, 1)), np.zeros((2, 1)), k=1, grid_size=1)
+
+
+def loop_lloyd(X, k, rng):
+    """The per-cluster boolean gather _lloyd replaces, same stopping rule."""
+    centroids = kmeans_pp_init(X, k, rng)
+    labels = None
+    for _ in range(100):
+        new_labels = nearest_centroid(X, centroids)
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            members = X[labels == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+    return centroids
+
+
+@pytest.mark.parametrize("case", ["clouds", "empty-clusters"])
+def test_lloyd_grouped_sums_equal_the_per_cluster_means_exactly(case):
+    if case == "clouds":
+        X, k = np.vstack([gaussian_cloud(3000, 6, [0.0] * 6, 1), gaussian_cloud(2000, 6, [3.0] * 6, 2)]), 9
+    else:
+        # three distinct points and k=5: two centroids duplicate others and stay empty
+        X, k = np.repeat(np.eye(3) * 0.7, 4, axis=0), 5
+    got = _lloyd(X, k, np.random.default_rng(3))
+    np.testing.assert_array_equal(got, loop_lloyd(X, k, np.random.default_rng(3)))

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from softsrv.errors import ValidationError
 from softsrv.postprocess import (
-    NEAREST_CHUNK,
+    ROW_CHUNK,
     ClusterAssignment,
     CorpusMatrix,
     decontaminate,
@@ -81,7 +81,7 @@ def test_tfidf_matches_dictionary_oracle():
     matrix = tfidf_vectorize(docs)
     want, vocab = oracle_tfidf(docs)
     assert matrix.vocabulary == vocab
-    np.testing.assert_allclose(matrix.rows, want, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(matrix.block(0, len(docs)), want, rtol=1e-12, atol=1e-15)
 
 
 def loop_tfidf(docs):
@@ -105,18 +105,43 @@ def test_tfidf_equals_the_count_loop_exactly():
     matrix = tfidf_vectorize(docs)
     rows, norms, vocab = loop_tfidf(docs)
     assert matrix.vocabulary == vocab
-    np.testing.assert_array_equal(matrix.rows, rows)
+    np.testing.assert_array_equal(matrix.block(0, len(docs)), rows)
     np.testing.assert_array_equal(matrix.row_norms, norms)
+
+
+def random_docs(n, n_words, seed):
+    """Zipf-like word draws, lengths 0-29, so some documents are empty."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(n_words)]
+    p = 1.0 / np.arange(1, n_words + 1)
+    return [" ".join(rng.choice(words, size=int(rng.integers(0, 30)), p=p / p.sum())) for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1, 2 * ROW_CHUNK + 3])
+def test_tfidf_blocks_equal_the_count_loop_exactly(n):
+    docs = random_docs(n, 40, seed=n)
+    docs[0], docs[n // 2], docs[-1] = "", "?? -- !!", ""  # empty and token-free documents
+    matrix = tfidf_vectorize(docs)
+    rows, norms, vocab = loop_tfidf(docs)
+    assert matrix.vocabulary == vocab
+    assert matrix.shape == rows.shape
+    np.testing.assert_array_equal(matrix.row_norms, norms)
+    for lo in range(0, n, ROW_CHUNK):
+        hi = min(lo + ROW_CHUNK, n)
+        np.testing.assert_array_equal(matrix.block(lo, hi), rows[lo:hi])
+    # ranges that straddle a chunk boundary, one row and no rows
+    for lo, hi in [(ROW_CHUNK - 5, n), (n // 2, n // 2 + 1), (n, n), (0, n)]:
+        np.testing.assert_array_equal(matrix.block(lo, hi), rows[lo:hi])
 
 
 def test_tfidf_rows_are_unit_norm():
     matrix = tfidf_vectorize(["a b c", "c d", "e"])
-    np.testing.assert_allclose(np.linalg.norm(matrix.rows, axis=1), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(matrix.block(0, 3), axis=1), 1.0, rtol=1e-12)
 
 
 def test_tfidf_empty_document_gets_zero_row():
     matrix = tfidf_vectorize(["a b", "???", "b"])
-    assert np.linalg.norm(matrix.rows[1]) == 0.0
+    assert np.linalg.norm(matrix.block(1, 2)) == 0.0
 
 
 def test_tfidf_rejects_empty_corpus():
@@ -161,6 +186,70 @@ def test_svd_output_is_deterministic_up_to_exact_equality():
     np.testing.assert_array_equal(a, b)
 
 
+def oneshot_svd(X, dims):
+    """svd_reduce before row blocks: one Gram product and one projection."""
+    n, f = X.shape
+    if f <= n:
+        evals, evecs = np.linalg.eigh(X.T @ X)
+        V = evecs[:, np.argsort(evals)[::-1][:dims]]
+    else:
+        evals, evecs = np.linalg.eigh(X @ X.T)
+        order = np.argsort(evals)[::-1][:dims]
+        sv = np.sqrt(np.maximum(evals[order], 0.0))
+        V = np.zeros((f, dims))
+        nz = sv > 1e-12
+        V[:, nz] = (X.T @ evecs[:, order][:, nz]) / sv[nz]
+    for j in range(dims):
+        pivot = int(np.argmax(np.abs(V[:, j])))
+        if V[pivot, j] < 0:
+            V[:, j] = -V[:, j]
+    scores = X @ V
+    return scores, np.sqrt((scores * scores).sum(axis=1))
+
+
+@pytest.mark.parametrize(
+    "n,n_words",
+    [(30, 200), (ROW_CHUNK - 1, 40), (ROW_CHUNK, 40), (ROW_CHUNK + 1, 40), (2 * ROW_CHUNK + 3, 40)],
+    ids=["f>n", "chunk-1", "chunk", "chunk+1", "2chunk+3"],
+)
+def test_svd_of_tfidf_blocks_matches_the_one_shot_products(n, n_words):
+    matrix = tfidf_vectorize(random_docs(n, n_words, seed=n + 1))
+    dense = matrix.block(0, n)
+    reduced = svd_reduce(matrix, 8)
+    # the dense matrix takes the same row blocks, so it agrees exactly at any n
+    from_dense = svd_reduce(CorpusMatrix(rows=dense, dims=dense.shape[1], row_norms=matrix.row_norms), 8)
+    np.testing.assert_array_equal(reduced.rows, from_dense.rows)
+    np.testing.assert_array_equal(reduced.row_norms, from_dense.row_norms)
+    scores, norms = oneshot_svd(dense, 8)
+    if n <= ROW_CHUNK:
+        np.testing.assert_array_equal(reduced.rows, scores)
+        np.testing.assert_array_equal(reduced.row_norms, norms)
+    else:
+        # the Gram sum runs block by block, so only the last bits may move
+        np.testing.assert_allclose(reduced.rows, scores, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(reduced.row_norms, norms, rtol=1e-9, atol=1e-12)
+
+
+def test_tfidf_and_svd_memory_stay_small_without_a_dense_matrix():
+    # 25k docs over 500 words: the dense (n, f) float64 matrix alone is 100 MB
+    rng = np.random.default_rng(15)
+    words = np.array([f"w{i}" for i in range(500)])
+    docs = [" ".join(words[rng.integers(0, 500, size=20)]) for _ in range(25_000)]
+    tracemalloc.start()
+    try:
+        matrix = tfidf_vectorize(docs)
+        reduced = svd_reduce(matrix, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak
+    assert matrix.shape == (25_000, 500)
+    assert reduced.rows.shape == (25_000, 16)
+    column = {w: j for j, w in enumerate(matrix.vocabulary)}
+    for doc, row in zip(docs[-20:], matrix.block(25_000 - 20, 25_000)):
+        assert set(np.flatnonzero(row).tolist()) == {column[w] for w in doc.split()}
+
+
 def test_svd_dims_validated():
     X = np.eye(3)
     matrix = CorpusMatrix(rows=X, dims=3, row_norms=np.ones(3))
@@ -188,7 +277,7 @@ def broadcast_nearest(X, centroids):
     return d2.argmin(axis=1)
 
 
-@pytest.mark.parametrize("n", [37, NEAREST_CHUNK - 1, NEAREST_CHUNK, NEAREST_CHUNK + 1])
+@pytest.mark.parametrize("n", [37, ROW_CHUNK - 1, ROW_CHUNK, ROW_CHUNK + 1])
 def test_nearest_centroid_matches_the_broadcast_oracle(n):
     rng = np.random.default_rng(n)
     X = rng.standard_normal((n, 5))
