@@ -8,8 +8,21 @@ token embeddings are (d, t) matrices); internally sequences are row-major.
 Architecture: learned token + absolute positional embeddings (positions
 attach to token positions only, never to prefix columns), pre-norm blocks
 of causal multi-head attention and a ReLU MLP with residual connections,
-RMS normalization, and an untied output head with bias. No KV cache;
-sampling reruns the full forward per step, which is fine at desk scale.
+RMS normalization, and an untied output head with bias.
+
+Training and decode share one packed core. A batch of ragged streams
+(each its prefix rows, then its token rows) is held as one (N, d) matrix
+of real rows with no padding, so every norm, projection, FFN and
+weight-gradient product is a single 2-D GEMM. The attention contraction
+scatters Q/K/V into a zeroed grid padded to the longest stream; the
+causal mask gives padding exactly zero weight, so nothing crosses between
+streams. In training the output head runs stream by stream over the same
+grid, one GEMM per stream, and the cross-entropy reads only the scored
+rows; decode sends only the row it samples from to the head.
+
+Decode has no KV cache: every sampled token reruns a full forward pass of
+its stream. Decode is now the largest slice of a desk run; ROADMAP item 1
+plans the batched, KV-cached engine that replaces it.
 
 Gradients are written out manually (no autodiff) and verified against
 central finite differences in the test suite.
@@ -19,6 +32,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -210,7 +225,26 @@ def _check_capacity(model: BackboneModel, total: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# forward / backward core (batched, row-major streams)
+# forward / backward core (packed rows, row-major streams)
+#
+# In the padded grid a stream's padding comes after its last real row, so
+# the causal mask gives it exactly zero weight from every real query. Padded
+# queries do attend to real rows, but the backward pass gives them a zero
+# upstream gradient, so they send nothing back.
+
+
+class _Layout(NamedTuple):
+    """Where the packed rows of a batch sit in its padded (B, T) grid."""
+
+    B: int
+    T: int  # padded stream length, t + the longest token row
+    t: int  # prefix rows per stream (0 for token-only streams)
+    lens: np.ndarray  # token rows per stream
+    starts: np.ndarray  # packed index of each stream's first row
+    real: np.ndarray  # flat grid index b*T + i of each packed row
+    tok_rows: np.ndarray  # packed index of each token row, stream by stream
+    pos: np.ndarray  # position of each token row within its token segment
+
 
 def _rms_forward(x: np.ndarray, g: np.ndarray):
     s = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + _RMS_EPS)
@@ -221,108 +255,138 @@ def _rms_forward(x: np.ndarray, g: np.ndarray):
 def _rms_backward(dy: np.ndarray, g: np.ndarray, cache):
     x, xhat, s = cache
     d = x.shape[-1]
-    dg = np.sum(dy * xhat, axis=tuple(range(dy.ndim - 1)))
+    dg = np.sum(dy * xhat, axis=0)
     dxhat = dy * g
     dot = np.sum(x * dxhat, axis=-1, keepdims=True)
     dx = s * (dxhat - x * (s * s / d) * dot)
     return dx, dg
 
 
-def _forward(model: BackboneModel, x0: np.ndarray):
-    """x0 (B, T, d) -> logits (B, T, V) plus the backward cache."""
+def _to_grid(rows: np.ndarray, layout: _Layout) -> np.ndarray:
+    """Packed (N, k) rows -> the (B, T, k) grid, zero on padding."""
+    B, T = layout.B, layout.T
+    if len(rows) < B * T:
+        grid = np.zeros((B * T, rows.shape[1]), dtype=rows.dtype)
+        grid[layout.real] = rows
+        rows = grid
+    return rows.reshape(B, T, -1)
+
+
+def _from_grid(grid: np.ndarray, layout: _Layout) -> np.ndarray:
+    """(B, T, k) grid -> the packed (N, k) real rows."""
+    rows = grid.reshape(layout.B * layout.T, -1)
+    return rows if len(rows) == len(layout.real) else rows[layout.real]
+
+
+def _to_heads(rows: np.ndarray, layout: _Layout, n_heads: int) -> np.ndarray:
+    """Packed (N, d) rows -> head-major (B, H, T, dh), zero on padding."""
+    B, T = layout.B, layout.T
+    return _to_grid(rows, layout).reshape(B, T, n_heads, -1).transpose(0, 2, 1, 3)
+
+
+def _from_heads(heads: np.ndarray, layout: _Layout) -> np.ndarray:
+    """Head-major (B, H, T, dh) -> the packed (N, d) real rows."""
+    B, H, T, dh = heads.shape
+    return _from_grid(heads.transpose(0, 2, 1, 3).reshape(B, T, H * dh), layout)
+
+
+def _forward(model: BackboneModel, x0: np.ndarray, layout: _Layout, head_rows=None):
+    """Packed rows x0 (N, d) -> logits plus the backward cache.
+
+    With head_rows None the head runs stream by stream over the padded
+    grid and the logits are (B, T, V); this is the form _backward takes.
+    Otherwise only the listed packed rows reach the final norm and the
+    head, the logits are (len(head_rows), V), and no layer's activations
+    are kept: the cache is None.
+    """
     cfg = model.config
     w = model.weights
-    B, T, d = x0.shape
-    H, dh = cfg.n_heads, d // cfg.n_heads
-    mask = np.triu(np.full((T, T), _NEG, dtype=x0.dtype), k=1)
+    H, dh = cfg.n_heads, x0.shape[1] // cfg.n_heads
+    mask = np.triu(np.full((layout.T, layout.T), _NEG, dtype=x0.dtype), k=1)
 
     x = x0
-    layer_caches = []
+    layer_caches = [] if head_rows is None else None
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
         a, nc1 = _rms_forward(x, w[p + "attn_norm_g"])
-        q = a @ w[p + "wq"].T
-        k = a @ w[p + "wk"].T
-        v = a @ w[p + "wv"].T
-        # head-major (B, H, T, dh) views so the contractions run as batched matmuls
-        qh = q.reshape(B, T, H, dh).transpose(0, 2, 1, 3)
-        kh = k.reshape(B, T, H, dh).transpose(0, 2, 1, 3)
-        vh = v.reshape(B, T, H, dh).transpose(0, 2, 1, 3)
-        scores = (qh @ kh.transpose(0, 1, 3, 2)) / np.sqrt(dh)
-        scores = scores + mask
+        qh = _to_heads(a @ w[p + "wq"].T, layout, H)
+        kh = _to_heads(a @ w[p + "wk"].T, layout, H)
+        vh = _to_heads(a @ w[p + "wv"].T, layout, H)
+        scores = qh @ kh.transpose(0, 1, 3, 2)
+        scores /= np.sqrt(dh)
+        scores += mask
         scores -= scores.max(axis=-1, keepdims=True)
-        ew = np.exp(scores)
-        attn_w = ew / ew.sum(axis=-1, keepdims=True)
-        o = (attn_w @ vh).transpose(0, 2, 1, 3).reshape(B, T, d)
+        attn_w = np.exp(scores, out=scores)
+        attn_w /= attn_w.sum(axis=-1, keepdims=True)
+        o = _from_heads(attn_w @ vh, layout)
         x_mid = x + o @ w[p + "wo"].T
 
         b, nc2 = _rms_forward(x_mid, w[p + "ffn_norm_g"])
         pre = b @ w[p + "w1"].T
         f = np.maximum(pre, 0.0)
         x = x_mid + f @ w[p + "w2"].T
-        layer_caches.append((nc1, a, qh, kh, vh, attn_w, o, x_mid, nc2, b, pre, f))
+        if layer_caches is not None:
+            layer_caches.append((nc1, a, qh, kh, vh, attn_w, o, nc2, b, pre, f))
 
+    if head_rows is not None:
+        h, _ = _rms_forward(x[head_rows], w["final_norm_g"])
+        return h @ w["head_w"].T + w["head_b"], None
     h, ncf = _rms_forward(x, w["final_norm_g"])
+    h = _to_grid(h, layout)
     logits = h @ w["head_w"].T + w["head_b"]
-    return logits, (x0.shape, layer_caches, ncf, h)
-
-
-def _batch_outer(dy: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Sum over batch and time of outer(dy[b, t], x[b, t]): a weight gradient."""
-    return dy.reshape(-1, dy.shape[-1]).T @ x.reshape(-1, x.shape[-1])
+    return logits, (layout, layer_caches, ncf, h)
 
 
 def _backward(model: BackboneModel, cache, dlogits: np.ndarray, want_weight_grads: bool):
-    """Returns (dx0, weight_grads or None). Never mutates model weights."""
+    """Grid dlogits (B, T, V) -> (dx0 over the packed rows, weight_grads or None).
+
+    Never mutates model weights.
+    """
     cfg = model.config
     w = model.weights
-    (B, T, d), layer_caches, ncf, h = cache
-    H, dh = cfg.n_heads, d // cfg.n_heads
+    layout, layer_caches, ncf, h = cache
+    dh = h.shape[-1] // cfg.n_heads
     wg: dict[str, np.ndarray] | None = {} if want_weight_grads else None
 
     if want_weight_grads:
-        wg["head_w"] = _batch_outer(dlogits, h)
+        vs = dlogits.shape[-1]
+        wg["head_w"] = dlogits.reshape(-1, vs).T @ h.reshape(-1, h.shape[-1])
         wg["head_b"] = dlogits.sum(axis=(0, 1))
-    dh_final = dlogits @ w["head_w"]
-    dx, dgf = _rms_backward(dh_final, w["final_norm_g"], ncf)
+    dx, dgf = _rms_backward(_from_grid(dlogits @ w["head_w"], layout), w["final_norm_g"], ncf)
     if want_weight_grads:
         wg["final_norm_g"] = dgf
 
     for i in reversed(range(cfg.n_layers)):
         p = f"layers.{i}."
-        nc1, a, qh, kh, vh, attn_w, o, x_mid, nc2, b, pre, f = layer_caches[i]
+        nc1, a, qh, kh, vh, attn_w, o, nc2, b, pre, f = layer_caches[i]
 
         # ffn branch: x = x_mid + relu(b @ w1.T) @ w2.T
-        dffn_out = dx
-        df = dffn_out @ w[p + "w2"]
+        df = dx @ w[p + "w2"]
         dpre = df * (pre > 0)
         db = dpre @ w[p + "w1"]
         if want_weight_grads:
-            wg[p + "w2"] = _batch_outer(dffn_out, f)
-            wg[p + "w1"] = _batch_outer(dpre, b)
+            wg[p + "w2"] = dx.T @ f
+            wg[p + "w1"] = dpre.T @ b
         dx_mid, dg2 = _rms_backward(db, w[p + "ffn_norm_g"], nc2)
-        dx_mid = dx_mid + dx  # residual
+        dx_mid += dx  # residual
         if want_weight_grads:
             wg[p + "ffn_norm_g"] = dg2
 
         # attention branch: x_mid = x + (attn_w @ v) @ wo.T
-        dattn_out = dx_mid
-        do = (dattn_out @ w[p + "wo"]).reshape(B, T, H, dh).transpose(0, 2, 1, 3)
+        do = _to_heads(dx_mid @ w[p + "wo"], layout, cfg.n_heads)
         if want_weight_grads:
-            wg[p + "wo"] = _batch_outer(dattn_out, o)
-        dw_attn = do @ vh.transpose(0, 1, 3, 2)
-        dvh = attn_w.transpose(0, 1, 3, 2) @ do
-        dscores = attn_w * (dw_attn - np.sum(attn_w * dw_attn, axis=-1, keepdims=True))
-        dqh = (dscores @ kh) / np.sqrt(dh)
-        dkh = (dscores.transpose(0, 1, 3, 2) @ qh) / np.sqrt(dh)
-        dq = dqh.transpose(0, 2, 1, 3).reshape(B, T, d)
-        dk = dkh.transpose(0, 2, 1, 3).reshape(B, T, d)
-        dv = dvh.transpose(0, 2, 1, 3).reshape(B, T, d)
+            wg[p + "wo"] = dx_mid.T @ o
+        dscores = do @ vh.transpose(0, 1, 3, 2)
+        dscores -= np.sum(attn_w * dscores, axis=-1, keepdims=True)
+        dscores *= attn_w
+        dq = _from_heads(dscores @ kh, layout) / np.sqrt(dh)
+        dk = _from_heads(dscores.transpose(0, 1, 3, 2) @ qh, layout) / np.sqrt(dh)
+        dv = _from_heads(attn_w.transpose(0, 1, 3, 2) @ do, layout)
         da = dq @ w[p + "wq"] + dk @ w[p + "wk"] + dv @ w[p + "wv"]
         if want_weight_grads:
-            wg[p + "wq"] = _batch_outer(dq, a)
-            wg[p + "wk"] = _batch_outer(dk, a)
-            wg[p + "wv"] = _batch_outer(dv, a)
+            wg[p + "wq"] = dq.T @ a
+            wg[p + "wk"] = dk.T @ a
+            wg[p + "wv"] = dv.T @ a
         dx_in, dg1 = _rms_backward(da, w[p + "attn_norm_g"], nc1)
         dx = dx_in + dx_mid  # residual
         if want_weight_grads:
@@ -332,36 +396,58 @@ def _backward(model: BackboneModel, cache, dlogits: np.ndarray, want_weight_grad
 
 
 def _build_streams(model: BackboneModel, prefixes, token_rows):
-    """Assemble padded (B, T, d) input embeddings.
+    """Pack a ragged batch into (N, d) input rows and their grid layout.
 
-    prefixes: None (token-only streams) or a list of (t, d) row-major
-    prefixes, all the same width. Token rows get tok_emb + pos_emb with
-    positions indexed within the token segment; prefix rows get none.
+    prefixes: None (token-only streams) or B row-major (t, d) prefixes, all
+    the same width. Token rows get tok_emb + pos_emb with positions indexed
+    within the token segment; prefix rows get none. The layout's real
+    holds the flat indices of the real rows (every prefix row and every
+    token row) in the padded (B, T) grid.
     """
     cfg = model.config
     w = model.weights
-    dt = np.dtype(cfg.dtype)
     B = len(token_rows)
-    t = 0 if prefixes is None else prefixes[0].shape[0]
-    lens = [len(ids) for ids in token_rows]
-    T = t + max(lens)
+    t = 0 if prefixes is None else len(prefixes[0])
+    lens = np.fromiter(map(len, token_rows), dtype=np.intp, count=B)
+    T = t + int(lens.max())
     _check_capacity(model, T)
-    x0 = np.zeros((B, T, cfg.d), dtype=dt)
-    for bi, ids in enumerate(token_rows):
-        if prefixes is not None:
-            x0[bi, :t] = prefixes[bi]
-        if ids:
-            x0[bi, t:t + len(ids)] = w["tok_emb"][ids] + w["pos_emb"][: len(ids)]
-    return x0, t, lens
+    spans = t + lens
+    starts = np.cumsum(spans) - spans
+    n_real = int(spans.sum())
+    real = np.arange(n_real) + np.repeat(np.arange(B) * T - starts, spans)
+    tok_starts = np.cumsum(lens) - lens
+    n_tok = int(lens.sum())
+    ramp = np.arange(n_tok)
+    tok_rows = ramp + np.repeat(starts + t - tok_starts, lens)
+    pos = ramp - np.repeat(tok_starts, lens)
+    layout = _Layout(B, T, t, lens, starts, real, tok_rows, pos)
+
+    x0 = np.empty((n_real, cfg.d), dtype=np.dtype(cfg.dtype))
+    if t:
+        x0[_prefix_rows(layout)] = np.reshape(prefixes, (B * t, cfg.d))
+    ids = np.fromiter(chain.from_iterable(token_rows), dtype=np.intp, count=n_tok)
+    x0[tok_rows] = w["tok_emb"][ids] + w["pos_emb"][pos]
+    return x0, layout, ids
 
 
-def _loss_rows(t: int, n_tokens: int, has_prefix: bool):
-    """Stream rows whose logits are scored, and the token index they predict."""
-    if has_prefix:
-        # row t-1+j predicts token j
-        return np.arange(t - 1, t - 1 + n_tokens), np.arange(0, n_tokens)
-    # no conditioning for token 0; row j-1 predicts token j
-    return np.arange(0, n_tokens - 1), np.arange(1, n_tokens)
+def _prefix_rows(layout: _Layout) -> np.ndarray:
+    """Packed indices of the prefix rows, stream by stream."""
+    return (layout.starts[:, None] + np.arange(layout.t)).ravel()
+
+
+def _loss_rows(layout: _Layout, has_prefix: bool):
+    """Scored packed rows, the flat token index each predicts, and each stream's count.
+
+    With a prefix, stream row t-1+j predicts token j. Without one, token 0
+    has no conditioning and stream row j-1 predicts token j.
+    """
+    lens = layout.lens
+    counts = lens if has_prefix else np.maximum(lens - 1, 0)
+    first_row, first_target = (layout.t - 1, 0) if has_prefix else (0, 1)
+    within = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+    rows = np.repeat(layout.starts + first_row, counts) + within
+    targets = np.repeat(np.cumsum(lens) - lens + first_target, counts) + within
+    return rows, targets, counts
 
 
 def batch_loss_and_grads(
@@ -371,45 +457,55 @@ def batch_loss_and_grads(
     want_weight_grads: bool = False,
     want_prefix_grads: bool = False,
 ):
-    """Mean-of-per-example-mean NLL over a padded batch, with gradients.
+    """Mean-of-per-example-mean NLL over a ragged batch, with gradients.
+
+    The batch runs packed: its real rows (prefix rows, then token rows,
+    stream after stream) form one (N, d) matrix with no padding. Only
+    attention and the output head see the padded (B, T) grid; the head
+    runs stream by stream over it, as one GEMM per stream. The
+    cross-entropy runs in one pass over the scored rows of the whole batch
+    (see _loss_rows). Each scored row's gradient is weighted
+    1/(count * B), where count is its stream's number of scored rows. A
+    stream with nothing to score (one token, no prefix) has loss 0 and
+    still counts in the mean.
 
     Returns (mean_loss, per_example_losses, prefix_grads, weight_grads).
     prefix_grads is a (B, t, d) array (row-major) when requested.
     """
     has_prefix = prefixes is not None
-    x0, t, lens = _build_streams(model, prefixes, token_rows)
-    logits, cache = _forward(model, x0)
-    B, T, vs = logits.shape
+    x0, layout, ids = _build_streams(model, prefixes, token_rows)
+    rows, targets, counts = _loss_rows(layout, has_prefix)
+    grid_logits, cache = _forward(model, x0, layout)
+    B, T, vs = grid_logits.shape
+    scored = layout.real[rows]  # flat grid index of each scored row
+    logits = grid_logits.reshape(B * T, vs)[scored]
 
-    per_example = np.zeros(B, dtype=np.float64)
-    dlogits = np.zeros_like(logits)
-    for bi, ids in enumerate(token_rows):
-        rows, targets = _loss_rows(t, lens[bi], has_prefix)
-        if len(rows) == 0:
-            continue
-        sel = logits[bi, rows]  # (L, V)
-        mx = sel.max(axis=1, keepdims=True)
-        lse = mx[:, 0] + np.log(np.exp(sel - mx).sum(axis=1))
-        tgt = np.asarray(ids, dtype=np.intp)[targets]
-        nll = lse - sel[np.arange(len(rows)), tgt]
-        per_example[bi] = float(nll.mean())
-        probs = np.exp(sel - lse[:, None])
-        probs[np.arange(len(rows)), tgt] -= 1.0
-        dlogits[bi, rows] = probs / (len(rows) * B)
+    picked = (np.arange(len(rows)), ids[targets])
+    mx = logits.max(axis=1, keepdims=True)
+    lse = mx[:, 0] + np.log(np.exp(logits - mx).sum(axis=1))
+    nll = lse - logits[picked]
+    stream = np.repeat(np.arange(B), counts)
+    per_example = np.bincount(stream, weights=nll, minlength=B) / np.maximum(counts, 1)
 
     mean_loss = float(per_example.mean())
     if not (want_weight_grads or want_prefix_grads):
         return mean_loss, per_example, None, None
+    probs = np.exp(logits - lse[:, None])
+    probs[picked] -= 1.0
+    probs /= (counts * B).astype(probs.dtype)[stream, None]
+    dlogits = np.zeros_like(grid_logits)
+    dlogits.reshape(B * T, vs)[scored] = probs
     dx0, wg = _backward(model, cache, dlogits, want_weight_grads)
     if want_weight_grads:
-        # scatter token-row gradients into the embedding tables
+        # scatter token-row gradients into the embedding tables, stream by stream
+        dtok = dx0[layout.tok_rows]
         wg["tok_emb"] = np.zeros_like(model.weights["tok_emb"])
         wg["pos_emb"] = np.zeros_like(model.weights["pos_emb"])
-        for bi, ids in enumerate(token_rows):
-            if ids:
-                np.add.at(wg["tok_emb"], ids, dx0[bi, t:t + len(ids)])
-                wg["pos_emb"][: len(ids)] += dx0[bi, t:t + len(ids)]
-    prefix_grads = dx0[:, :t, :].copy() if (want_prefix_grads and has_prefix) else None
+        np.add.at(wg["tok_emb"], ids, dtok)
+        np.add.at(wg["pos_emb"], layout.pos, dtok)
+    prefix_grads = None
+    if want_prefix_grads and has_prefix:
+        prefix_grads = dx0[_prefix_rows(layout)].reshape(B, layout.t, -1)
     return mean_loss, per_example, prefix_grads, wg
 
 
@@ -424,12 +520,11 @@ def forward_logits(model: BackboneModel, prefix: np.ndarray, target) -> np.ndarr
     """
     prefix = _check_prefix(model, prefix)
     ids = _check_ids(model, target)
-    t = prefix.shape[1]
-    _check_capacity(model, t + len(ids))
-    x0, _, _ = _build_streams(model, [prefix.T], [ids])
-    logits, _ = _forward(model, x0)
-    rows, _ = _loss_rows(t, len(ids), has_prefix=True)
-    return logits[0, rows]
+    _check_capacity(model, prefix.shape[1] + len(ids))
+    x0, layout, _ = _build_streams(model, [prefix.T], [ids])
+    rows, _, _ = _loss_rows(layout, has_prefix=True)
+    logits, _ = _forward(model, x0, layout, rows)
+    return logits
 
 
 def causal_loss(model: BackboneModel, prefix: np.ndarray, target) -> float:
@@ -452,13 +547,18 @@ def loss_and_prefix_grad(model: BackboneModel, prefix: np.ndarray, target) -> tu
     return loss, pg[0].T.copy()
 
 
+def _next_logits(model: BackboneModel, prefixes, ids: list[int]) -> np.ndarray:
+    """Logits after the last row of one stream; only that row reaches the head."""
+    x0, layout, _ = _build_streams(model, prefixes, [ids])
+    logits, _ = _forward(model, x0, layout, [len(x0) - 1])
+    return logits[0]
+
+
 def continuation_logits(model: BackboneModel, ids) -> np.ndarray:
     """Logits for the token following a plain token sequence (no prefix)."""
     ids = _check_ids(model, ids)
     _check_capacity(model, len(ids) + 1)
-    x0, _, _ = _build_streams(model, None, [ids])
-    logits, _ = _forward(model, x0)
-    return logits[0, len(ids) - 1]
+    return _next_logits(model, None, ids)
 
 
 def _draw(rng: np.random.Generator, logits: np.ndarray, temperature: float) -> int:
@@ -484,15 +584,12 @@ def sample(model: BackboneModel, prefix: np.ndarray, max_len: int, temperature: 
     prefix = _check_prefix(model, prefix)
     if max_len < 1:
         raise ValidationError("max_len must be >= 1")
-    t = prefix.shape[1]
-    _check_capacity(model, t + max_len)
+    _check_capacity(model, prefix.shape[1] + max_len)
     rng = np.random.default_rng(seed)
-    prefix_rows = prefix.T
+    prefix_rows = [prefix.T]
     ids: list[int] = []
     while len(ids) < max_len:
-        x0, _, _ = _build_streams(model, [prefix_rows], [ids])
-        logits, _ = _forward(model, x0)
-        nxt = _draw(rng, logits[0, t - 1 + len(ids)], temperature)
+        nxt = _draw(rng, _next_logits(model, prefix_rows, ids), temperature)
         if nxt == V.EOS:
             break
         ids.append(nxt)
@@ -514,9 +611,7 @@ def continue_tokens(model: BackboneModel, context_ids, max_new: int, temperature
     ids = list(context)
     out: list[int] = []
     while len(out) < max_new:
-        x0, _, _ = _build_streams(model, None, [ids])
-        logits, _ = _forward(model, x0)
-        nxt = _draw(rng, logits[0, len(ids) - 1], temperature)
+        nxt = _draw(rng, _next_logits(model, None, ids), temperature)
         if nxt == V.EOS:
             break
         ids.append(nxt)

@@ -39,7 +39,13 @@ def adam_step(
     betas: tuple[float, float] = (0.9, 0.999),
     eps: float = 1e-8,
 ) -> dict[str, np.ndarray]:
-    """Advance one step and return the parameter deltas (to be added)."""
+    """Advance one step and return the parameter deltas (to be added).
+
+    Each delta is -lr * m_hat / (sqrt(v_hat) + eps) with the bias-corrected
+    moments, built in its own buffer by in-place ops in the order that
+    expression evaluates, plus one scratch buffer per key for the scaled
+    first moment.
+    """
     if set(grads) != set(state.m):
         raise ValidationError("gradient keys do not match optimizer state")
     b1, b2 = betas
@@ -49,13 +55,20 @@ def adam_step(
     for key, g in grads.items():
         m = state.m[key]
         v = state.v[key]
+        scratch = np.multiply(g, 1.0 - b1)
         m *= b1
-        m += (1.0 - b1) * g
+        m += scratch
+        np.multiply(g, 1.0 - b2, out=scratch)
+        scratch *= g
         v *= b2
-        v += (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1**t)
-        v_hat = v / (1.0 - b2**t)
-        deltas[key] = -lr * m_hat / (np.sqrt(v_hat) + eps)
+        v += scratch
+        np.divide(m, 1.0 - b1**t, out=scratch)
+        scratch *= -lr
+        delta = np.divide(v, 1.0 - b2**t)
+        np.sqrt(delta, out=delta)
+        delta += eps
+        np.divide(scratch, delta, out=delta)
+        deltas[key] = delta
     return deltas
 
 
@@ -63,7 +76,7 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients in place so their joint L2 norm is <= max_norm."""
     total = 0.0
     for g in grads.values():
-        total += float(np.sum(g.astype(np.float64) ** 2))
+        total += float(np.sum(g.astype(np.float64, copy=False) ** 2))
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm

@@ -150,3 +150,54 @@ def test_full_chain_parameter_gradients_match_fd(variant):
         keep = np.maximum(np.abs(analytic), np.abs(numeric)) > FLOOR
         if keep.any():
             check_close(analytic[keep], numeric[keep])
+
+
+ORACLE_RTOL = 1e-12  # norm-wise; packing only reorders float64 sums
+
+
+def assert_close_normwise(actual, expected):
+    actual = np.asarray(actual, dtype=np.float64)
+    expected = np.asarray(expected, dtype=np.float64)
+    assert np.linalg.norm(actual - expected) <= ORACLE_RTOL * np.linalg.norm(expected)
+
+
+# max_seq is 24 and prefixes are 3 wide. Each ragged batch has a stream that
+# fills max_seq (24 tokens, or 21 under a prefix) and a one-token stream,
+# which is unscored without a prefix; the unpadded batches have equal lengths.
+@pytest.mark.parametrize(
+    "t, rows",
+    [
+        (0, [[4, 5, 6], list(range(4, 9)) * 4 + [4, 5, 6, 7], [6], [7, 4]]),
+        (0, [[4, 5, 6], [7, 4, 5], [6, 6, 7]]),
+        (3, [[5], [4, 6, 7, 5], [4, 5, 6, 7, 8] * 4 + [4], [7, 5]]),
+        (3, [[4, 5], [6, 7], [8, 4]]),
+    ],
+    ids=["tokens-ragged", "tokens-unpadded", "prefix-ragged", "prefix-unpadded"],
+)
+def test_packed_batch_equals_weighted_single_stream_calls(t, rows):
+    # the batch loss is the mean over streams of each stream's mean NLL, so
+    # its gradients are the B=1 gradients of each stream divided by B
+    model = tiny_model(seed=17)
+    rng = np.random.default_rng(11)
+    B = len(rows)
+    prefixes = rng.standard_normal((B, t, 8)) if t else None
+    want_prefix = prefixes is not None
+    loss, per_example, pg, wg = batch_loss_and_grads(
+        model, prefixes, rows, want_weight_grads=True, want_prefix_grads=want_prefix
+    )
+    singles = [
+        batch_loss_and_grads(
+            model,
+            None if prefixes is None else prefixes[b:b + 1],
+            [rows[b]],
+            want_weight_grads=True,
+            want_prefix_grads=want_prefix,
+        )
+        for b in range(B)
+    ]
+    assert_close_normwise(per_example, [s[1][0] for s in singles])
+    assert loss == pytest.approx(np.mean([s[0] for s in singles]), rel=ORACLE_RTOL)
+    for name in sorted(model.weights):
+        assert_close_normwise(wg[name], sum(s[3][name] for s in singles) / B)
+    if want_prefix:
+        assert_close_normwise(pg, np.concatenate([s[2] for s in singles]) / B)

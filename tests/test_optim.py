@@ -58,3 +58,27 @@ def test_clip_leaves_small_gradients_alone():
     norm = clip_global_norm(grads, 1.0)
     assert norm == pytest.approx(0.5)
     np.testing.assert_allclose(grads["a"], [0.3, 0.4])
+
+
+def test_adam_steps_equal_the_plain_expression_exactly():
+    # the in-place update must round exactly as the plain expression below
+    rng = np.random.default_rng(0)
+    shapes = {"w": (5, 3), "b": (3,), "emb": (7, 2, 2)}
+    lr, b1, b2, eps = 3e-3, 0.9, 0.98, 1e-8
+    state = init_adam({k: np.zeros(s) for k, s in shapes.items()})
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    for t in range(1, 6):
+        grads = {k: rng.standard_normal(s) * 10.0 ** rng.integers(-4, 2) for k, s in shapes.items()}
+        deltas = adam_step(state, grads, lr, (b1, b2), eps)
+        assert set(deltas) == set(shapes)
+        for k, g in grads.items():
+            m[k] *= b1
+            m[k] += (1.0 - b1) * g
+            v[k] *= b2
+            v[k] += (1.0 - b2) * g * g
+            m_hat = m[k] / (1.0 - b1**t)
+            v_hat = v[k] / (1.0 - b2**t)
+            np.testing.assert_array_equal(deltas[k], -lr * m_hat / (np.sqrt(v_hat) + eps))
+            np.testing.assert_array_equal(state.m[k], m[k])
+            np.testing.assert_array_equal(state.v[k], v[k])
