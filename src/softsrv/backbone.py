@@ -246,16 +246,18 @@ class _Layout(NamedTuple):
     pos: np.ndarray  # position of each token row within its token segment
 
 
-def _rms_forward(x: np.ndarray, g: np.ndarray):
+def _rms_forward(x: np.ndarray, g: np.ndarray, keep_xhat: bool):
+    """Normalized and scaled rows, and the cache (x, xhat or None, s)."""
     s = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + _RMS_EPS)
     xhat = x * s
-    return xhat * g, (x, xhat, s)
+    return xhat * g, (x, xhat if keep_xhat else None, s)
 
 
 def _rms_backward(dy: np.ndarray, g: np.ndarray, cache):
+    """dx, and the gain gradient, or None when the cache kept no xhat."""
     x, xhat, s = cache
     d = x.shape[-1]
-    dg = np.sum(dy * xhat, axis=0)
+    dg = None if xhat is None else np.sum(dy * xhat, axis=0)
     dxhat = dy * g
     dot = np.sum(x * dxhat, axis=-1, keepdims=True)
     dx = s * (dxhat - x * (s * s / d) * dot)
@@ -290,7 +292,13 @@ def _from_heads(heads: np.ndarray, layout: _Layout) -> np.ndarray:
     return _from_grid(heads.transpose(0, 2, 1, 3).reshape(B, T, H * dh), layout)
 
 
-def _forward(model: BackboneModel, x0: np.ndarray, layout: _Layout, head_rows=None):
+def _forward(
+    model: BackboneModel,
+    x0: np.ndarray,
+    layout: _Layout,
+    head_rows=None,
+    want_weight_grads: bool = False,
+):
     """Packed rows x0 (N, d) -> logits plus the backward cache.
 
     With head_rows None the head runs stream by stream over the padded
@@ -298,6 +306,13 @@ def _forward(model: BackboneModel, x0: np.ndarray, layout: _Layout, head_rows=No
     Otherwise only the listed packed rows reach the final norm and the
     head, the logits are (len(head_rows), V), and no layer's activations
     are kept: the cache is None.
+
+    The cache keeps only what the requested gradients read. For dx0 alone
+    it keeps each norm's input and scale, q, k, v, the attention weights
+    and the ReLU's boolean mask. With want_weight_grads it also keeps what
+    the weight gradients read: each norm's xhat, the attention input a,
+    the attention output o, the FFN input b, the ReLU output f (whose
+    mask f > 0 equals pre > 0, so pre is not kept) and the final h.
     """
     cfg = model.config
     w = model.weights
@@ -308,7 +323,7 @@ def _forward(model: BackboneModel, x0: np.ndarray, layout: _Layout, head_rows=No
     layer_caches = [] if head_rows is None else None
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
-        a, nc1 = _rms_forward(x, w[p + "attn_norm_g"])
+        a, nc1 = _rms_forward(x, w[p + "attn_norm_g"], want_weight_grads)
         qh = _to_heads(a @ w[p + "wq"].T, layout, H)
         kh = _to_heads(a @ w[p + "wk"].T, layout, H)
         vh = _to_heads(a @ w[p + "wv"].T, layout, H)
@@ -321,31 +336,37 @@ def _forward(model: BackboneModel, x0: np.ndarray, layout: _Layout, head_rows=No
         o = _from_heads(attn_w @ vh, layout)
         x_mid = x + o @ w[p + "wo"].T
 
-        b, nc2 = _rms_forward(x_mid, w[p + "ffn_norm_g"])
-        pre = b @ w[p + "w1"].T
-        f = np.maximum(pre, 0.0)
+        b, nc2 = _rms_forward(x_mid, w[p + "ffn_norm_g"], want_weight_grads)
+        f = b @ w[p + "w1"].T
+        np.maximum(f, 0.0, out=f)  # relu(pre), in place
         x = x_mid + f @ w[p + "w2"].T
-        if layer_caches is not None:
-            layer_caches.append((nc1, a, qh, kh, vh, attn_w, o, nc2, b, pre, f))
+        if layer_caches is None:
+            continue
+        if want_weight_grads:
+            layer_caches.append((nc1, a, qh, kh, vh, attn_w, o, nc2, b, f))
+        else:
+            layer_caches.append((nc1, None, qh, kh, vh, attn_w, None, nc2, None, f > 0))
 
     if head_rows is not None:
-        h, _ = _rms_forward(x[head_rows], w["final_norm_g"])
+        h, _ = _rms_forward(x[head_rows], w["final_norm_g"], False)
         return h @ w["head_w"].T + w["head_b"], None
-    h, ncf = _rms_forward(x, w["final_norm_g"])
+    h, ncf = _rms_forward(x, w["final_norm_g"], want_weight_grads)
     h = _to_grid(h, layout)
     logits = h @ w["head_w"].T + w["head_b"]
-    return logits, (layout, layer_caches, ncf, h)
+    return logits, (layout, layer_caches, ncf, h if want_weight_grads else None)
 
 
-def _backward(model: BackboneModel, cache, dlogits: np.ndarray, want_weight_grads: bool):
+def _backward(model: BackboneModel, cache, dlogits: np.ndarray):
     """Grid dlogits (B, T, V) -> (dx0 over the packed rows, weight_grads or None).
 
-    Never mutates model weights.
+    Weight gradients come back when _forward kept their inputs
+    (want_weight_grads). Never mutates model weights.
     """
     cfg = model.config
     w = model.weights
     layout, layer_caches, ncf, h = cache
-    dh = h.shape[-1] // cfg.n_heads
+    dh = cfg.d // cfg.n_heads
+    want_weight_grads = h is not None
     wg: dict[str, np.ndarray] | None = {} if want_weight_grads else None
 
     if want_weight_grads:
@@ -358,11 +379,13 @@ def _backward(model: BackboneModel, cache, dlogits: np.ndarray, want_weight_grad
 
     for i in reversed(range(cfg.n_layers)):
         p = f"layers.{i}."
-        nc1, a, qh, kh, vh, attn_w, o, nc2, b, pre, f = layer_caches[i]
+        # f is relu(pre), or its boolean mask when no weight gradient reads
+        # it; f > 0 is the mask either way
+        nc1, a, qh, kh, vh, attn_w, o, nc2, b, f = layer_caches[i]
 
         # ffn branch: x = x_mid + relu(b @ w1.T) @ w2.T
         df = dx @ w[p + "w2"]
-        dpre = df * (pre > 0)
+        dpre = df * (f > 0)
         db = dpre @ w[p + "w1"]
         if want_weight_grads:
             wg[p + "w2"] = dx.T @ f
@@ -475,7 +498,7 @@ def batch_loss_and_grads(
     has_prefix = prefixes is not None
     x0, layout, ids = _build_streams(model, prefixes, token_rows)
     rows, targets, counts = _loss_rows(layout, has_prefix)
-    grid_logits, cache = _forward(model, x0, layout)
+    grid_logits, cache = _forward(model, x0, layout, want_weight_grads=want_weight_grads)
     B, T, vs = grid_logits.shape
     scored = layout.real[rows]  # flat grid index of each scored row
     logits = grid_logits.reshape(B * T, vs)[scored]
@@ -495,7 +518,7 @@ def batch_loss_and_grads(
     probs /= (counts * B).astype(probs.dtype)[stream, None]
     dlogits = np.zeros_like(grid_logits)
     dlogits.reshape(B * T, vs)[scored] = probs
-    dx0, wg = _backward(model, cache, dlogits, want_weight_grads)
+    dx0, wg = _backward(model, cache, dlogits)
     if want_weight_grads:
         # scatter token-row gradients into the embedding tables, stream by stream
         dtok = dx0[layout.tok_rows]
@@ -655,10 +678,13 @@ def train_full_weights(
             raise TrainingDivergedError(step, loss)
         if grad_clip is not None:
             clip_global_norm(wg, grad_clip)
-        deltas = adam_step(adam, wg, lr, betas, eps)
-        for key, delta in deltas.items():
-            model.weights[key] += delta
+        adam_step(adam, model.weights, wg, lr, betas, eps)
         trace.record(loss)
+        # wg stays referenced until the next step's gradients replace it, at
+        # the cost of one backbone gradient (about 2 MB at desk shape). Freed
+        # here, nothing of the step would be left at the top of the heap, so
+        # glibc would trim it and the next step would page-fault it back,
+        # which measured slower (CHANGES.md).
     trace.finish()
     return trace
 

@@ -24,23 +24,27 @@ _DTYPES = {"float64": "<f8", "float32": "<f4", "int64": "<i8"}
 
 
 def write_checkpoint(path: str | Path, kind: str, meta: dict, tensors: dict[str, np.ndarray]) -> None:
+    """Write a container, each tensor straight from its own memory.
+
+    A tensor is copied only when it is not C-contiguous little-endian
+    already, and then as it is written, one tensor at a time.
+    """
+    names = sorted(tensors)
     entries = []
-    blobs = []
-    for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name])
+    for name in names:
+        arr = np.ascontiguousarray(tensors[name])  # a view unless the layout needs a copy
         dtype = str(arr.dtype)
         if dtype not in _DTYPES:
             raise CheckpointFormatError(f"unsupported dtype {dtype} for tensor {name!r}")
         entries.append({"name": name, "dtype": dtype, "shape": list(arr.shape)})
-        blobs.append(arr.astype(_DTYPES[dtype]).tobytes(order="C"))
     header = json.dumps({"kind": kind, "meta": meta, "tensors": entries},
                         sort_keys=True, ensure_ascii=False).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack(">Q", len(header)))
         fh.write(header)
-        for blob in blobs:
-            fh.write(blob)
+        for name, entry in zip(names, entries):
+            fh.write(np.ascontiguousarray(tensors[name], dtype=_DTYPES[entry["dtype"]]).data)
 
 
 def read_checkpoint(path: str | Path, expect_kind: str | None = None) -> tuple[str, dict, dict[str, np.ndarray]]:
@@ -75,8 +79,8 @@ def read_checkpoint(path: str | Path, expect_kind: str | None = None) -> tuple[s
         nbytes = count * np.dtype(_DTYPES[dtype]).itemsize
         if len(raw) < off + nbytes:
             raise CheckpointFormatError(f"truncated tensor payload for {name!r}")
-        arr = np.frombuffer(raw[off:off + nbytes], dtype=_DTYPES[dtype]).reshape(shape)
-        tensors[name] = arr.astype(dtype).copy()
+        # the one copy: out of the file's bytes, into a writable array of the host's dtype
+        tensors[name] = np.frombuffer(raw, _DTYPES[dtype], count, off).reshape(shape).astype(dtype)
         off += nbytes
     if off != len(raw):
         raise CheckpointFormatError("trailing bytes after last tensor")

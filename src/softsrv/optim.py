@@ -1,9 +1,9 @@
 """Adam with bias correction, global-norm clipping, and the loss trace type.
 
 All training loops in the package (backbone pretraining, soft-prompt
-training, student fine-tuning) share these pieces. adam_step is functional
-in spirit but updates its moment buffers in place; callers apply the
-returned deltas themselves.
+training, student fine-tuning) share these pieces. adam_step updates the
+parameters, its moment buffers and its scratch in place, so no step after
+the first allocates anything parameter-sized.
 """
 
 from __future__ import annotations
@@ -18,11 +18,17 @@ from .errors import ValidationError
 
 @dataclass
 class AdamState:
-    """First/second moment buffers keyed like the gradient dict."""
+    """First/second moment buffers keyed like the gradient dict.
+
+    scratch maps a dtype to the two rows an update is built in. The first
+    step that needs a dtype allocates its rows, sized to the largest key,
+    and later steps reuse them.
+    """
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
+    scratch: dict[np.dtype, np.ndarray] = field(default_factory=dict)
 
 
 def init_adam(arrays: dict[str, np.ndarray]) -> AdamState:
@@ -34,28 +40,32 @@ def init_adam(arrays: dict[str, np.ndarray]) -> AdamState:
 
 def adam_step(
     state: AdamState,
+    params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     lr: float,
     betas: tuple[float, float] = (0.9, 0.999),
     eps: float = 1e-8,
-) -> dict[str, np.ndarray]:
-    """Advance one step and return the parameter deltas (to be added).
+) -> None:
+    """Advance one step, adding each key's update to params[key] in place.
 
-    Each delta is -lr * m_hat / (sqrt(v_hat) + eps) with the bias-corrected
-    moments, built in its own buffer by in-place ops in the order that
-    expression evaluates, plus one scratch buffer per key for the scaled
-    first moment.
+    The update is -lr * m_hat / (sqrt(v_hat) + eps) with the bias-corrected
+    moments, built by in-place ops in the order that expression evaluates
+    in two scratch rows: the scaled moments in one, of the gradient's
+    dtype, and the denominator and then the update in the other, of the
+    moment's dtype. These are the dtypes the plain expression gives, so
+    the update rounds exactly as it does.
     """
     if set(grads) != set(state.m):
         raise ValidationError("gradient keys do not match optimizer state")
     b1, b2 = betas
     state.step += 1
     t = state.step
-    deltas = {}
     for key, g in grads.items():
         m = state.m[key]
         v = state.v[key]
-        scratch = np.multiply(g, 1.0 - b1)
+        scratch = _scratch_row(state, g.dtype, 0, g)
+        delta = _scratch_row(state, v.dtype, 1, g)
+        np.multiply(g, 1.0 - b1, out=scratch)
         m *= b1
         m += scratch
         np.multiply(g, 1.0 - b2, out=scratch)
@@ -64,12 +74,20 @@ def adam_step(
         v += scratch
         np.divide(m, 1.0 - b1**t, out=scratch)
         scratch *= -lr
-        delta = np.divide(v, 1.0 - b2**t)
+        np.divide(v, 1.0 - b2**t, out=delta)
         np.sqrt(delta, out=delta)
         delta += eps
         np.divide(scratch, delta, out=delta)
-        deltas[key] = delta
-    return deltas
+        params[key] += delta
+
+
+def _scratch_row(state: AdamState, dtype: np.dtype, row: int, like: np.ndarray) -> np.ndarray:
+    """A view of one scratch row of the given dtype, shaped like `like`."""
+    buf = state.scratch.get(dtype)
+    if buf is None:
+        size = max(m.size for m in state.m.values())
+        buf = state.scratch[dtype] = np.empty((2, size), dtype=dtype)
+    return buf[row, :like.size].reshape(like.shape)
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:

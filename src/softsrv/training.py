@@ -4,9 +4,10 @@ Each step: look up the batch's context vectors (embedded once, up front),
 materialize the whole batch of prompts in one call, take the teacher-forced
 NLL of each sequence (EOS appended so generation learns to stop), backprop
 through the frozen body to dL/dP, chain the batch-averaged dL/dP into the
-variant's parameters in one call, and apply one Adam update. Only the
-prompt parameters move; the backbone and embedder are frozen and their
-checksums must not change.
+variant's parameters in one call, and apply one in-place Adam update.
+Nothing a step allocates outlives it, so no two steps' gradients are alive
+at once. Only the prompt parameters move; the backbone and embedder are
+frozen and their checksums must not change.
 """
 
 from __future__ import annotations
@@ -116,10 +117,10 @@ def train(
         acc_arrays = dict(param_arrays(grads))
         if cfg.grad_clip is not None:
             clip_global_norm(acc_arrays, cfg.grad_clip)
-        deltas = adam_step(adam, acc_arrays, cfg.lr, cfg.betas, cfg.eps)
-        for name, delta in deltas.items():
-            arrays[name] += delta
+        adam_step(adam, arrays, acc_arrays, cfg.lr, cfg.betas, cfg.eps)
         trace.record(loss)
+        # one gradient generation: none of this step's arrays outlive it
+        del prompts, prefix_grads, grads, acc_arrays
     trace.finish()
     return work, trace
 

@@ -78,3 +78,15 @@ def test_noncontiguous_input_round_trips(tmp_path):
     write_checkpoint(path, "demo", {}, {"t": base.T})
     _, _, tensors = read_checkpoint(path)
     np.testing.assert_array_equal(tensors["t"], base.T)
+
+
+def test_read_arrays_are_writable_and_own_their_data(tmp_path):
+    # loaded weights are trained in place, so they must not be views of the
+    # file's bytes
+    path = tmp_path / "model.ckpt"
+    write_checkpoint(path, "demo", {}, _tensors())
+    _, _, tensors = read_checkpoint(path)
+    for name, arr in tensors.items():
+        assert arr.flags.writeable and arr.flags.owndata, name
+        arr += 1
+        np.testing.assert_array_equal(arr, _tensors()[name] + 1)

@@ -164,16 +164,15 @@ def assert_close_normwise(actual, expected):
 # max_seq is 24 and prefixes are 3 wide. Each ragged batch has a stream that
 # fills max_seq (24 tokens, or 21 under a prefix) and a one-token stream,
 # which is unscored without a prefix; the unpadded batches have equal lengths.
-@pytest.mark.parametrize(
-    "t, rows",
-    [
-        (0, [[4, 5, 6], list(range(4, 9)) * 4 + [4, 5, 6, 7], [6], [7, 4]]),
-        (0, [[4, 5, 6], [7, 4, 5], [6, 6, 7]]),
-        (3, [[5], [4, 6, 7, 5], [4, 5, 6, 7, 8] * 4 + [4], [7, 5]]),
-        (3, [[4, 5], [6, 7], [8, 4]]),
-    ],
-    ids=["tokens-ragged", "tokens-unpadded", "prefix-ragged", "prefix-unpadded"],
-)
+BATCHES = {
+    "tokens-ragged": (0, [[4, 5, 6], list(range(4, 9)) * 4 + [4, 5, 6, 7], [6], [7, 4]]),
+    "tokens-unpadded": (0, [[4, 5, 6], [7, 4, 5], [6, 6, 7]]),
+    "prefix-ragged": (3, [[5], [4, 6, 7, 5], [4, 5, 6, 7, 8] * 4 + [4], [7, 5]]),
+    "prefix-unpadded": (3, [[4, 5], [6, 7], [8, 4]]),
+}
+
+
+@pytest.mark.parametrize("t, rows", BATCHES.values(), ids=BATCHES.keys())
 def test_packed_batch_equals_weighted_single_stream_calls(t, rows):
     # the batch loss is the mean over streams of each stream's mean NLL, so
     # its gradients are the B=1 gradients of each stream divided by B
@@ -201,3 +200,26 @@ def test_packed_batch_equals_weighted_single_stream_calls(t, rows):
         assert_close_normwise(wg[name], sum(s[3][name] for s in singles) / B)
     if want_prefix:
         assert_close_normwise(pg, np.concatenate([s[2] for s in singles]) / B)
+
+
+@pytest.mark.parametrize(
+    "t, rows",
+    [*BATCHES.values(), (3, [[6]])],
+    ids=[*BATCHES.keys(), "prefix-one-token"],
+)
+def test_lean_cache_gives_the_same_bits_as_the_full_one(t, rows):
+    # without weight gradients the forward keeps a smaller backward cache
+    # (no norm xhat, no a/o/b, the ReLU as a boolean mask); what the prefix
+    # gradients read from it must be the same bits either way
+    model = tiny_model(seed=17)
+    rng = np.random.default_rng(11)
+    prefixes = rng.standard_normal((len(rows), t, 8)) if t else None
+    lean = batch_loss_and_grads(model, prefixes, rows, want_prefix_grads=True)
+    full = batch_loss_and_grads(model, prefixes, rows, want_weight_grads=True, want_prefix_grads=True)
+    assert lean[3] is None and full[3] is not None
+    assert lean[0] == full[0]
+    np.testing.assert_array_equal(lean[1], full[1])
+    if t:
+        np.testing.assert_array_equal(lean[2], full[2])
+    else:
+        assert lean[2] is None and full[2] is None

@@ -1,4 +1,6 @@
-"""Soft-prompt training loop: exactness, immutability, persistence."""
+"""Soft-prompt training loop: exactness, immutability, memory, persistence."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,8 +83,9 @@ def test_first_step_is_exactly_one_adam_update(setup):
         acc_arrays["prompt"] += g.prompt / 2
     clip_global_norm(acc_arrays, 1.0)
     adam = init_adam(acc_arrays)
-    deltas = adam_step(adam, acc_arrays, 0.05, (0.9, 0.999), 1e-8)
-    np.testing.assert_allclose(trained.prompt, params.prompt + deltas["prompt"], rtol=1e-12)
+    delta = {"prompt": np.zeros_like(params.prompt)}  # the update, added to zeros
+    adam_step(adam, delta, acc_arrays, 0.05, (0.9, 0.999), 1e-8)
+    np.testing.assert_allclose(trained.prompt, params.prompt + delta["prompt"], rtol=1e-12)
 
 
 def test_training_is_deterministic(setup):
@@ -117,6 +120,27 @@ def test_loss_descends_while_memorizing(tiny_backbone):
     assert causal_loss(tiny_backbone, materialize(out), tgt) < causal_loss(
         tiny_backbone, materialize(params), tgt
     )
+
+
+def test_ss_mc_training_peak_memory_at_desk_shape(tiny_folds, tiny_vocab):
+    # desk shapes: backbone d64/L4, embedder d32 with d_e 32, t=16 columns of
+    # 128x3 MLPs (about 3.7 MB per copy of the parameters), batch 8. The loop
+    # holds a working copy, two Adam moments and one generation of gradients
+    # (about 21 MB traced). A second generation of gradients and of Adam
+    # updates alive at once, with a backward cache that keeps what no
+    # requested gradient reads, took about 36 MB
+    vocab = tiny_vocab
+    backbone = freeze(init_backbone(BackboneConfig(d=64, n_layers=4, n_heads=4, ffn_dim=256), vocab, 1))
+    embedder = freeze(init_backbone(BackboneConfig(d=32, n_layers=2, n_heads=2, ffn_dim=128), vocab, 2))
+    dataset = [vocab.encode(ex.question) for ex in tiny_folds[0]]
+    params = init_params("ss_mc", backbone, t=16, d_e=32, seed=3)
+    tracemalloc.start()
+    try:
+        train(backbone, embedder, dataset, params, TrainConfig(steps=4, batch_size=8, seed=4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6, peak
 
 
 def test_backbone_and_embedder_unchanged_by_training(setup):
