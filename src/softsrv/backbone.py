@@ -681,10 +681,9 @@ def train_full_weights(
         adam_step(adam, model.weights, wg, lr, betas, eps)
         trace.record(loss)
         # wg stays referenced until the next step's gradients replace it, at
-        # the cost of one backbone gradient (about 2 MB at desk shape). Freed
-        # here, nothing of the step would be left at the top of the heap, so
-        # glibc would trim it and the next step would page-fault it back,
-        # which measured slower (CHANGES.md).
+        # the cost of one backbone gradient (about 2 MB at desk shape).
+        # Dropping it here measured slower, with several times the minor
+        # page faults per step (CHANGES.md).
     trace.finish()
     return trace
 

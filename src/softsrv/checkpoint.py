@@ -29,13 +29,14 @@ def write_checkpoint(path: str | Path, kind: str, meta: dict, tensors: dict[str,
     A tensor is copied only when it is not C-contiguous little-endian
     already, and then as it is written, one tensor at a time.
     """
-    names = sorted(tensors)
+    arrays = []
     entries = []
-    for name in names:
+    for name in sorted(tensors):
         arr = np.ascontiguousarray(tensors[name])  # a view unless the layout needs a copy
         dtype = str(arr.dtype)
         if dtype not in _DTYPES:
             raise CheckpointFormatError(f"unsupported dtype {dtype} for tensor {name!r}")
+        arrays.append(arr)
         entries.append({"name": name, "dtype": dtype, "shape": list(arr.shape)})
     header = json.dumps({"kind": kind, "meta": meta, "tensors": entries},
                         sort_keys=True, ensure_ascii=False).encode("utf-8")
@@ -43,8 +44,8 @@ def write_checkpoint(path: str | Path, kind: str, meta: dict, tensors: dict[str,
         fh.write(_MAGIC)
         fh.write(struct.pack(">Q", len(header)))
         fh.write(header)
-        for name, entry in zip(names, entries):
-            fh.write(np.ascontiguousarray(tensors[name], dtype=_DTYPES[entry["dtype"]]).data)
+        for arr in arrays:
+            fh.write(np.ascontiguousarray(arr, dtype=_DTYPES[str(arr.dtype)]).data)
 
 
 def read_checkpoint(path: str | Path, expect_kind: str | None = None) -> tuple[str, dict, dict[str, np.ndarray]]:

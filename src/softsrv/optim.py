@@ -20,15 +20,15 @@ from .errors import ValidationError
 class AdamState:
     """First/second moment buffers keyed like the gradient dict.
 
-    scratch maps a dtype to the two rows an update is built in. The first
-    step that needs a dtype allocates its rows, sized to the largest key,
-    and later steps reuse them.
+    scratch holds the rows an update is built in, keyed by row and dtype.
+    The first step that needs a row allocates it, sized to the largest key,
+    and later steps reuse it.
     """
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     step: int = 0
-    scratch: dict[np.dtype, np.ndarray] = field(default_factory=dict)
+    scratch: dict[tuple[int, np.dtype], np.ndarray] = field(default_factory=dict)
 
 
 def init_adam(arrays: dict[str, np.ndarray]) -> AdamState:
@@ -63,8 +63,8 @@ def adam_step(
     for key, g in grads.items():
         m = state.m[key]
         v = state.v[key]
-        scratch = _scratch_row(state, g.dtype, 0, g)
-        delta = _scratch_row(state, v.dtype, 1, g)
+        scratch = _scratch_row(state, 0, g.dtype, g)
+        delta = _scratch_row(state, 1, v.dtype, g)
         np.multiply(g, 1.0 - b1, out=scratch)
         m *= b1
         m += scratch
@@ -81,13 +81,13 @@ def adam_step(
         params[key] += delta
 
 
-def _scratch_row(state: AdamState, dtype: np.dtype, row: int, like: np.ndarray) -> np.ndarray:
+def _scratch_row(state: AdamState, row: int, dtype: np.dtype, like: np.ndarray) -> np.ndarray:
     """A view of one scratch row of the given dtype, shaped like `like`."""
-    buf = state.scratch.get(dtype)
+    buf = state.scratch.get((row, dtype))
     if buf is None:
         size = max(m.size for m in state.m.values())
-        buf = state.scratch[dtype] = np.empty((2, size), dtype=dtype)
-    return buf[row, :like.size].reshape(like.shape)
+        buf = state.scratch[row, dtype] = np.empty(size, dtype=dtype)
+    return buf[:like.size].reshape(like.shape)
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:

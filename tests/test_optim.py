@@ -64,29 +64,67 @@ def test_clip_leaves_small_gradients_alone():
     np.testing.assert_allclose(grads["a"], [0.3, 0.4])
 
 
-def test_adam_steps_equal_the_plain_expression_exactly():
-    # the in-place update must round exactly as the plain expression below
+def _reference_step(m, v, g, t, lr, b1, b2, eps):
+    """Advance m and v in place and return the update, as the plain expression.
+
+    -lr * m_hat is taken in the gradient's dtype and the update is stored in
+    the moment's. With one dtype throughout this is the plain expression;
+    with a float32 moment and a float64 gradient, as a float32 model's wq
+    gets, it is the rounding adam_step has always had.
+    """
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    m_hat = (m / (1.0 - b1**t)).astype(g.dtype)
+    v_hat = v / (1.0 - b2**t)
+    return (-lr * m_hat / (np.sqrt(v_hat) + eps)).astype(v.dtype)
+
+
+def _check_steps_exactly(shapes, param_dtype, grad_dtypes):
     rng = np.random.default_rng(0)
-    shapes = {"w": (5, 3), "b": (3,), "emb": (7, 2, 2)}
     lr, b1, b2, eps = 3e-3, 0.9, 0.98, 1e-8
-    params = {k: rng.standard_normal(s) for k, s in shapes.items()}
-    state = init_adam(params)
-    m = {k: np.zeros(s) for k, s in shapes.items()}
-    v = {k: np.zeros(s) for k, s in shapes.items()}
+    state = init_adam({k: np.zeros(s, param_dtype) for k, s in shapes.items()})
+    m = {k: np.zeros(s, param_dtype) for k, s in shapes.items()}
+    v = {k: np.zeros(s, param_dtype) for k, s in shapes.items()}
+
+    def draw():
+        return {k: (rng.standard_normal(s) * 10.0 ** rng.integers(-4, 2)).astype(grad_dtypes[k])
+                for k, s in shapes.items()}
+
     for t in range(1, 6):
-        grads = {k: rng.standard_normal(s) * 10.0 ** rng.integers(-4, 2) for k, s in shapes.items()}
-        before = {k: p.copy() for k, p in params.items()}
+        # zero parameters, so after the step they hold the update itself
+        params = {k: np.zeros(s, param_dtype) for k, s in shapes.items()}
+        grads = draw()
         adam_step(state, params, grads, lr, (b1, b2), eps)
         for k, g in grads.items():
-            m[k] *= b1
-            m[k] += (1.0 - b1) * g
-            v[k] *= b2
-            v[k] += (1.0 - b2) * g * g
-            m_hat = m[k] / (1.0 - b1**t)
-            v_hat = v[k] / (1.0 - b2**t)
-            np.testing.assert_array_equal(params[k], before[k] + -lr * m_hat / (np.sqrt(v_hat) + eps))
+            update = _reference_step(m[k], v[k], g, t, lr, b1, b2, eps)
+            assert params[k].dtype == param_dtype
+            np.testing.assert_array_equal(params[k], update)
             np.testing.assert_array_equal(state.m[k], m[k])
             np.testing.assert_array_equal(state.v[k], v[k])
+    # one more step on non-zero parameters: the update is added to them
+    params = {k: rng.standard_normal(s).astype(param_dtype) for k, s in shapes.items()}
+    before = {k: p.copy() for k, p in params.items()}
+    grads = draw()
+    adam_step(state, params, grads, lr, (b1, b2), eps)
+    for k, g in grads.items():
+        update = _reference_step(m[k], v[k], g, 6, lr, b1, b2, eps)
+        np.testing.assert_array_equal(params[k], before[k] + update)
+
+
+def test_adam_steps_equal_the_plain_expression_exactly():
+    # the in-place update must round exactly as the plain expression
+    shapes = {"w": (5, 3), "b": (3,), "emb": (7, 2, 2)}
+    _check_steps_exactly(shapes, np.float64, dict.fromkeys(shapes, np.float64))
+
+
+def test_float32_adam_steps_round_as_before_with_a_float64_gradient():
+    # a float32 model's wq, wk, attn_norm_g and prefix gradients come back
+    # float64 (backbone._backward); the moments and parameters stay float32
+    shapes = {"w": (5, 3), "wq": (3, 3), "emb": (7, 2, 2)}
+    grad_dtypes = {"w": np.float32, "wq": np.float64, "emb": np.float32}
+    _check_steps_exactly(shapes, np.float32, grad_dtypes)
 
 
 def test_adam_steps_after_the_first_allocate_nothing_parameter_sized():
