@@ -31,6 +31,7 @@ central finite differences in the test suite.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from itertools import chain
 from typing import NamedTuple
@@ -402,8 +403,9 @@ def _backward(model: BackboneModel, cache, dlogits: np.ndarray):
         dscores = do @ vh.transpose(0, 1, 3, 2)
         dscores -= np.sum(attn_w * dscores, axis=-1, keepdims=True)
         dscores *= attn_w
-        dq = _from_heads(dscores @ kh, layout) / np.sqrt(dh)
-        dk = _from_heads(dscores.transpose(0, 1, 3, 2) @ qh, layout) / np.sqrt(dh)
+        # a Python float keeps a float32 model's gradients float32
+        dq = _from_heads(dscores @ kh, layout) / math.sqrt(dh)
+        dk = _from_heads(dscores.transpose(0, 1, 3, 2) @ qh, layout) / math.sqrt(dh)
         dv = _from_heads(attn_w.transpose(0, 1, 3, 2) @ do, layout)
         da = dq @ w[p + "wq"] + dk @ w[p + "wk"] + dv @ w[p + "wv"]
         if want_weight_grads:

@@ -32,7 +32,9 @@ def write_checkpoint(path: str | Path, kind: str, meta: dict, tensors: dict[str,
     arrays = []
     entries = []
     for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name])  # a view unless the layout needs a copy
+        arr = np.asarray(tensors[name])
+        if not arr.flags.c_contiguous:  # a 0-d tensor keeps its shape ()
+            arr = np.ascontiguousarray(arr)
         dtype = str(arr.dtype)
         if dtype not in _DTYPES:
             raise CheckpointFormatError(f"unsupported dtype {dtype} for tensor {name!r}")

@@ -325,18 +325,18 @@ class Pipeline:
         embedder = self.ensure_embedder() if method != "ss_np" else None
         data = self.ensure_corpus()
         vocabulary = self.vocabulary()
-        params = init_params(
-            method, backbone, t=s.t, d_e=self.cfg.embedder.d_e,
-            seed=self.cfg.seeds.train, k=s.k,
-            mlp_hidden=s.mlp_hidden, mlp_layers=s.mlp_layers,
-        )
         dataset = [vocabulary.encode(ex.question) for ex in data["train"]]
         cfg = TrainConfig(
             steps=tr.steps, lr=tr.lr, batch_size=tr.batch_size,
             betas=(tr.beta1, tr.beta2), eps=tr.eps,
             grad_clip=tr.grad_clip, seed=self.cfg.seeds.train,
         )
-        trained, losses = train(backbone, embedder, dataset, params, cfg)
+        # passed inline, so train's working copy is the only one it keeps alive
+        trained, losses = train(backbone, embedder, dataset, init_params(
+            method, backbone, t=s.t, d_e=self.cfg.embedder.d_e,
+            seed=self.cfg.seeds.train, k=s.k,
+            mlp_hidden=s.mlp_hidden, mlp_layers=s.mlp_layers,
+        ), cfg)
         save_params(ckpt, trained)
         _write_text(trace, _trace_text(losses))
         return trained

@@ -7,13 +7,21 @@ Three ways to produce a (d, t) prompt matrix for the frozen backbone:
 - mixture: k basis matrices combined by softmax weights from a learned
   affine map of the context vector.
 - per-column MLPs: t independent small ReLU MLPs, each mapping the context
-  vector to one prompt column.
+  vector to one prompt column. Layer li of all t MLPs is stored as one
+  (t, out, in) weight stack and one (t, out) bias stack, and runs as one
+  stacked matmul; each column's slice of a stack is its own MLP's layer,
+  computed with the same BLAS call, so the bits match a loop over columns.
+  param_arrays names those slices per column (the checkpoint layout) and
+  param_stacks names the stacks (what the optimizer steps).
 
 param_grad chains an upstream dL/dP into gradients over each variant's own
 parameters; like the backbone, all backward math is manual and is checked
 against finite differences in the tests. Both functions also take a whole
 minibatch of contexts at once (materialize returns a (B, d, t) stack,
 param_grad sums the batch); a single context is the B=1 case of that path.
+materialize can hand the per-column MLPs' hidden activations to the
+param_grad of the same contexts, so a training step runs the MLP forward
+once.
 """
 
 from __future__ import annotations
@@ -57,8 +65,10 @@ class MlpConcatParams:
     d: int
     t: int
     d_e: int
-    # columns[j] is the layer list [(W, b), ...] of the MLP emitting column j
-    columns: list[list[tuple[np.ndarray, np.ndarray]]] = field(default_factory=list)
+    # layer li of every column's MLP: weights[li] is (t, out, in) and
+    # biases[li] is (t, out); column j's MLP is the j-th slice of each
+    weights: list[np.ndarray] = field(default_factory=list)
+    biases: list[np.ndarray] = field(default_factory=list)
 
 
 SoftSRVParams = NonContextualParams | MixtureParams | MlpConcatParams
@@ -127,21 +137,14 @@ def init_params(
         )
 
     sizes = [d_e] + [mlp_hidden] * (mlp_layers - 1) + [d]
-    columns = []
-    for _ in range(t):
-        layers = []
-        for li in range(mlp_layers):
-            fan_in = sizes[li]
-            bound = 1.0 / np.sqrt(fan_in)
-            if li < mlp_layers - 1:
-                w = rng.uniform(-bound, bound, size=(sizes[li + 1], fan_in))
-                b = np.zeros(sizes[li + 1])
-            else:
-                w = np.zeros((sizes[li + 1], fan_in))
-                b = table[int(rng.integers(0, table.shape[0]))].astype(np.float64).copy()
-            layers.append((w, b))
-        columns.append(layers)
-    return MlpConcatParams(d=d, t=t, d_e=d_e, columns=columns)
+    weights = [np.zeros((t, sizes[li + 1], sizes[li])) for li in range(mlp_layers)]
+    biases = [np.zeros((t, sizes[li + 1])) for li in range(mlp_layers)]
+    for j in range(t):  # draws go column by column, layer by layer
+        for li in range(mlp_layers - 1):
+            bound = 1.0 / np.sqrt(sizes[li])
+            weights[li][j] = rng.uniform(-bound, bound, size=(sizes[li + 1], sizes[li]))
+        biases[-1][j] = table[int(rng.integers(0, table.shape[0]))]
+    return MlpConcatParams(d=d, t=t, d_e=d_e, weights=weights, biases=biases)
 
 
 def mixture_weights(params: MixtureParams, z) -> np.ndarray:
@@ -162,25 +165,30 @@ def _gate(params: MixtureParams, z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _mlp_forward(layers, h) -> tuple[np.ndarray, list]:
-    """Linear chain with ReLU between layers over an (in, B) batch of inputs.
+def _mlp_hidden(params: MlpConcatParams, z: np.ndarray) -> list[np.ndarray]:
+    """Each hidden layer's (t, out, B) ReLU output over a checked (B, d_e) batch.
 
-    Returns the (out, B) output and each layer's (input, pre-activation).
+    These are the inputs of layers 1.. of every column's MLP; layer 0's is
+    z.T, shared by all columns.
     """
-    acts = []
-    for li, (w, b) in enumerate(layers):
-        pre = w @ h + b[:, None]
-        acts.append((h, pre))
-        h = np.maximum(pre, 0.0) if li < len(layers) - 1 else pre
-    return h, acts
+    hidden = []
+    h = z.T
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        h = w @ h
+        h += b[:, :, None]
+        np.maximum(h, 0.0, out=h)
+        hidden.append(h)
+    return hidden
 
 
-def materialize(params: SoftSRVParams, z=None) -> np.ndarray:
+def materialize(params: SoftSRVParams, z=None, acts: list | None = None) -> np.ndarray:
     """Produce the (d, t) prompt matrix for a context.
 
     A (B, d_e) batch of contexts gives a (B, d, t) stack of prompts. The
     non-contextual variant ignores the context values (z may be omitted);
-    contextual variants require them.
+    contextual variants require them. Given a list as acts, the per-column
+    MLPs append their hidden activations to it, for param_grad on the same
+    contexts; the other variants leave it empty.
     """
     if isinstance(params, NonContextualParams):
         if z is None or np.ndim(z) < 2:
@@ -193,10 +201,12 @@ def materialize(params: SoftSRVParams, z=None) -> np.ndarray:
         bases = np.stack(params.bases).reshape(params.k, -1)
         out = (_gate(params, z) @ bases).reshape(len(z), params.d, params.t)
     else:
-        out = np.empty((len(z), params.d, params.t))
-        for j, layers in enumerate(params.columns):
-            h, _ = _mlp_forward(layers, z.T)
-            out[:, :, j] = h.T
+        hidden = _mlp_hidden(params, z)
+        h = params.weights[-1] @ hidden[-1]
+        h += params.biases[-1][:, :, None]
+        out = np.ascontiguousarray(h.transpose(2, 1, 0))  # (t, d, B) -> (B, d, t)
+        if acts is not None:
+            acts += hidden
     return out[0] if single else out
 
 
@@ -211,30 +221,54 @@ def zeros_like_params(params: SoftSRVParams) -> SoftSRVParams:
             gate_w=np.zeros_like(params.gate_w),
             gate_b=np.zeros_like(params.gate_b),
         )
-    columns = [[(np.zeros_like(w), np.zeros_like(b)) for w, b in layers] for layers in params.columns]
-    return replace(params, columns=columns)
+    return replace(
+        params,
+        weights=[np.zeros_like(w) for w in params.weights],
+        biases=[np.zeros_like(b) for b in params.biases],
+    )
 
 
 def param_arrays(params: SoftSRVParams) -> list[tuple[str, np.ndarray]]:
-    """Named, ordered views of every trainable array in the variant."""
+    """Named, ordered views of every trainable array in the variant.
+
+    The per-column MLPs give one view per column and layer (col{j}_w{li},
+    col{j}_b{li}), column by column: the checkpoint's tensors.
+    """
     if isinstance(params, NonContextualParams):
         return [("prompt", params.prompt)]
     if isinstance(params, MixtureParams):
         out = [(f"basis_{i}", b) for i, b in enumerate(params.bases)]
         return out + [("gate_w", params.gate_w), ("gate_b", params.gate_b)]
-    out = []
-    for j, layers in enumerate(params.columns):
-        for li, (w, b) in enumerate(layers):
-            out.append((f"col{j}_w{li}", w))
-            out.append((f"col{j}_b{li}", b))
-    return out
+    return [
+        (f"col{j}_{kind}{li}", stack[j])
+        for j in range(params.t)
+        for li in range(len(params.weights))
+        for kind, stack in (("w", params.weights[li]), ("b", params.biases[li]))
+    ]
 
 
-def param_grad(params: SoftSRVParams, z, upstream: np.ndarray) -> SoftSRVParams:
+def param_stacks(params: SoftSRVParams) -> list[tuple[str, np.ndarray]]:
+    """Named arrays that hold every trainable value once, as stored.
+
+    The per-column MLPs give their (t, ...) layer stacks (w{li}, b{li});
+    the other variants give what param_arrays gives.
+    """
+    if isinstance(params, MlpConcatParams):
+        return [
+            (f"{kind}{li}", stack)
+            for li in range(len(params.weights))
+            for kind, stack in (("w", params.weights[li]), ("b", params.biases[li]))
+        ]
+    return param_arrays(params)
+
+
+def param_grad(params: SoftSRVParams, z, upstream: np.ndarray, acts: list | None = None) -> SoftSRVParams:
     """Chain dL/dP into a same-structure gradient object.
 
     upstream is (d, t) for one context z, or (B, d, t) for a (B, d_e) batch
-    of contexts, in which case the gradient is summed over the batch.
+    of contexts, in which case the gradient is summed over the batch. acts
+    are the hidden activations that materialize kept for these contexts;
+    without them the per-column MLPs run their forward again.
     """
     upstream = np.asarray(upstream, dtype=np.float64)
     if upstream.shape[-2:] != (params.d, params.t) or upstream.ndim not in (2, 3):
@@ -268,17 +302,18 @@ def param_grad(params: SoftSRVParams, z, upstream: np.ndarray) -> SoftSRVParams:
         np.sum(glogits, axis=0, out=grads.gate_b)
         return grads
 
-    for j, layers in enumerate(params.columns):
-        _, acts = _mlp_forward(layers, z.T)
-        delta = upstream[:, :, j].T  # (d, B)
-        for li in reversed(range(len(layers))):
-            w, _ = layers[li]
-            h, pre = acts[li]
-            if li < len(layers) - 1:
-                delta = delta * (pre > 0)
-            gw, gb = grads.columns[j][li]
-            np.matmul(delta, h.T, out=gw)  # (out, B) @ (B, in) sums the batch
-            np.sum(delta, axis=1, out=gb)
-            if li > 0:
-                delta = w.T @ delta
+    if acts is None:
+        acts = _mlp_hidden(params, z)
+    if len(acts) != len(params.weights) - 1:
+        raise ValidationError(f"expected {len(params.weights) - 1} hidden activations, got {len(acts)}")
+    inputs = [z.T] + list(acts)  # each layer's input, (in, B) or (t, in, B)
+    delta = upstream.transpose(2, 1, 0)  # (t, d, B)
+    for li in reversed(range(len(params.weights))):
+        if li < len(params.weights) - 1:
+            delta = delta * (inputs[li + 1] > 0)  # ReLU mask: output > 0 iff pre-activation > 0
+        # (out, B) @ (B, in) per column sums the batch
+        np.matmul(delta, inputs[li].swapaxes(-1, -2), out=grads.weights[li])
+        np.sum(delta, axis=2, out=grads.biases[li])
+        if li > 0:
+            delta = params.weights[li].transpose(0, 2, 1) @ delta
     return grads

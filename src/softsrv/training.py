@@ -4,10 +4,15 @@ Each step: look up the batch's context vectors (embedded once, up front),
 materialize the whole batch of prompts in one call, take the teacher-forced
 NLL of each sequence (EOS appended so generation learns to stop), backprop
 through the frozen body to dL/dP, chain the batch-averaged dL/dP into the
-variant's parameters in one call, and apply one in-place Adam update.
-Nothing a step allocates outlives it, so no two steps' gradients are alive
-at once. Only the prompt parameters move; the backbone and embedder are
-frozen and their checksums must not change.
+variant's parameters in one call, reusing the hidden activations that
+materialize kept, and apply one in-place Adam update to the stacked
+parameters. Nothing a step allocates outlives it, so no two steps' gradients
+are alive at once. Only the prompt parameters move; the backbone and
+embedder are frozen and their checksums must not change.
+
+train works on a copy and drops its reference to the input as soon as the
+copy exists. A caller that passes init_params(...) inline keeps no
+reference either, so only one copy of the prompt lives through training.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .prompts import (
     materialize,
     param_arrays,
     param_grad,
+    param_stacks,
     zeros_like_params,  # noqa: F401  perfbench/tracing.py wraps it under this module
 )
 
@@ -87,13 +93,14 @@ def train(
         contexts = np.zeros((len(dataset), params.d_e))  # only the batch size is read
 
     work = copy.deepcopy(params)
+    del params  # the input is never mutated, and the caller may hold no other reference
     trace = LossTrace()
     if cfg.steps == 0:
         trace.finish()
         return work, trace
 
-    arrays = dict(param_arrays(work))
-    adam = init_adam(arrays)
+    stacks = dict(param_stacks(work))
+    adam = init_adam(stacks)
     rng = np.random.default_rng(cfg.seed)
     order: list[int] = []
     for step in range(cfg.steps):
@@ -103,7 +110,8 @@ def train(
         order = order[cfg.batch_size:]
 
         z = contexts[batch]
-        prompts = materialize(work, z)  # (B, d, t)
+        acts: list[np.ndarray] = []
+        prompts = materialize(work, z, acts)  # (B, d, t)
         loss, _, prefix_grads, _ = batch_loss_and_grads(
             backbone,
             prompts.transpose(0, 2, 1),  # row-major core
@@ -113,14 +121,14 @@ def train(
         if not np.isfinite(loss):
             raise TrainingDivergedError(step, loss)
 
-        grads = param_grad(work, z, prefix_grads.transpose(0, 2, 1) / len(batch))
-        acc_arrays = dict(param_arrays(grads))
+        grads = param_grad(work, z, prefix_grads.transpose(0, 2, 1) / len(batch), acts)
         if cfg.grad_clip is not None:
-            clip_global_norm(acc_arrays, cfg.grad_clip)
-        adam_step(adam, arrays, acc_arrays, cfg.lr, cfg.betas, cfg.eps)
+            # summed per column and layer, in the checkpoint's order
+            clip_global_norm(dict(param_arrays(grads)), cfg.grad_clip)
+        adam_step(adam, stacks, dict(param_stacks(grads)), cfg.lr, cfg.betas, cfg.eps)
         trace.record(loss)
         # one gradient generation: none of this step's arrays outlive it
-        del prompts, prefix_grads, grads, acc_arrays
+        del prompts, acts, prefix_grads, grads
     trace.finish()
     return work, trace
 
@@ -133,7 +141,7 @@ def _params_meta(params: SoftSRVParams) -> dict:
     if isinstance(params, MixtureParams):
         meta["k"] = params.k
     if isinstance(params, MlpConcatParams):
-        meta["layer_sizes"] = [list(w.shape) for w, _ in params.columns[0]]
+        meta["layer_sizes"] = [list(w.shape[1:]) for w in params.weights]
     return meta
 
 
@@ -165,11 +173,11 @@ def load_params(path, backbone: BackboneModel | None = None) -> SoftSRVParams:
                                gate_w=par("gate_w"), gate_b=par("gate_b"))
     elif variant == "ss_mc":
         n_layers = len(meta["layer_sizes"])
-        columns = [
-            [(par(f"col{j}_w{li}"), par(f"col{j}_b{li}")) for li in range(n_layers)]
-            for j in range(t)
-        ]
-        params = MlpConcatParams(d=d, t=t, d_e=d_e, columns=columns)
+        params = MlpConcatParams(
+            d=d, t=t, d_e=d_e,
+            weights=[np.stack([par(f"col{j}_w{li}") for j in range(t)]) for li in range(n_layers)],
+            biases=[np.stack([par(f"col{j}_b{li}") for j in range(t)]) for li in range(n_layers)],
+        )
     else:
         raise ValidationError(f"unknown variant {variant!r} in checkpoint")
     return params

@@ -90,3 +90,13 @@ def test_read_arrays_are_writable_and_own_their_data(tmp_path):
         assert arr.flags.writeable and arr.flags.owndata, name
         arr += 1
         np.testing.assert_array_equal(arr, _tensors()[name] + 1)
+
+
+def test_zero_d_tensor_keeps_its_shape(tmp_path):
+    path = tmp_path / "scalar.ckpt"
+    write_checkpoint(path, "demo", {}, {"lr": np.array(3.5), "step": np.array(7, dtype=np.int64)})
+    _, _, tensors = read_checkpoint(path)
+    for name, value, dtype in (("lr", 3.5, np.float64), ("step", 7, np.int64)):
+        assert tensors[name].shape == ()
+        assert tensors[name].dtype == dtype
+        assert tensors[name] == value

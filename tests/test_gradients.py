@@ -223,3 +223,15 @@ def test_lean_cache_gives_the_same_bits_as_the_full_one(t, rows):
         np.testing.assert_array_equal(lean[2], full[2])
     else:
         assert lean[2] is None and full[2] is None
+
+
+def test_float32_model_gives_float32_gradients():
+    vocab = build_vocab(["alpha beta gamma delta epsilon"])
+    cfg = BackboneConfig(d=8, n_layers=2, n_heads=2, ffn_dim=10, max_seq=24, dtype="float32")
+    model = init_backbone(cfg, vocab, 3, zero_residual=False)
+    rng = np.random.default_rng(5)
+    prefixes = [rng.standard_normal((3, 8)).astype(np.float32) for _ in range(2)]
+    _, _, prefix_grads, weight_grads = batch_loss_and_grads(
+        model, prefixes, [[4, 5, 6], [7, 4]], want_weight_grads=True, want_prefix_grads=True)
+    assert prefix_grads.dtype == np.float32
+    assert {k: g.dtype for k, g in weight_grads.items() if g.dtype != np.float32} == {}

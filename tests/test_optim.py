@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from softsrv.errors import ValidationError
-from softsrv.optim import adam_step, clip_global_norm, init_adam
+from softsrv.optim import BLOCK, adam_step, clip_global_norm, init_adam
 
 
 def test_first_adam_step_matches_hand_formula():
@@ -114,16 +114,17 @@ def _check_steps_exactly(shapes, param_dtype, grad_dtypes):
 
 
 def test_adam_steps_equal_the_plain_expression_exactly():
-    # the in-place update must round exactly as the plain expression
-    shapes = {"w": (5, 3), "b": (3,), "emb": (7, 2, 2)}
+    # the in-place update must round exactly as the plain expression; "big"
+    # spans two whole BLOCK slices and a partial third
+    shapes = {"w": (5, 3), "b": (3,), "emb": (7, 2, 2), "big": (3, 2 * BLOCK // 3 + 5)}
     _check_steps_exactly(shapes, np.float64, dict.fromkeys(shapes, np.float64))
 
 
 def test_float32_adam_steps_round_as_before_with_a_float64_gradient():
     # a float32 model's wq, wk, attn_norm_g and prefix gradients come back
     # float64 (backbone._backward); the moments and parameters stay float32
-    shapes = {"w": (5, 3), "wq": (3, 3), "emb": (7, 2, 2)}
-    grad_dtypes = {"w": np.float32, "wq": np.float64, "emb": np.float32}
+    shapes = {"w": (5, 3), "wq": (3, 3), "emb": (7, 2, 2), "big": (3, 2 * BLOCK // 3 + 5)}
+    grad_dtypes = {"w": np.float32, "wq": np.float64, "emb": np.float32, "big": np.float64}
     _check_steps_exactly(shapes, np.float32, grad_dtypes)
 
 

@@ -14,6 +14,7 @@ from softsrv.prompts import (
     mixture_weights,
     param_arrays,
     param_grad,
+    param_stacks,
     zeros_like_params,
 )
 from softsrv.vocab import build_vocab
@@ -88,16 +89,16 @@ def test_mlp_columns_are_context_sensitive_after_perturbation(model):
     a = materialize(params, np.zeros(4))
     b = materialize(params, np.ones(4))
     np.testing.assert_array_equal(a, b)
-    # give the final layer weight, and contexts separate
-    params.columns[0][-1] = (np.ones_like(params.columns[0][-1][0]), params.columns[0][-1][1])
+    # give column 0's final layer weight, and contexts separate
+    params.weights[-1][0] = 1.0
     assert not np.array_equal(materialize(params, np.zeros(4)), materialize(params, np.ones(4)))
 
 
 def test_mlp_layer_sizing(model):
     params = init_params("ss_mc", model, t=2, d_e=4, seed=5, mlp_hidden=6, mlp_layers=3)
-    assert len(params.columns) == 2
-    for layers in params.columns:
-        shapes = [w.shape for w, _ in layers]
+    assert [len(w) for w in params.weights] == [2, 2, 2]
+    for j in range(2):
+        shapes = [w[j].shape for w in params.weights]
         assert shapes == [(6, 4), (6, 6), (8, 6)]
 
 
@@ -140,3 +141,74 @@ def test_batched_calls_match_stacked_and_summed_per_example_calls(model, variant
     for i, (name, got) in enumerate(batched):
         assert [g[i][0] for g in singles] == [name] * len(z)
         close(got, sum(g[i][1] for g in singles))
+
+
+def _column_loop_materialize(params, z):
+    """The per-column reference: column j's MLP is slice j of every stack."""
+    out = np.empty((len(z), params.d, params.t))
+    for j in range(params.t):
+        h = z.T
+        for li, (w, b) in enumerate(zip(params.weights, params.biases)):
+            pre = w[j] @ h + b[j][:, None]
+            h = np.maximum(pre, 0.0) if li < len(params.weights) - 1 else pre
+        out[:, :, j] = h.T
+    return out
+
+
+def _column_loop_param_grad(params, z, upstream):
+    grads = zeros_like_params(params)
+    n = len(params.weights)
+    for j in range(params.t):
+        h, acts = z.T, []
+        for li in range(n):
+            pre = params.weights[li][j] @ h + params.biases[li][j][:, None]
+            acts.append((h, pre))
+            h = np.maximum(pre, 0.0) if li < n - 1 else pre
+        delta = upstream[:, :, j].T  # (d, B)
+        for li in reversed(range(n)):
+            h, pre = acts[li]
+            if li < n - 1:
+                delta = delta * (pre > 0)
+            np.matmul(delta, h.T, out=grads.weights[li][j])
+            np.sum(delta, axis=1, out=grads.biases[li][j])
+            if li > 0:
+                delta = params.weights[li][j].T @ delta
+    return grads
+
+
+@pytest.mark.parametrize("batch", [1, 8])
+@pytest.mark.parametrize("layers", [2, 3])
+def test_stacked_mlp_layers_equal_the_column_loop_exactly(model, layers, batch):
+    # one stacked matmul per layer runs each column's GEMM as the loop did,
+    # so prompts and gradients must match bit for bit, with the hidden
+    # activations kept by materialize and without them
+    rng = np.random.default_rng(layers * 10 + batch)
+    params = init_params("ss_mc", model, t=5, d_e=4, seed=14, mlp_hidden=6, mlp_layers=layers)
+    for _, arr in param_arrays(params):
+        arr[...] = rng.standard_normal(arr.shape)
+    z = rng.standard_normal((batch, 4))
+    acts = []
+    np.testing.assert_array_equal(materialize(params, z, acts), _column_loop_materialize(params, z))
+    assert len(acts) == layers - 1
+    # a contiguous upstream, and the transposed one training passes
+    for upstream in (rng.standard_normal((batch, model.d, 5)),
+                     rng.standard_normal((batch, 5, model.d)).transpose(0, 2, 1) / batch):
+        want = param_arrays(_column_loop_param_grad(params, z, upstream))
+        for kept in (acts, None):
+            got = param_arrays(param_grad(params, z, upstream, kept))
+            assert [n for n, _ in got] == [n for n, _ in want]
+            for (_, g), (_, w) in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
+
+def test_param_arrays_are_per_column_views_of_the_stacks(model):
+    params = init_params("ss_mc", model, t=3, d_e=4, seed=15, mlp_hidden=5, mlp_layers=3)
+    names = [n for n, _ in param_arrays(params)]
+    assert names[:6] == ["col0_w0", "col0_b0", "col0_w1", "col0_b1", "col0_w2", "col0_b2"]
+    assert len(names) == 3 * 6
+    stacks = dict(param_stacks(params))
+    assert list(stacks) == ["w0", "b0", "w1", "b1", "w2", "b2"]
+    for name, arr in param_arrays(params):
+        col, kind = name.split("_")
+        assert np.shares_memory(arr, stacks[kind])
+        np.testing.assert_array_equal(arr, stacks[kind][int(col[3:])])
