@@ -20,9 +20,10 @@ streams. In training the output head runs stream by stream over the same
 grid, one GEMM per stream, and the cross-entropy reads only the scored
 rows; decode sends only the row it samples from to the head.
 
-Decode has no KV cache: every sampled token reruns a full forward pass of
-its stream. Decode is now the largest slice of a desk run; ROADMAP item 1
-plans the batched, KV-cached engine that replaces it.
+sample and continue_tokens share one decode loop, _decode. It has no KV
+cache: every sampled token reruns a full forward pass of its stream. Decode
+is the largest slice of a desk run; ROADMAP item 1 plans the batched,
+KV-cached engine that replaces _decode.
 
 Gradients are written out manually (no autodiff) and verified against
 central finite differences in the test suite.
@@ -587,8 +588,6 @@ def continuation_logits(model: BackboneModel, ids) -> np.ndarray:
 
 
 def _draw(rng: np.random.Generator, logits: np.ndarray, temperature: float) -> int:
-    if temperature < 0:
-        raise ValidationError("temperature must be >= 0")
     if temperature == 0:
         return int(np.argmax(logits))  # ties resolve to the lowest id
     z = logits.astype(np.float64) / temperature
@@ -600,6 +599,25 @@ def _draw(rng: np.random.Generator, logits: np.ndarray, temperature: float) -> i
     return min(idx, len(p) - 1)
 
 
+def _decode(model: BackboneModel, prefix_rows, ids: list[int], max_new: int, temperature: float, seed) -> list[int]:
+    """Up to max_new tokens drawn after the stream prefix_rows + ids, EOS not returned.
+
+    prefix_rows is None or a list of one row-major (t, d) prefix; ids is never extended.
+    """
+    if temperature < 0:
+        raise ValidationError("temperature must be >= 0")
+    t = 0 if prefix_rows is None else len(prefix_rows[0])
+    _check_capacity(model, t + len(ids) + max_new)
+    rng = np.random.default_rng(seed)
+    stream = list(ids)
+    while len(stream) - len(ids) < max_new:
+        nxt = _draw(rng, _next_logits(model, prefix_rows, stream), temperature)
+        if nxt == V.EOS:
+            break
+        stream.append(nxt)
+    return stream[len(ids):]
+
+
 def sample(model: BackboneModel, prefix: np.ndarray, max_len: int, temperature: float, seed) -> list[int]:
     """Autoregressive decoding from a dense prefix until EOS or max_len.
 
@@ -609,16 +627,7 @@ def sample(model: BackboneModel, prefix: np.ndarray, max_len: int, temperature: 
     prefix = _check_prefix(model, prefix)
     if max_len < 1:
         raise ValidationError("max_len must be >= 1")
-    _check_capacity(model, prefix.shape[1] + max_len)
-    rng = np.random.default_rng(seed)
-    prefix_rows = [prefix.T]
-    ids: list[int] = []
-    while len(ids) < max_len:
-        nxt = _draw(rng, _next_logits(model, prefix_rows, ids), temperature)
-        if nxt == V.EOS:
-            break
-        ids.append(nxt)
-    return ids
+    return _decode(model, [prefix.T], [], max_len, temperature, seed)
 
 
 def continue_tokens(model: BackboneModel, context_ids, max_new: int, temperature: float, seed) -> list[int]:
@@ -631,17 +640,7 @@ def continue_tokens(model: BackboneModel, context_ids, max_new: int, temperature
     context = _check_ids(model, context_ids)
     if max_new < 1:
         raise ValidationError("max_new must be >= 1")
-    _check_capacity(model, len(context) + max_new)
-    rng = np.random.default_rng(seed)
-    ids = list(context)
-    out: list[int] = []
-    while len(out) < max_new:
-        nxt = _draw(rng, _next_logits(model, None, ids), temperature)
-        if nxt == V.EOS:
-            break
-        ids.append(nxt)
-        out.append(nxt)
-    return out
+    return _decode(model, None, context, max_new, temperature, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +685,6 @@ def train_full_weights(
         # the cost of one backbone gradient (about 2 MB at desk shape).
         # Dropping it here measured slower, with several times the minor
         # page faults per step (CHANGES.md).
-    trace.finish()
     return trace
 
 

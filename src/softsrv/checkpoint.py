@@ -10,6 +10,7 @@ identical files; npz would embed zip timestamps.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -70,15 +71,27 @@ def read_checkpoint(path: str | Path, expect_kind: str | None = None) -> tuple[s
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointFormatError(f"unparseable header: {exc}") from exc
     off += hlen
+    if not isinstance(header, dict):
+        raise CheckpointFormatError("header is not a JSON object")
     kind = header.get("kind")
     if expect_kind is not None and kind != expect_kind:
         raise CheckpointFormatError(f"expected kind {expect_kind!r}, found {kind!r}")
+    entries = header.get("tensors", [])
+    if not isinstance(entries, list):
+        raise CheckpointFormatError("header tensors is not a list")
     tensors: dict[str, np.ndarray] = {}
-    for entry in header.get("tensors", []):
-        name, dtype, shape = entry["name"], entry["dtype"], tuple(entry["shape"])
-        if dtype not in _DTYPES:
+    for entry in entries:
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise CheckpointFormatError(f"malformed tensor entry {entry!r}")
+        name, dtype, shape = entry["name"], entry.get("dtype"), entry.get("shape")
+        if name in tensors:
+            raise CheckpointFormatError(f"duplicate tensor name {name!r}")
+        if not isinstance(dtype, str) or dtype not in _DTYPES:
             raise CheckpointFormatError(f"unsupported dtype {dtype} for tensor {name!r}")
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        # bool is a subclass of int; a dim must be a plain non-negative int
+        if not isinstance(shape, list) or not all(type(dim) is int and dim >= 0 for dim in shape):
+            raise CheckpointFormatError(f"malformed shape {shape!r} for tensor {name!r}")
+        count = math.prod(shape)  # Python ints: a huge shape cannot wrap around
         nbytes = count * np.dtype(_DTYPES[dtype]).itemsize
         if len(raw) < off + nbytes:
             raise CheckpointFormatError(f"truncated tensor payload for {name!r}")
@@ -88,3 +101,4 @@ def read_checkpoint(path: str | Path, expect_kind: str | None = None) -> tuple[s
     if off != len(raw):
         raise CheckpointFormatError("trailing bytes after last tensor")
     return kind, header.get("meta", {}), tensors
+

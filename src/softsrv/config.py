@@ -236,13 +236,9 @@ def load_config(path: str, preset: str | None = None) -> ExperimentConfig:
 
 
 def override_master_seed(cfg: ExperimentConfig, master: int) -> ExperimentConfig:
-    """Replace every stage seed with master + a fixed per-stage offset."""
-    for offset, name in enumerate(
-        ("corpus", "backbone", "embedder", "train", "generate",
-         "answers", "postprocess", "mauve", "student"),
-        start=1,
-    ):
-        setattr(cfg.seeds, name, int(master) + offset)
+    """Replace every stage seed with master + its 1-based position in SeedsSection."""
+    for offset, f in enumerate(fields(SeedsSection), start=1):
+        setattr(cfg.seeds, f.name, int(master) + offset)
     return cfg
 
 

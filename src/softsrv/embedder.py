@@ -34,9 +34,3 @@ def embed_sequence(embedder: BackboneModel, ids, d_e: int = DEFAULT_D_E) -> np.n
     pooled = np.add.reduce(embedder.weights["tok_emb"][ids], axis=0) / len(ids)
     return pooled[:d_e].astype(np.float64)
 
-
-def embed_corpus(embedder: BackboneModel, sequences, d_e: int = DEFAULT_D_E) -> np.ndarray:
-    """Stack context vectors for many sequences, shape (n, d_e)."""
-    if len(sequences) == 0:
-        raise ValidationError("empty sequence list")
-    return np.stack([embed_sequence(embedder, s, d_e) for s in sequences])

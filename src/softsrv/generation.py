@@ -15,16 +15,18 @@ import numpy as np
 
 from . import vocab as V
 from .backbone import BackboneModel, continue_tokens, sample
+from .config import VARIANTS
 from .embedder import embed_sequence
 from .errors import ValidationError
 from .prompts import NonContextualParams, SoftSRVParams, materialize
-from .records import SyntheticRecord
+from .records import METHOD_TAGS, SyntheticRecord
 
-# Distinct stream codes per method keep provenance streams disjoint.
-_METHOD_CODE = {"SS_NP": 1, "SS_MP": 2, "SS_MC": 3, "PT": 4, "PT_SR": 5}
+# Distinct stream codes 1..5, in METHOD_TAGS' order, keep provenance streams disjoint.
+_METHOD_CODE = {tag: code for code, tag in enumerate(METHOD_TAGS, start=1)}
 _ANSWER_PHASE = 97
 
-_VARIANT_TO_TAG = {"ss_np": "SS_NP", "ss_mp": "SS_MP", "ss_mc": "SS_MC"}
+# VARIANTS and the first METHOD_TAGS name the soft-prompt methods in one order
+_VARIANT_TO_TAG = dict(zip(VARIANTS, METHOD_TAGS))
 
 
 def record_stream(master_seed: int, method_tag: str, index: int, *extra: int) -> np.random.SeedSequence:
@@ -70,13 +72,13 @@ def generate_questions(
     tag = _VARIANT_TO_TAG[params.variant]
     contextual = not isinstance(params, NonContextualParams)
 
-    contexts = [embed_sequence(embedder, s, params.d_e) if contextual else None for s in seeds]
-    prompts = {}
+    prompts = {}  # only the seeds the n_raw records use are embedded
     records = []
     for j in range(n_raw):
         si = j % len(seeds)
         if si not in prompts:
-            prompts[si] = materialize(params, contexts[si])
+            context = embed_sequence(embedder, seeds[si], params.d_e) if contextual else None
+            prompts[si] = materialize(params, context)
         ids = _nonempty_sample(
             backbone, prompts[si], max_len, temperature, record_stream(seed, tag, j)
         )

@@ -7,11 +7,11 @@ the first allocates anything parameter-sized. A key larger than BLOCK
 elements is updated one flat BLOCK-element slice at a time, so the slices
 of the parameter, gradient, moments and scratch that one pass reads stay in
 cache; the update is elementwise, so the slicing does not change its bits.
+LossTrace holds the per-step losses only, no wall-clock time.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,14 +121,9 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 @dataclass
 class LossTrace:
-    """Per-step mean losses plus wall-clock metadata for a training run."""
+    """Per-step mean losses of a training run."""
 
     losses: list[float] = field(default_factory=list)
-    started_unix: float = field(default_factory=time.time)
-    elapsed_s: float = 0.0
 
     def record(self, loss: float) -> None:
         self.losses.append(float(loss))
-
-    def finish(self) -> None:
-        self.elapsed_s = time.time() - self.started_unix

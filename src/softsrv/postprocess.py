@@ -13,10 +13,12 @@ tfidf_vectorize keeps each document's token column ids and rebuilds dense
 rows one block of ROW_CHUNK rows at a time. svd_reduce sums the f x f Gram
 matrix B.T @ B over those blocks, starting from the first block, so a corpus
 of at most ROW_CHUNK rows gets the one-shot X.T @ X bit for bit. It then
-projects and takes row norms block by block. Larger corpora sum the Gram
-matrix in a different order, so their scores differ from the one-shot
-product in the last bits. When f > n the smaller Gram matrix is n x n and
-the rows are materialised, which costs at most f * f values.
+projects block by block and returns the (n, dims) scores as a plain
+array; it computes no row norms, since no step of the chain reads them.
+Larger corpora sum the Gram matrix in a different order, so their scores
+differ from the one-shot product in the last bits. When f > n the smaller
+Gram matrix is n x n and the rows are materialised, which costs at most
+f * f values.
 """
 
 from __future__ import annotations
@@ -56,21 +58,6 @@ ROW_CHUNK = 1024
 def _blocks(n: int):
     """[lo, hi) ranges of ROW_CHUNK rows covering range(n)."""
     return ((lo, min(lo + ROW_CHUNK, n)) for lo in range(0, n, ROW_CHUNK))
-
-
-@dataclass
-class CorpusMatrix:
-    rows: np.ndarray                 # (n, dims)
-    dims: int
-    row_norms: np.ndarray            # L2 norms before any normalization
-    vocabulary: list[str] | None = None
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.rows.shape
-
-    def block(self, lo: int, hi: int) -> np.ndarray:
-        return self.rows[lo:hi]
 
 
 def _count_block(columns: np.ndarray, offsets: np.ndarray, f: int, lo: int, hi: int) -> np.ndarray:
@@ -161,20 +148,22 @@ def _orient(V: np.ndarray) -> np.ndarray:
     return V
 
 
-def svd_reduce(matrix: CorpusMatrix | TfidfMatrix, dims: int) -> CorpusMatrix:
-    """Project rows onto the top right-singular directions (truncated SVD scores).
+def svd_reduce(matrix: TfidfMatrix | np.ndarray, dims: int) -> np.ndarray:
+    """Project rows onto the top right-singular directions: the (n, dims) scores.
 
-    Computed by eigendecomposition of the smaller Gram matrix. Each
-    component's sign is fixed by making its largest-magnitude loading
-    positive, so the output is fully deterministic.
+    matrix is a TfidfMatrix or a dense (n, f) array. Computed by
+    eigendecomposition of the smaller Gram matrix. Each component's sign is
+    fixed by making its largest-magnitude loading positive, so the output
+    is fully deterministic.
     """
+    block = matrix.block if isinstance(matrix, TfidfMatrix) else lambda lo, hi: matrix[lo:hi]
     n, f = matrix.shape
     if not 0 < dims <= min(n, f):
         raise ValidationError(f"dims={dims} outside [1, min(n={n}, f={f})]")
     if f <= n:
         gram = None
         for lo, hi in _blocks(n):
-            B = matrix.block(lo, hi)
+            B = block(lo, hi)
             if gram is None:
                 gram = B.T @ B
             else:
@@ -184,9 +173,9 @@ def svd_reduce(matrix: CorpusMatrix | TfidfMatrix, dims: int) -> CorpusMatrix:
         V = _orient(evecs[:, order])
         scores = np.empty((n, dims))
         for lo, hi in _blocks(n):
-            scores[lo:hi] = matrix.block(lo, hi) @ V
+            scores[lo:hi] = block(lo, hi) @ V
     else:
-        X = matrix.block(0, n)
+        X = block(0, n)
         gram = X @ X.T
         evals, evecs = np.linalg.eigh(gram)
         order = np.argsort(evals)[::-1][:dims]
@@ -197,11 +186,7 @@ def svd_reduce(matrix: CorpusMatrix | TfidfMatrix, dims: int) -> CorpusMatrix:
         nz = sv > 1e-12
         V[:, nz] = (X.T @ U[:, nz]) / sv[nz]
         scores = X @ _orient(V)
-    norms = np.empty(n)
-    for lo, hi in _blocks(n):
-        block = scores[lo:hi]
-        norms[lo:hi] = np.sqrt((block * block).sum(axis=1))
-    return CorpusMatrix(rows=scores, dims=dims, row_norms=norms)
+    return scores
 
 
 def kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -257,7 +242,7 @@ def nearest_centroid(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 
 def minibatch_kmeans(
-    X: np.ndarray | CorpusMatrix,
+    X: np.ndarray,
     k: int,
     batch_size: int = 64,
     iterations: int = 50,
@@ -268,8 +253,6 @@ def minibatch_kmeans(
     Seeding runs k-means++ on a seeded subsample; the final labels come from
     one full assignment pass over all rows.
     """
-    if isinstance(X, CorpusMatrix):
-        X = X.rows
     X = np.asarray(X, dtype=np.float64)
     n = X.shape[0]
     if n == 0:
@@ -299,9 +282,7 @@ def minibatch_kmeans(
     return ClusterAssignment(labels=nearest_centroid(X, centroids), centroids=centroids, k=k)
 
 
-def inertia(X: np.ndarray | CorpusMatrix, assignment: ClusterAssignment) -> float:
-    if isinstance(X, CorpusMatrix):
-        X = X.rows
+def inertia(X: np.ndarray, assignment: ClusterAssignment) -> float:
     diffs = X - assignment.centroids[assignment.labels]
     return float((diffs * diffs).sum())
 

@@ -5,7 +5,9 @@ Three ways to produce a (d, t) prompt matrix for the frozen backbone:
 - non-contextual: the matrix itself is the parameter set; every context
   gets the same prompt.
 - mixture: k basis matrices combined by softmax weights from a learned
-  affine map of the context vector.
+  affine map of the context vector. The bases are stored as one (k, d, t)
+  stack, which materialize and param_grad use as one (k, d*t) matrix;
+  param_arrays names its (d, t) slices basis_{i} (the checkpoint layout).
 - per-column MLPs: t independent small ReLU MLPs, each mapping the context
   vector to one prompt column. Layer li of all t MLPs is stored as one
   (t, out, in) weight stack and one (t, out) bias stack, and runs as one
@@ -50,7 +52,7 @@ class MixtureParams:
     d: int
     t: int
     d_e: int
-    bases: list[np.ndarray]  # k matrices, each (d, t)
+    bases: np.ndarray        # (k, d, t); bases[i] is basis i
     gate_w: np.ndarray       # (k, d_e)
     gate_b: np.ndarray       # (k,)
 
@@ -130,7 +132,7 @@ def init_params(
     if variant == "ss_mp":
         if k < 1:
             raise ValidationError("mixture needs k >= 1 bases")
-        bases = [sampled_columns() for _ in range(k)]
+        bases = np.stack([sampled_columns() for _ in range(k)])
         return MixtureParams(
             d=d, t=t, d_e=d_e, bases=bases,
             gate_w=np.zeros((k, d_e)), gate_b=np.zeros(k),
@@ -198,7 +200,7 @@ def materialize(params: SoftSRVParams, z=None, acts: list | None = None) -> np.n
         raise ValidationError(f"variant {params.variant} requires a context vector")
     z, single = _check_contexts(params, z)
     if isinstance(params, MixtureParams):
-        bases = np.stack(params.bases).reshape(params.k, -1)
+        bases = params.bases.reshape(params.k, -1)
         out = (_gate(params, z) @ bases).reshape(len(z), params.d, params.t)
     else:
         hidden = _mlp_hidden(params, z)
@@ -217,7 +219,7 @@ def zeros_like_params(params: SoftSRVParams) -> SoftSRVParams:
     if isinstance(params, MixtureParams):
         return replace(
             params,
-            bases=[np.zeros_like(b) for b in params.bases],
+            bases=np.zeros_like(params.bases),
             gate_w=np.zeros_like(params.gate_w),
             gate_b=np.zeros_like(params.gate_b),
         )
@@ -293,11 +295,9 @@ def param_grad(params: SoftSRVParams, z, upstream: np.ndarray, acts: list | None
     if isinstance(params, MixtureParams):
         flat = upstream.reshape(len(z), -1)  # (B, d*t)
         w = _gate(params, z)  # (B, k)
-        scores = flat @ np.stack(params.bases).reshape(params.k, -1).T  # (B, k)
+        scores = flat @ params.bases.reshape(params.k, -1).T  # (B, k)
         glogits = w * (scores - np.sum(w * scores, axis=1, keepdims=True))  # softmax Jacobian
-        gbases = (w.T @ flat).reshape(params.k, params.d, params.t)
-        for i in range(params.k):
-            grads.bases[i][...] = gbases[i]
+        grads.bases[...] = (w.T @ flat).reshape(params.bases.shape)
         np.matmul(glogits.T, z, out=grads.gate_w)
         np.sum(glogits, axis=0, out=grads.gate_b)
         return grads

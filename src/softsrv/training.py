@@ -96,7 +96,6 @@ def train(
     del params  # the input is never mutated, and the caller may hold no other reference
     trace = LossTrace()
     if cfg.steps == 0:
-        trace.finish()
         return work, trace
 
     stacks = dict(param_stacks(work))
@@ -129,7 +128,6 @@ def train(
         trace.record(loss)
         # one gradient generation: none of this step's arrays outlive it
         del prompts, acts, prefix_grads, grads
-    trace.finish()
     return work, trace
 
 
@@ -168,7 +166,7 @@ def load_params(path, backbone: BackboneModel | None = None) -> SoftSRVParams:
     if variant == "ss_np":
         params: SoftSRVParams = NonContextualParams(d=d, t=t, d_e=d_e, prompt=par("prompt"))
     elif variant == "ss_mp":
-        bases = [par(f"basis_{i}") for i in range(meta["k"])]
+        bases = np.stack([par(f"basis_{i}") for i in range(meta["k"])])
         params = MixtureParams(d=d, t=t, d_e=d_e, bases=bases,
                                gate_w=par("gate_w"), gate_b=par("gate_b"))
     elif variant == "ss_mc":

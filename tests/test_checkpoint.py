@@ -1,9 +1,12 @@
 """Checkpoint container: byte stability, round trips, malformed input."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from softsrv.checkpoint import read_checkpoint, write_checkpoint
+from softsrv.checkpoint import _MAGIC, read_checkpoint, write_checkpoint
 from softsrv.errors import CheckpointFormatError
 
 
@@ -100,3 +103,53 @@ def test_zero_d_tensor_keeps_its_shape(tmp_path):
         assert tensors[name].shape == ()
         assert tensors[name].dtype == dtype
         assert tensors[name] == value
+
+
+def _raw_checkpoint(header, payload: bytes = b"") -> bytes:
+    blob = json.dumps(header).encode("utf-8")
+    return _MAGIC + struct.pack(">Q", len(blob)) + blob + payload
+
+
+def _entry(name="a", dtype="float64", shape=(1,)):
+    return {"name": name, "dtype": dtype, "shape": list(shape)}
+
+
+@pytest.mark.parametrize("header,payload", [
+    ([], b""),
+    ("header", b""),
+    ({"kind": "demo", "tensors": "abc"}, b""),
+    ({"kind": "demo", "tensors": {"a": _entry()}}, bytes(8)),
+    ({"kind": "demo", "tensors": ["a"]}, bytes(8)),
+    ({"kind": "demo", "tensors": [{"dtype": "float64", "shape": [1]}]}, bytes(8)),
+    ({"kind": "demo", "tensors": [_entry(name=7)]}, bytes(8)),
+    ({"kind": "demo", "tensors": [{"name": "a", "dtype": "float64"}]}, bytes(8)),
+    ({"kind": "demo", "tensors": [{"name": "a", "shape": [1]}]}, bytes(8)),
+    ({"kind": "demo", "tensors": [_entry(dtype=["float64"])]}, bytes(8)),
+    ({"kind": "demo", "tensors": [_entry(dtype="float16")]}, bytes(2)),
+    ({"kind": "demo", "tensors": [{**_entry(), "shape": 1}]}, bytes(8)),
+    ({"kind": "demo", "tensors": [_entry(shape=[1.5])]}, bytes(8)),
+    ({"kind": "demo", "tensors": [_entry(shape=["1"])]}, bytes(8)),
+    ({"kind": "demo", "tensors": [_entry(shape=[True])]}, bytes(8)),
+    ({"kind": "demo", "tensors": [_entry(shape=[-1, -1])]}, bytes(8)),
+    ({"kind": "demo", "tensors": [_entry(shape=[2**62, 4])]}, bytes(8)),
+    ({"kind": "demo", "tensors": [_entry(), _entry()]}, bytes(16)),
+], ids=[
+    "list-header", "string-header", "tensors-string", "tensors-object", "entry-string",
+    "no-name", "int-name", "no-shape", "no-dtype", "list-dtype", "unknown-dtype", "int-shape",
+    "float-dim", "string-dim", "bool-dim", "negative-dims", "huge-dims", "duplicate-name",
+])
+def test_malformed_header_rejected(tmp_path, header, payload):
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(_raw_checkpoint(header, payload))
+    with pytest.raises(CheckpointFormatError):
+        read_checkpoint(path)
+
+
+def test_hand_built_header_reads(tmp_path):
+    # the malformed cases above differ from this one only in their header
+    path = tmp_path / "good.ckpt"
+    payload = np.array([1.5, -2.0]).astype("<f8").tobytes()
+    path.write_bytes(_raw_checkpoint({"kind": "demo", "tensors": [_entry(shape=(2,))]}, payload))
+    kind, meta, tensors = read_checkpoint(path)
+    assert (kind, meta) == ("demo", {})
+    np.testing.assert_array_equal(tensors["a"], [1.5, -2.0])

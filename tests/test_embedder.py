@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from softsrv.backbone import BackboneConfig, init_backbone, freeze
-from softsrv.embedder import embed_corpus, embed_sequence
+from softsrv.embedder import embed_sequence
 from softsrv.errors import ValidationError
 from softsrv.vocab import build_vocab
 
@@ -61,15 +61,6 @@ def test_empty_sequence_rejected():
     model = make_embedder()
     with pytest.raises(ValidationError):
         embed_sequence(model, [], d_e=4)
-
-
-def test_embed_corpus_stacks_rows():
-    model = make_embedder()
-    seqs = [[4, 5], [6], [5, 5, 5]]
-    got = embed_corpus(model, seqs, d_e=3)
-    assert got.shape == (3, 3)
-    for i, s in enumerate(seqs):
-        np.testing.assert_allclose(got[i], embed_sequence(model, s, d_e=3))
 
 
 def test_out_of_range_ids_rejected():

@@ -12,7 +12,6 @@ from softsrv.errors import ValidationError
 from softsrv.postprocess import (
     ROW_CHUNK,
     ClusterAssignment,
-    CorpusMatrix,
     decontaminate,
     decontaminate_report,
     dedup_exact,
@@ -156,33 +155,30 @@ def test_tfidf_rejects_empty_corpus():
 def test_svd_scores_match_dense_decomposition():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((12, 7))
-    matrix = CorpusMatrix(rows=X, dims=7, row_norms=np.linalg.norm(X, axis=1))
-    reduced = svd_reduce(matrix, 4)
+    reduced = svd_reduce(X, 4)
     # projecting onto the top right-singular vectors preserves exactly the
     # energy of the top singular values
     _, s, _ = np.linalg.svd(X, full_matrices=False)
-    got = float(np.sum(reduced.rows**2))
+    got = float(np.sum(reduced**2))
     want = float(np.sum(s[:4] ** 2))
     assert got == pytest.approx(want, rel=1e-10)
-    assert reduced.rows.shape == (12, 4)
+    assert reduced.shape == (12, 4)
 
 
 def test_svd_reconstruction_error_matches_truncation_bound():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((9, 6))
-    matrix = CorpusMatrix(rows=X, dims=6, row_norms=np.linalg.norm(X, axis=1))
-    reduced = svd_reduce(matrix, 3)
+    reduced = svd_reduce(X, 3)
     _, s, _ = np.linalg.svd(X, full_matrices=False)
-    residual = float(np.sum(X**2) - np.sum(reduced.rows**2))
+    residual = float(np.sum(X**2) - np.sum(reduced**2))
     assert residual == pytest.approx(float(np.sum(s[3:] ** 2)), rel=1e-9, abs=1e-9)
 
 
 def test_svd_output_is_deterministic_up_to_exact_equality():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((8, 5))
-    matrix = CorpusMatrix(rows=X, dims=5, row_norms=np.linalg.norm(X, axis=1))
-    a = svd_reduce(matrix, 2).rows
-    b = svd_reduce(matrix, 2).rows
+    a = svd_reduce(X, 2)
+    b = svd_reduce(X, 2)
     np.testing.assert_array_equal(a, b)
 
 
@@ -203,8 +199,7 @@ def oneshot_svd(X, dims):
         pivot = int(np.argmax(np.abs(V[:, j])))
         if V[pivot, j] < 0:
             V[:, j] = -V[:, j]
-    scores = X @ V
-    return scores, np.sqrt((scores * scores).sum(axis=1))
+    return X @ V
 
 
 @pytest.mark.parametrize(
@@ -217,17 +212,13 @@ def test_svd_of_tfidf_blocks_matches_the_one_shot_products(n, n_words):
     dense = matrix.block(0, n)
     reduced = svd_reduce(matrix, 8)
     # the dense matrix takes the same row blocks, so it agrees exactly at any n
-    from_dense = svd_reduce(CorpusMatrix(rows=dense, dims=dense.shape[1], row_norms=matrix.row_norms), 8)
-    np.testing.assert_array_equal(reduced.rows, from_dense.rows)
-    np.testing.assert_array_equal(reduced.row_norms, from_dense.row_norms)
-    scores, norms = oneshot_svd(dense, 8)
+    np.testing.assert_array_equal(reduced, svd_reduce(dense, 8))
+    scores = oneshot_svd(dense, 8)
     if n <= ROW_CHUNK:
-        np.testing.assert_array_equal(reduced.rows, scores)
-        np.testing.assert_array_equal(reduced.row_norms, norms)
+        np.testing.assert_array_equal(reduced, scores)
     else:
         # the Gram sum runs block by block, so only the last bits may move
-        np.testing.assert_allclose(reduced.rows, scores, rtol=1e-9, atol=1e-12)
-        np.testing.assert_allclose(reduced.row_norms, norms, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(reduced, scores, rtol=1e-9, atol=1e-12)
 
 
 def test_tfidf_and_svd_memory_stay_small_without_a_dense_matrix():
@@ -244,7 +235,7 @@ def test_tfidf_and_svd_memory_stay_small_without_a_dense_matrix():
         tracemalloc.stop()
     assert peak < 40e6, peak
     assert matrix.shape == (25_000, 500)
-    assert reduced.rows.shape == (25_000, 16)
+    assert reduced.shape == (25_000, 16)
     column = {w: j for j, w in enumerate(matrix.vocabulary)}
     for doc, row in zip(docs[-20:], matrix.block(25_000 - 20, 25_000)):
         assert set(np.flatnonzero(row).tolist()) == {column[w] for w in doc.split()}
@@ -252,11 +243,10 @@ def test_tfidf_and_svd_memory_stay_small_without_a_dense_matrix():
 
 def test_svd_dims_validated():
     X = np.eye(3)
-    matrix = CorpusMatrix(rows=X, dims=3, row_norms=np.ones(3))
     with pytest.raises(ValidationError):
-        svd_reduce(matrix, 0)
+        svd_reduce(X, 0)
     with pytest.raises(ValidationError):
-        svd_reduce(matrix, 4)
+        svd_reduce(X, 4)
 
 
 # ---------------------------------------------------------------------------
