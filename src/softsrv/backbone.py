@@ -20,6 +20,13 @@ streams. In training the output head runs stream by stream over the same
 grid, one GEMM per stream, and the cross-entropy reads only the scored
 rows; decode sends only the row it samples from to the head.
 
+A training step holds little at its peak. The backward cache keeps only
+what the requested gradients read, and each RMS norm caches only its input
+and scale: _backward recomputes the normed rows, by the same ops on the
+same operands and so to the same bits, where a weight gradient reads them.
+_backward frees each layer's cache as it consumes it, and the logits
+buffer is overwritten with dlogits once the loss temporaries are gone.
+
 sample and continue_tokens share one decode loop, _decode. It has no KV
 cache: every sampled token reruns a full forward pass of its stream. Decode
 is the largest slice of a desk run; ROADMAP item 1 plans the batched,
@@ -248,22 +255,19 @@ class _Layout(NamedTuple):
     pos: np.ndarray  # position of each token row within its token segment
 
 
-def _rms_forward(x: np.ndarray, g: np.ndarray, keep_xhat: bool):
-    """Normalized and scaled rows, and the cache (x, xhat or None, s)."""
+def _rms_forward(x: np.ndarray, g: np.ndarray):
+    """Normalized and scaled rows (x * s) * g, and the cache (x, s)."""
     s = 1.0 / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + _RMS_EPS)
-    xhat = x * s
-    return xhat * g, (x, xhat if keep_xhat else None, s)
+    return x * s * g, (x, s)
 
 
-def _rms_backward(dy: np.ndarray, g: np.ndarray, cache):
-    """dx, and the gain gradient, or None when the cache kept no xhat."""
-    x, xhat, s = cache
+def _rms_backward(dy: np.ndarray, g: np.ndarray, cache) -> np.ndarray:
+    """dx; the gain gradient is sum(dy * x * s, axis=0), left to the caller."""
+    x, s = cache
     d = x.shape[-1]
-    dg = None if xhat is None else np.sum(dy * xhat, axis=0)
     dxhat = dy * g
     dot = np.sum(x * dxhat, axis=-1, keepdims=True)
-    dx = s * (dxhat - x * (s * s / d) * dot)
-    return dx, dg
+    return s * (dxhat - x * (s * s / d) * dot)
 
 
 def _to_grid(rows: np.ndarray, layout: _Layout) -> np.ndarray:
@@ -309,12 +313,13 @@ def _forward(
     head, the logits are (len(head_rows), V), and no layer's activations
     are kept: the cache is None.
 
-    The cache keeps only what the requested gradients read. For dx0 alone
-    it keeps each norm's input and scale, q, k, v, the attention weights
-    and the ReLU's boolean mask. With want_weight_grads it also keeps what
-    the weight gradients read: each norm's xhat, the attention input a,
-    the attention output o, the FFN input b, the ReLU output f (whose
-    mask f > 0 equals pre > 0, so pre is not kept) and the final h.
+    The cache keeps only what the requested gradients read, and each norm
+    keeps only its input x and scale s: _backward recomputes the normed
+    rows from them where a weight gradient reads them. For dx0 alone a
+    layer keeps both norms' (x, s), q, k, v, the attention weights and
+    the ReLU's boolean mask. With want_weight_grads it also keeps the
+    attention output o and the ReLU output f (whose mask f > 0 equals
+    pre > 0, so pre is not kept), and the cache keeps the final h.
     """
     cfg = model.config
     w = model.weights
@@ -325,7 +330,7 @@ def _forward(
     layer_caches = [] if head_rows is None else None
     for i in range(cfg.n_layers):
         p = f"layers.{i}."
-        a, nc1 = _rms_forward(x, w[p + "attn_norm_g"], want_weight_grads)
+        a, nc1 = _rms_forward(x, w[p + "attn_norm_g"])
         qh = _to_heads(a @ w[p + "wq"].T, layout, H)
         kh = _to_heads(a @ w[p + "wk"].T, layout, H)
         vh = _to_heads(a @ w[p + "wv"].T, layout, H)
@@ -338,31 +343,39 @@ def _forward(
         o = _from_heads(attn_w @ vh, layout)
         x_mid = x + o @ w[p + "wo"].T
 
-        b, nc2 = _rms_forward(x_mid, w[p + "ffn_norm_g"], want_weight_grads)
+        b, nc2 = _rms_forward(x_mid, w[p + "ffn_norm_g"])
         f = b @ w[p + "w1"].T
         np.maximum(f, 0.0, out=f)  # relu(pre), in place
         x = x_mid + f @ w[p + "w2"].T
         if layer_caches is None:
             continue
         if want_weight_grads:
-            layer_caches.append((nc1, a, qh, kh, vh, attn_w, o, nc2, b, f))
+            layer_caches.append((nc1, qh, kh, vh, attn_w, o, nc2, f))
         else:
-            layer_caches.append((nc1, None, qh, kh, vh, attn_w, None, nc2, None, f > 0))
+            layer_caches.append((nc1, qh, kh, vh, attn_w, None, nc2, f > 0))
 
     if head_rows is not None:
-        h, _ = _rms_forward(x[head_rows], w["final_norm_g"], False)
+        h, _ = _rms_forward(x[head_rows], w["final_norm_g"])
         return h @ w["head_w"].T + w["head_b"], None
-    h, ncf = _rms_forward(x, w["final_norm_g"], want_weight_grads)
+    h, ncf = _rms_forward(x, w["final_norm_g"])
     h = _to_grid(h, layout)
     logits = h @ w["head_w"].T + w["head_b"]
     return logits, (layout, layer_caches, ncf, h if want_weight_grads else None)
+
+
+def _xhat(cache) -> np.ndarray:
+    """A norm's normalized rows x * s, recomputed from its cache."""
+    x, s = cache
+    return x * s
 
 
 def _backward(model: BackboneModel, cache, dlogits: np.ndarray):
     """Grid dlogits (B, T, V) -> (dx0 over the packed rows, weight_grads or None).
 
     Weight gradients come back when _forward kept their inputs
-    (want_weight_grads). Never mutates model weights.
+    (want_weight_grads). Each layer's cache is popped as it is consumed,
+    so the cache's list of layers is empty afterwards. Never mutates
+    model weights.
     """
     cfg = model.config
     w = model.weights
@@ -375,29 +388,30 @@ def _backward(model: BackboneModel, cache, dlogits: np.ndarray):
         vs = dlogits.shape[-1]
         wg["head_w"] = dlogits.reshape(-1, vs).T @ h.reshape(-1, h.shape[-1])
         wg["head_b"] = dlogits.sum(axis=(0, 1))
-    dx, dgf = _rms_backward(_from_grid(dlogits @ w["head_w"], layout), w["final_norm_g"], ncf)
+    dy = _from_grid(dlogits @ w["head_w"], layout)
+    dx = _rms_backward(dy, w["final_norm_g"], ncf)
     if want_weight_grads:
-        wg["final_norm_g"] = dgf
+        wg["final_norm_g"] = np.sum(dy * _xhat(ncf), axis=0)
 
     for i in reversed(range(cfg.n_layers)):
         p = f"layers.{i}."
         # f is relu(pre), or its boolean mask when no weight gradient reads
         # it; f > 0 is the mask either way
-        nc1, a, qh, kh, vh, attn_w, o, nc2, b, f = layer_caches[i]
+        nc1, qh, kh, vh, attn_w, o, nc2, f = layer_caches.pop()
 
-        # ffn branch: x = x_mid + relu(b @ w1.T) @ w2.T
+        # ffn branch: x = x_mid + relu(b @ w1.T) @ w2.T, b = xhat2 * g2
         df = dx @ w[p + "w2"]
         dpre = df * (f > 0)
         db = dpre @ w[p + "w1"]
         if want_weight_grads:
             wg[p + "w2"] = dx.T @ f
-            wg[p + "w1"] = dpre.T @ b
-        dx_mid, dg2 = _rms_backward(db, w[p + "ffn_norm_g"], nc2)
+            xhat = _xhat(nc2)
+            wg[p + "w1"] = dpre.T @ (xhat * w[p + "ffn_norm_g"])
+            wg[p + "ffn_norm_g"] = np.sum(db * xhat, axis=0)
+        dx_mid = _rms_backward(db, w[p + "ffn_norm_g"], nc2)
         dx_mid += dx  # residual
-        if want_weight_grads:
-            wg[p + "ffn_norm_g"] = dg2
 
-        # attention branch: x_mid = x + (attn_w @ v) @ wo.T
+        # attention branch: x_mid = x + (attn_w @ v) @ wo.T, a = xhat1 * g1
         do = _to_heads(dx_mid @ w[p + "wo"], layout, cfg.n_heads)
         if want_weight_grads:
             wg[p + "wo"] = dx_mid.T @ o
@@ -410,13 +424,13 @@ def _backward(model: BackboneModel, cache, dlogits: np.ndarray):
         dv = _from_heads(attn_w.transpose(0, 1, 3, 2) @ do, layout)
         da = dq @ w[p + "wq"] + dk @ w[p + "wk"] + dv @ w[p + "wv"]
         if want_weight_grads:
+            xhat = _xhat(nc1)
+            a = xhat * w[p + "attn_norm_g"]
             wg[p + "wq"] = dq.T @ a
             wg[p + "wk"] = dk.T @ a
             wg[p + "wv"] = dv.T @ a
-        dx_in, dg1 = _rms_backward(da, w[p + "attn_norm_g"], nc1)
-        dx = dx_in + dx_mid  # residual
-        if want_weight_grads:
-            wg[p + "attn_norm_g"] = dg1
+            wg[p + "attn_norm_g"] = np.sum(da * xhat, axis=0)
+        dx = _rms_backward(da, w[p + "attn_norm_g"], nc1) + dx_mid  # residual
 
     return dx, wg
 
@@ -519,9 +533,13 @@ def batch_loss_and_grads(
     probs = np.exp(logits - lse[:, None])
     probs[picked] -= 1.0
     probs /= (counts * B).astype(probs.dtype)[stream, None]
-    dlogits = np.zeros_like(grid_logits)
-    dlogits.reshape(B * T, vs)[scored] = probs
-    dx0, wg = _backward(model, cache, dlogits)
+    # the scored-row temporaries die before the backward pass allocates its
+    # own, and the grid logits buffer is overwritten with dlogits
+    del logits, mx, lse, nll
+    grid_logits.fill(0)
+    grid_logits.reshape(B * T, vs)[scored] = probs
+    del probs
+    dx0, wg = _backward(model, cache, grid_logits)
     if want_weight_grads:
         # scatter token-row gradients into the embedding tables, stream by stream
         dtok = dx0[layout.tok_rows]
@@ -683,8 +701,12 @@ def train_full_weights(
         trace.record(loss)
         # wg stays referenced until the next step's gradients replace it, at
         # the cost of one backbone gradient (about 2 MB at desk shape).
-        # Dropping it here measured slower, with several times the minor
-        # page faults per step (CHANGES.md).
+        # Dropping it here lets glibc trim the heap after every step, and 30
+        # desk pretraining steps take about 2.5x the minor page faults. The
+        # perfbench template workload's peak RSS then read 55.4-55.9 MB
+        # against about 58.6, but its fixed_work_s was higher in 3 of 5
+        # pairs (by up to 18%) in one measurement and lower in 7 of 10 in
+        # another (CHANGES.md).
     return trace
 
 

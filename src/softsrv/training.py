@@ -26,7 +26,7 @@ from . import vocab as V
 from .backbone import BackboneModel, batch_loss_and_grads
 from .checkpoint import read_checkpoint, write_checkpoint
 from .embedder import embed_sequence
-from .errors import TrainingDivergedError, ValidationError
+from .errors import CheckpointFormatError, TrainingDivergedError, ValidationError
 from .optim import LossTrace, adam_step, clip_global_norm, init_adam
 from .prompts import (
     MixtureParams,
@@ -148,8 +148,31 @@ def save_params(path, params: SoftSRVParams) -> None:
     write_checkpoint(path, "softsrv_params", _params_meta(params), tensors)
 
 
+def _is_int(value, lo: int) -> bool:
+    return type(value) is int and value >= lo  # bool is a subclass of int
+
+
+def _check_params_meta(meta) -> None:
+    """Raise CheckpointFormatError unless meta has the fields load_params reads."""
+    if not isinstance(meta, dict) or not isinstance(meta.get("variant"), str):
+        raise CheckpointFormatError(f"checkpoint meta lacks a string variant: {meta!r}")
+    for key, lo in (("d", 1), ("t", 1), ("d_e", 0)):
+        if not _is_int(meta.get(key), lo):
+            raise CheckpointFormatError(f"checkpoint meta {key!r} must be an int >= {lo}, got {meta.get(key)!r}")
+    if meta["variant"] == "ss_mp" and not _is_int(meta.get("k"), 1):
+        raise CheckpointFormatError(f"checkpoint meta 'k' must be an int >= 1, got {meta.get('k')!r}")
+    if meta["variant"] == "ss_mc":
+        sizes = meta.get("layer_sizes")
+        if not (isinstance(sizes, list) and sizes and all(
+                isinstance(pair, list) and len(pair) == 2 and all(_is_int(n, 1) for n in pair)
+                for pair in sizes)):
+            raise CheckpointFormatError(f"checkpoint meta 'layer_sizes' must be a list of [out, in] "
+                                        f"int pairs, got {sizes!r}")
+
+
 def load_params(path, backbone: BackboneModel | None = None) -> SoftSRVParams:
     _, meta, tensors = read_checkpoint(path, expect_kind="softsrv_params")
+    _check_params_meta(meta)
     variant, d, t, d_e = meta["variant"], meta["d"], meta["t"], meta["d_e"]
     if backbone is not None:
         if d != backbone.d:

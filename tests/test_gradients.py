@@ -209,8 +209,9 @@ def test_packed_batch_equals_weighted_single_stream_calls(t, rows):
 )
 def test_lean_cache_gives_the_same_bits_as_the_full_one(t, rows):
     # without weight gradients the forward keeps a smaller backward cache
-    # (no norm xhat, no a/o/b, the ReLU as a boolean mask); what the prefix
-    # gradients read from it must be the same bits either way
+    # (no attention output o, no final h, the ReLU as a boolean mask; the
+    # norms keep (x, s) either way); what the prefix gradients read from it
+    # must be the same bits either way
     model = tiny_model(seed=17)
     rng = np.random.default_rng(11)
     prefixes = rng.standard_normal((len(rows), t, 8)) if t else None
