@@ -32,6 +32,15 @@ cache: every sampled token reruns a full forward pass of its stream. Decode
 is the largest slice of a desk run; ROADMAP item 1 plans the batched,
 KV-cached engine that replaces _decode.
 
+Every training, scoring and decode batch enters the core through
+_build_streams, which checks it once: its longest stream (prefix plus
+tokens) against max_seq (CapacityError), and its token ids against [0, V)
+(ValidationError). On top of that the single-sequence ops check the
+prefix's shape and their ids up front, decode checks its whole length
+(context plus max_new) before the first token, and train_full_weights
+checks every sequence before the first step. load_backbone checks a
+checkpoint's config, vocabulary and every tensor's shape and dtype.
+
 Gradients are written out manually (no autodiff) and verified against
 central finite differences in the test suite.
 """
@@ -40,7 +49,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from itertools import chain
 from typing import NamedTuple
 
@@ -48,7 +57,7 @@ import numpy as np
 
 from . import vocab as V
 from .checkpoint import read_checkpoint, write_checkpoint
-from .errors import CapacityError, TrainingDivergedError, ValidationError
+from .errors import CapacityError, CheckpointFormatError, TrainingDivergedError, ValidationError
 from .optim import LossTrace, adam_step, clip_global_norm, init_adam
 from .vocab import Vocabulary
 
@@ -88,21 +97,16 @@ class BackboneModel:
         return len(self.vocab)
 
 
-def weight_names(config: BackboneConfig) -> list[str]:
-    names = ["tok_emb", "pos_emb"]
+def _weight_shapes(config: BackboneConfig, vs: int) -> dict[str, tuple[int, ...]]:
+    """The shape of every weight, keyed by name, for a vocabulary of vs tokens."""
+    d, ffn = config.d, config.ffn_dim
+    shapes = {"tok_emb": (vs, d), "pos_emb": (config.max_seq, d)}
     for i in range(config.n_layers):
-        names += [
-            f"layers.{i}.attn_norm_g",
-            f"layers.{i}.wq",
-            f"layers.{i}.wk",
-            f"layers.{i}.wv",
-            f"layers.{i}.wo",
-            f"layers.{i}.ffn_norm_g",
-            f"layers.{i}.w1",
-            f"layers.{i}.w2",
-        ]
-    names += ["final_norm_g", "head_w", "head_b"]
-    return names
+        p = f"layers.{i}."
+        shapes.update({p + "attn_norm_g": (d,), p + "wq": (d, d), p + "wk": (d, d), p + "wv": (d, d),
+                       p + "wo": (d, d), p + "ffn_norm_g": (d,), p + "w1": (ffn, d), p + "w2": (d, ffn)})
+    shapes.update({"final_norm_g": (d,), "head_w": (vs, d), "head_b": (vs,)})
+    return shapes
 
 
 def init_backbone(
@@ -176,28 +180,36 @@ def checksum(model: BackboneModel) -> str:
 
 
 def save_backbone(path, model: BackboneModel) -> None:
-    meta = {
-        "config": {
-            "d": model.config.d,
-            "n_layers": model.config.n_layers,
-            "n_heads": model.config.n_heads,
-            "ffn_dim": model.config.ffn_dim,
-            "max_seq": model.config.max_seq,
-            "dtype": model.config.dtype,
-        },
-        "frozen": model.frozen,
-        "tokens": model.vocab.tokens,
-    }
+    meta = {"config": asdict(model.config), "frozen": model.frozen, "tokens": model.vocab.tokens}
     write_checkpoint(path, "backbone", meta, model.weights)
 
 
 def load_backbone(path) -> BackboneModel:
+    """Read a backbone; raises CheckpointFormatError unless meta and tensors match."""
     _, meta, tensors = read_checkpoint(path, expect_kind="backbone")
-    config = BackboneConfig(**meta["config"])
-    model = BackboneModel(config=config, vocab=Vocabulary(list(meta["tokens"])), weights=tensors)
-    missing = set(weight_names(config)) ^ set(tensors)
-    if missing:
-        raise ValidationError(f"checkpoint weight set mismatch: {sorted(missing)}")
+    if not isinstance(meta, dict):
+        raise CheckpointFormatError(f"backbone meta is a {type(meta).__name__}, not an object")
+    raw, tokens = meta.get("config"), meta.get("tokens")
+    if not isinstance(raw, dict) or set(raw) != {f.name for f in fields(BackboneConfig)}:
+        raise CheckpointFormatError(f"backbone meta config must hold the BackboneConfig fields: {raw!r}")
+    # bool is a subclass of int; every size must be a plain positive int
+    if not all(type(v) is int and v >= 1 for k, v in raw.items() if k != "dtype"):
+        raise CheckpointFormatError(f"backbone config sizes must be ints >= 1: {raw!r}")
+    if not isinstance(tokens, list) or not all(isinstance(tok, str) for tok in tokens):
+        raise CheckpointFormatError("backbone meta tokens must be a list of strings")
+    try:
+        config, vocabulary = BackboneConfig(**raw), Vocabulary(tokens)
+    except ValidationError as exc:
+        raise CheckpointFormatError(f"bad backbone meta: {exc}") from exc
+    shapes = _weight_shapes(config, len(vocabulary))
+    if set(shapes) != set(tensors):
+        raise CheckpointFormatError(f"checkpoint weight set mismatch: {sorted(set(shapes) ^ set(tensors))}")
+    for name, shape in shapes.items():
+        arr = tensors[name]
+        if arr.shape != shape or arr.dtype != config.dtype:
+            raise CheckpointFormatError(
+                f"tensor {name!r} is {arr.dtype} {arr.shape}, expected {config.dtype} {shape}")
+    model = BackboneModel(config=config, vocab=vocabulary, weights=tensors)
     if meta.get("frozen"):
         freeze(model)
     return model
@@ -218,9 +230,9 @@ def _check_prefix(model: BackboneModel, prefix: np.ndarray) -> np.ndarray:
     return prefix.astype(model.config.dtype, copy=False)
 
 
-def _check_ids(model: BackboneModel, ids, allow_empty: bool = False) -> list[int]:
+def _check_ids(model: BackboneModel, ids) -> list[int]:
     ids = [int(i) for i in ids]
-    if not ids and not allow_empty:
+    if not ids:
         raise ValidationError("empty token sequence")
     for i in ids:
         if not 0 <= i < model.vocab_size:
@@ -442,7 +454,9 @@ def _build_streams(model: BackboneModel, prefixes, token_rows):
     the same width. Token rows get tok_emb + pos_emb with positions indexed
     within the token segment; prefix rows get none. The layout's real
     holds the flat indices of the real rows (every prefix row and every
-    token row) in the padded (B, T) grid.
+    token row) in the padded (B, T) grid. Raises CapacityError when the
+    longest stream exceeds max_seq and ValidationError when a token id
+    lies outside [0, V): a negative id would silently index from the end.
     """
     cfg = model.config
     w = model.weights
@@ -462,10 +476,13 @@ def _build_streams(model: BackboneModel, prefixes, token_rows):
     pos = ramp - np.repeat(tok_starts, lens)
     layout = _Layout(B, T, t, lens, starts, real, tok_rows, pos)
 
+    ids = np.fromiter(chain.from_iterable(token_rows), dtype=np.intp, count=n_tok)
+    if n_tok and (ids.min() < 0 or ids.max() >= model.vocab_size):
+        bad = ids[(ids < 0) | (ids >= model.vocab_size)][0]
+        raise ValidationError(f"token id {bad} out of vocabulary range")
     x0 = np.empty((n_real, cfg.d), dtype=np.dtype(cfg.dtype))
     if t:
         x0[_prefix_rows(layout)] = np.reshape(prefixes, (B * t, cfg.d))
-    ids = np.fromiter(chain.from_iterable(token_rows), dtype=np.intp, count=n_tok)
     x0[tok_rows] = w["tok_emb"][ids] + w["pos_emb"][pos]
     return x0, layout, ids
 
@@ -564,7 +581,6 @@ def forward_logits(model: BackboneModel, prefix: np.ndarray, target) -> np.ndarr
     """
     prefix = _check_prefix(model, prefix)
     ids = _check_ids(model, target)
-    _check_capacity(model, prefix.shape[1] + len(ids))
     x0, layout, _ = _build_streams(model, [prefix.T], [ids])
     rows, _, _ = _loss_rows(layout, has_prefix=True)
     logits, _ = _forward(model, x0, layout, rows)
@@ -575,7 +591,6 @@ def causal_loss(model: BackboneModel, prefix: np.ndarray, target) -> float:
     """Mean NLL of target under teacher forcing with the prefix as sole context."""
     prefix = _check_prefix(model, prefix)
     ids = _check_ids(model, target)
-    _check_capacity(model, prefix.shape[1] + len(ids))
     loss, _, _, _ = batch_loss_and_grads(model, [prefix.T], [ids])
     return loss
 
@@ -584,7 +599,6 @@ def loss_and_prefix_grad(model: BackboneModel, prefix: np.ndarray, target) -> tu
     """causal_loss plus its gradient with respect to the prefix, shape (d, t)."""
     prefix = _check_prefix(model, prefix)
     ids = _check_ids(model, target)
-    _check_capacity(model, prefix.shape[1] + len(ids))
     loss, _, pg, _ = batch_loss_and_grads(
         model, [prefix.T], [ids], want_prefix_grads=True
     )
@@ -671,11 +685,11 @@ def train_full_weights(
     lr: float,
     seed: int,
     batch_size: int = 8,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
-    grad_clip: float | None = 1.0,
 ) -> LossTrace:
-    """Next-token training over BOS-wrapped sequences; modifies the model."""
+    """Next-token training over BOS-wrapped sequences; modifies the model.
+
+    Gradients are clipped to global norm 1.0 and Adam runs at adam_step's defaults.
+    """
     if model.frozen:
         raise ValidationError("model is frozen")
     if not sequences:
@@ -695,9 +709,8 @@ def train_full_weights(
         loss, _, _, wg = batch_loss_and_grads(model, None, batch, want_weight_grads=True)
         if not np.isfinite(loss):
             raise TrainingDivergedError(step, loss)
-        if grad_clip is not None:
-            clip_global_norm(wg, grad_clip)
-        adam_step(adam, model.weights, wg, lr, betas, eps)
+        clip_global_norm(wg, 1.0)
+        adam_step(adam, model.weights, wg, lr)
         trace.record(loss)
         # wg stays referenced until the next step's gradients replace it, at
         # the cost of one backbone gradient (about 2 MB at desk shape).

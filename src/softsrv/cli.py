@@ -11,8 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import (
     ExperimentConfig,
     METHODS,
@@ -20,9 +18,7 @@ from .config import (
     override_master_seed,
     preset_config,
 )
-from .embedder import embed_sequence
 from .errors import ConfigError, SoftSRVError, StageError
-from .mauve import mauve_score
 from .pipeline import Pipeline, STAGE_EXIT_CODES
 from .records import read_records
 
@@ -94,20 +90,7 @@ def _read_texts(path: str) -> list[str]:
 
 
 def _standalone_mauve(pipe: Pipeline, gen_path: str, ref_path: str) -> int:
-    embedder = pipe.ensure_embedder()
-    vocabulary = pipe.vocabulary()
-    d_e = pipe.cfg.embedder.d_e
-
-    def cloud(path: str) -> np.ndarray:
-        return np.stack(
-            [embed_sequence(embedder, vocabulary.encode(t), d_e) for t in _read_texts(path)]
-        )
-
-    m = pipe.cfg.mauve
-    report = mauve_score(
-        cloud(gen_path), cloud(ref_path),
-        k=m.k, c=m.c, grid_size=m.grid_size, seed=pipe.cfg.seeds.mauve,
-    )
+    report = pipe.mauve_report(_read_texts(gen_path), _read_texts(ref_path))
     sys.stdout.write(report.to_text())
     return 0
 

@@ -196,8 +196,6 @@ _SECTION_ORDER = (
 
 def _coerce(section: str, key: str, raw: str, current):
     try:
-        if isinstance(current, bool):
-            return raw.strip().lower() in ("1", "true", "yes")
         if isinstance(current, int):
             return int(raw)
         if isinstance(current, float):

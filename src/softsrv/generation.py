@@ -2,11 +2,13 @@
 
 Questions: contexts cycle round-robin over the seed examples (record j uses
 seed j mod |seeds|); each record samples from the backbone conditioned on
-the materialized prompt alone. Answers: plain continuation of the embedded
-question tokens, no soft prompt and no template. Every record draws from
-its own RNG stream derived by hashing (master seed, method, record index),
-so the full record list is a pure function of its inputs and is insensitive
-to generation order.
+the materialized prompt alone. Answers: plain continuation of an embedded
+token prompt, no soft prompt. The prompt is the question itself for the
+soft-prompt methods (stream phase 97) and the rendered answer template for
+the template methods (phase 98, see templates.pt_generate_answers). Every
+record draws from its own RNG stream derived by hashing (master seed,
+method, record index, phase), so the full record list is a pure function
+of its inputs and is insensitive to generation order.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .records import METHOD_TAGS, SyntheticRecord
 
 # Distinct stream codes 1..5, in METHOD_TAGS' order, keep provenance streams disjoint.
 _METHOD_CODE = {tag: code for code, tag in enumerate(METHOD_TAGS, start=1)}
-_ANSWER_PHASE = 97
+_ANSWER_PHASE, _TEMPLATE_ANSWER_PHASE = 97, 98
 
 # VARIANTS and the first METHOD_TAGS name the soft-prompt methods in one order
 _VARIANT_TO_TAG = dict(zip(VARIANTS, METHOD_TAGS))
@@ -99,13 +101,15 @@ def generate_answers(
     temperature: float = 1.0,
     seed: int = 0,
     max_new: int = 64,
+    prompts: list[str] | None = None,
 ) -> list[SyntheticRecord]:
-    """Attach sampled answers: direct continuation of the question tokens."""
+    """Attach sampled answers: answer j continues prompts[j], or the question."""
+    phase = _ANSWER_PHASE if prompts is None else _TEMPLATE_ANSWER_PHASE
     out = []
     for j, rec in enumerate(records):
-        q_ids = backbone.vocab.encode(rec.question)
-        stream = record_stream(seed, rec.method_tag, j, _ANSWER_PHASE)
-        a_ids = continue_tokens(backbone, q_ids, max_new, temperature, stream)
+        ids = backbone.vocab.encode(rec.question if prompts is None else prompts[j])
+        stream = record_stream(seed, rec.method_tag, j, phase)
+        a_ids = continue_tokens(backbone, ids, max_new, temperature, stream)
         prov = dict(rec.provenance)
         prov["answer_seed"] = int(seed)
         prov["answer_temperature"] = temperature

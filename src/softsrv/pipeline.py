@@ -33,7 +33,7 @@ from .config import ExperimentConfig, VARIANTS, save_config, to_ini_text
 from .embedder import embed_sequence
 from .errors import StageError, ValidationError
 from .generation import generate_answers, generate_questions
-from .mauve import mauve_score
+from .mauve import MauveReport, mauve_score
 from .optim import LossTrace
 from .postprocess import decontaminate_report, diverse_subsample
 from .prompts import init_params
@@ -387,19 +387,12 @@ class Pipeline:
         g = self.cfg.generation
         backbone = self.ensure_backbone()
         questions = self.ensure_questions()
+        sampling = (g.answer_temperature, self.cfg.seeds.answers, g.max_new_tokens)
         if g.method in VARIANTS:
-            records = generate_answers(
-                backbone, questions,
-                temperature=g.answer_temperature,
-                seed=self.cfg.seeds.answers, max_new=g.max_new_tokens,
-            )
+            records = generate_answers(backbone, questions, *sampling)
         else:
             templates = load_builtin_templates(self.ensure_corpus()["grammar"])
-            records = pt_generate_answers(
-                backbone, templates, questions,
-                temperature=g.answer_temperature,
-                seed=self.cfg.seeds.answers, max_new=g.max_new_tokens,
-            )
+            records = pt_generate_answers(backbone, templates, questions, *sampling)
         write_records(path, records)
         return records
 
@@ -438,12 +431,9 @@ class Pipeline:
         first = path.read_text(encoding="utf-8").splitlines()[0]
         return float(first.split("\t")[1])
 
-    def _build_mauve(self, path: Path) -> float:
+    def mauve_report(self, gen_texts: list[str], ref_texts: list[str]) -> MauveReport:
+        """MAUVE of two text lists, embedded by the run's embedder, under its [mauve] settings."""
         m = self.cfg.mauve
-        final = self.ensure_postprocess()
-        if not final:
-            raise ValidationError("no synthetic records survived postprocessing")
-        data = self.ensure_corpus()
         embedder = self.ensure_embedder()
         vocabulary = self.vocabulary()
         d_e = self.cfg.embedder.d_e
@@ -451,11 +441,17 @@ class Pipeline:
         def cloud(texts: list[str]) -> np.ndarray:
             return np.stack([embed_sequence(embedder, vocabulary.encode(t), d_e) for t in texts])
 
-        report = mauve_score(
-            cloud([r.question for r in final]),
-            cloud([ex.question for ex in data["test"]]),
+        return mauve_score(
+            cloud(gen_texts), cloud(ref_texts),
             k=m.k, c=m.c, grid_size=m.grid_size, seed=self.cfg.seeds.mauve,
         )
+
+    def _build_mauve(self, path: Path) -> float:
+        final = self.ensure_postprocess()
+        if not final:
+            raise ValidationError("no synthetic records survived postprocessing")
+        data = self.ensure_corpus()
+        report = self.mauve_report([r.question for r in final], [ex.question for ex in data["test"]])
         _write_text(path, report.to_text())
         return report.score
 

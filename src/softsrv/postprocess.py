@@ -282,11 +282,6 @@ def minibatch_kmeans(
     return ClusterAssignment(labels=nearest_centroid(X, centroids), centroids=centroids, k=k)
 
 
-def inertia(X: np.ndarray, assignment: ClusterAssignment) -> float:
-    diffs = X - assignment.centroids[assignment.labels]
-    return float((diffs * diffs).sum())
-
-
 def round_robin_subsample(assignment: ClusterAssignment, n_s: int, seed: int = 0) -> list[int]:
     """Cycle clusters in ascending id order, drawing one unseen member
     uniformly per visit; exhausted clusters are skipped. Returns sorted

@@ -6,7 +6,9 @@ samples a continuation at its own default temperature, and splits it into
 up to ten candidates at "Question <n>:" / "Passage and Question <n>:"
 markers. The self-refinement path (PT_SR) then alternates critique and
 refine rounds per candidate, accepting as soon as a refine output begins
-with the stop token after whitespace trimming.
+with the stop token after whitespace trimming. Answers for both render the
+answer template around each question and continue it through
+generation.generate_answers, the loop the soft-prompt methods use.
 """
 
 from __future__ import annotations
@@ -14,11 +16,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 from .backbone import BackboneModel, continue_tokens
 from .errors import ValidationError
-from .generation import record_stream
+from .generation import generate_answers, record_stream
 from .records import SyntheticRecord
 
 PLACEHOLDER = "[[EXAMPLE]]"
@@ -29,11 +30,9 @@ _MAX_SPLIT = 10
 _CRITIQUE_PHASE, _REFINE_PHASE = 11, 12
 
 
-@dataclass
+@dataclass(frozen=True)
 class PromptTemplate:
     body: str
-    kind: str            # "question" | "answer" | "critique" | "refine"
-    domain_tag: str = ""
 
     def __post_init__(self):
         if not self.body:
@@ -45,9 +44,6 @@ class PromptTemplate:
 
 def render(template: PromptTemplate, example_text: str) -> str:
     """Substitute the example into the placeholder slot."""
-    n = template.body.count(PLACEHOLDER)
-    if n != 1:
-        raise ValidationError(f"template must contain exactly one placeholder, found {n}")
     return template.body.replace(PLACEHOLDER, example_text)
 
 
@@ -65,8 +61,7 @@ def load_builtin_templates(domain: str) -> dict[str, PromptTemplate]:
             body = path.read_text(encoding="utf-8")
         except FileNotFoundError:
             raise ValidationError(f"no builtin template {name!r}") from None
-        tpl_kind = "question" if kind == "question_undiversified" else kind
-        out[kind] = PromptTemplate(body=body.strip("\n"), kind=tpl_kind, domain_tag=domain)
+        out[kind] = PromptTemplate(body=body.strip("\n"))
     return out
 
 
@@ -214,29 +209,5 @@ def pt_generate_answers(
     """Answers via the answer template rendered around each question."""
     if "answer" not in templates:
         raise ValidationError("missing template 'answer'")
-    out = []
-    for j, rec in enumerate(records):
-        text = _continuation_text(
-            backbone,
-            render(templates["answer"], rec.question),
-            max_new, temperature,
-            record_stream(seed, rec.method_tag, j, 98),
-        )
-        prov = dict(rec.provenance)
-        prov["answer_seed"] = int(seed)
-        prov["answer_temperature"] = temperature
-        out.append(
-            SyntheticRecord(
-                question=rec.question,
-                answer=text,
-                seed_index=rec.seed_index,
-                method_tag=rec.method_tag,
-                provenance=prov,
-            )
-        )
-    return out
-
-
-def load_template_file(path: str | Path, kind: str, domain_tag: str = "") -> PromptTemplate:
-    return PromptTemplate(body=Path(path).read_text(encoding="utf-8").strip("\n"),
-                          kind=kind, domain_tag=domain_tag)
+    prompts = [render(templates["answer"], rec.question) for rec in records]
+    return generate_answers(backbone, records, temperature, seed, max_new, prompts)

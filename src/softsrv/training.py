@@ -48,7 +48,7 @@ class TrainConfig:
     batch_size: int = 8
     betas: tuple[float, float] = (0.9, 0.999)
     eps: float = 1e-8
-    grad_clip: float | None = 1.0
+    grad_clip: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
@@ -121,9 +121,8 @@ def train(
             raise TrainingDivergedError(step, loss)
 
         grads = param_grad(work, z, prefix_grads.transpose(0, 2, 1) / len(batch), acts)
-        if cfg.grad_clip is not None:
-            # summed per column and layer, in the checkpoint's order
-            clip_global_norm(dict(param_arrays(grads)), cfg.grad_clip)
+        # summed per column and layer, in the checkpoint's order
+        clip_global_norm(dict(param_arrays(grads)), cfg.grad_clip)
         adam_step(adam, stacks, dict(param_stacks(grads)), cfg.lr, cfg.betas, cfg.eps)
         trace.record(loss)
         # one gradient generation: none of this step's arrays outlive it

@@ -47,9 +47,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def id_for(self, token: str) -> int:
-        return self._index.get(token, UNK)
-
     def token_for(self, token_id: int) -> str:
         if not 0 <= token_id < len(self.tokens):
             raise ValidationError(f"token id {token_id} out of range")

@@ -10,14 +10,18 @@ import pytest
 
 from softsrv.backbone import (
     BackboneConfig,
+    _weight_shapes,
     batch_loss_and_grads,
     causal_loss,
     continuation_logits,
     forward_logits,
+    freeze,
     init_backbone,
-    weight_names,
 )
 from softsrv.errors import CapacityError, ValidationError
+from softsrv.prompts import init_params
+from softsrv.student import perplexity
+from softsrv.training import TrainConfig, train
 from softsrv.vocab import build_vocab
 
 RMS_EPS = 1e-5
@@ -156,6 +160,25 @@ def test_sequence_capacity_enforced():
         forward_logits(model, np.zeros((8, 30)), [4, 5, 6])
 
 
+_ID_OPS = {
+    "train": lambda m, ids: train(m, None, [ids], init_params("ss_np", m, 2, 4, seed=1), TrainConfig(steps=1)),
+    "perplexity": lambda m, ids: perplexity(m, [ids]),
+    "batch_loss_and_grads": lambda m, ids: batch_loss_and_grads(m, None, [[4, 5], ids]),
+}
+
+
+@pytest.mark.parametrize("bad", ["-1", "V"])
+@pytest.mark.parametrize("op", sorted(_ID_OPS))
+def test_token_ids_outside_the_vocabulary_rejected(op, bad):
+    # -1 would otherwise index the last embedding row, and V raise IndexError
+    model = freeze(small_model())
+    bad_id = -1 if bad == "-1" else model.vocab_size
+    _ID_OPS[op](model, [4, 5])  # the same call with ids in range runs
+    with pytest.raises(ValidationError, match="out of vocabulary range"):
+        _ID_OPS[op](model, [4, bad_id, 5])
+
+
 def test_weight_names_cover_model_exactly():
     model = small_model()
-    assert sorted(weight_names(model.config)) == sorted(model.weights)
+    shapes = {name: arr.shape for name, arr in model.weights.items()}
+    assert _weight_shapes(model.config, model.vocab_size) == shapes

@@ -6,8 +6,10 @@ import struct
 import numpy as np
 import pytest
 
+from softsrv.backbone import BackboneConfig, init_backbone, load_backbone, save_backbone
 from softsrv.checkpoint import _MAGIC, read_checkpoint, write_checkpoint
 from softsrv.errors import CheckpointFormatError
+from softsrv.vocab import build_vocab
 
 
 def _tensors():
@@ -153,3 +155,63 @@ def test_hand_built_header_reads(tmp_path):
     kind, meta, tensors = read_checkpoint(path)
     assert (kind, meta) == ("demo", {})
     np.testing.assert_array_equal(tensors["a"], [1.5, -2.0])
+
+
+def _patch(key, value):
+    def edit(meta, tensors):
+        meta["config"][key] = value
+    return edit
+
+
+# each edit turns a saved backbone's (meta, tensors) into a malformed one
+_BACKBONE_EDITS = {
+    "no-config": lambda meta, tensors: meta.pop("config"),
+    "no-tokens": lambda meta, tensors: meta.pop("tokens"),
+    "list-config": lambda meta, tensors: meta.update(config=[8, 1, 2, 12, 16, "float64"]),
+    "extra-config-key": _patch("bias", 1),
+    "missing-config-key": lambda meta, tensors: meta["config"].pop("ffn_dim"),
+    "string-d": _patch("d", "8"),
+    "bool-layers": _patch("n_layers", True),
+    "zero-heads": _patch("n_heads", 0),
+    "indivisible-heads": _patch("n_heads", 3),
+    "unknown-dtype": _patch("dtype", "float16"),
+    "string-tokens": lambda meta, tensors: meta.update(tokens="abc"),
+    "no-reserved-tokens": lambda meta, tensors: meta.update(tokens=meta["tokens"][4:]),
+    "missing-tensor": lambda meta, tensors: tensors.pop("head_b"),
+    "extra-tensor": lambda meta, tensors: tensors.update(extra=np.zeros(2)),
+    "wrong-shape-w1": lambda meta, tensors: tensors.update({"layers.0.w1": np.zeros((13, 8))}),
+    "float32-tok-emb": lambda meta, tensors: tensors.update(tok_emb=tensors["tok_emb"].astype(np.float32)),
+}
+
+
+def _saved_backbone(path):
+    vocab = build_vocab(["alpha beta gamma delta"])
+    model = init_backbone(BackboneConfig(d=8, n_layers=1, n_heads=2, ffn_dim=12, max_seq=16), vocab, 3)
+    save_backbone(path, model)
+    return model
+
+
+@pytest.mark.parametrize("edit", sorted(_BACKBONE_EDITS) + ["list-meta"])
+def test_malformed_backbone_checkpoint_rejected(tmp_path, edit):
+    path = tmp_path / "b.ckpt"
+    _saved_backbone(path)
+    kind, meta, tensors = read_checkpoint(path)
+    if edit == "list-meta":
+        meta = [meta]
+    else:
+        _BACKBONE_EDITS[edit](meta, tensors)
+    write_checkpoint(path, kind, meta, tensors)
+    with pytest.raises(CheckpointFormatError):
+        load_backbone(path)
+
+
+def test_well_formed_backbone_checkpoint_rewritten_still_loads(tmp_path):
+    # the control for the malformed cases above: the same rewrite, no edit
+    path = tmp_path / "b.ckpt"
+    model = _saved_backbone(path)
+    write_checkpoint(path, *read_checkpoint(path))
+    loaded = load_backbone(path)
+    assert loaded.config == model.config and loaded.vocab.tokens == model.vocab.tokens
+    assert sorted(loaded.weights) == sorted(model.weights)
+    for name, arr in model.weights.items():
+        np.testing.assert_array_equal(loaded.weights[name], arr)

@@ -1,5 +1,7 @@
 """CLI harness: argument handling, exit codes, stage wiring."""
 
+import json
+
 import pytest
 
 from softsrv.cli import main
@@ -98,6 +100,20 @@ def test_standalone_mauve_scores_two_files(mini_ini, tmp_path, capsys):
     key, value = first.split("\t")
     assert key == "mauve_score"
     assert float(value) == pytest.approx(1.0, abs=1e-6)  # identical files
+
+
+def test_standalone_mauve_of_a_run_prints_its_report(mini_ini, tmp_path, capsys):
+    # the CLI and the pipeline score the same two text lists the same way
+    out = tmp_path / "run"
+    assert main(["run", "--config", mini_ini, "--out", str(out)]) == 0
+    corpus = json.loads((out / "corpus.json").read_text(encoding="utf-8"))
+    ref = tmp_path / "ref.txt"
+    ref.write_text("".join(ex["question"] + "\n" for ex in corpus["test"]), encoding="utf-8")
+    capsys.readouterr()
+    code = main(["mauve", "--config", mini_ini, "--out", str(out),
+                 "--gen", str(out / "final.jsonl"), "--ref", str(ref)])
+    assert code == 0
+    assert capsys.readouterr().out == (out / "mauve_report.txt").read_text(encoding="utf-8")
 
 
 def test_standalone_mauve_requires_both_files(mini_ini, tmp_path, capsys):

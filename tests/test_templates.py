@@ -8,7 +8,6 @@ from softsrv.templates import (
     PromptTemplate,
     RefineConfig,
     load_builtin_templates,
-    load_template_file,
     pt_generate,
     pt_generate_answers,
     ptsr_generate,
@@ -19,13 +18,13 @@ from softsrv.templates import (
 
 def test_placeholder_must_appear_exactly_once():
     with pytest.raises(ValidationError):
-        PromptTemplate(body="no slot here", kind="question")
+        PromptTemplate(body="no slot here")
     with pytest.raises(ValidationError):
-        PromptTemplate(body=f"{PLACEHOLDER} and {PLACEHOLDER}", kind="question")
+        PromptTemplate(body=f"{PLACEHOLDER} and {PLACEHOLDER}")
 
 
 def test_render_substitutes_the_example():
-    tpl = PromptTemplate(body=f"Example: {PLACEHOLDER}\nQuestion 1:", kind="question")
+    tpl = PromptTemplate(body=f"Example: {PLACEHOLDER}\nQuestion 1:")
     assert render(tpl, "2+2?") == "Example: 2+2?\nQuestion 1:"
 
 
@@ -148,15 +147,3 @@ def test_pt_generate_answers_attaches_text(tiny_backbone):
         assert a.question == q.question
         assert a.answer is not None
         assert a.provenance["answer_seed"] == 10
-
-
-def test_load_template_file(tmp_path):
-    path = tmp_path / "custom.txt"
-    path.write_text(f"Try this: {PLACEHOLDER}\nQuestion 1:", encoding="utf-8")
-    tpl = load_template_file(path, "question", "custom")
-    assert tpl.kind == "question"
-    assert render(tpl, "x").startswith("Try this: x")
-    bad = tmp_path / "bad.txt"
-    bad.write_text("no slot", encoding="utf-8")
-    with pytest.raises(ValidationError):
-        load_template_file(bad, "question", "custom")

@@ -52,7 +52,7 @@ def test_unknown_tokens_map_to_unk():
 
 def test_decode_drops_structural_markers():
     v = build_vocab(["a b"])
-    a = v.id_for("a")
+    (a,) = v.encode("a")
     assert v.decode([BOS, a, EOS, PAD]) == "a"
 
 
