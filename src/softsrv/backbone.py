@@ -39,7 +39,8 @@ tokens) against max_seq (CapacityError), and its token ids against [0, V)
 prefix's shape and their ids up front, decode checks its whole length
 (context plus max_new) before the first token, and train_full_weights
 checks every sequence before the first step. load_backbone checks a
-checkpoint's config, vocabulary and every tensor's shape and dtype.
+checkpoint's config and vocabulary, then holds its tensors to the one
+weight table, _weight_shapes, which init_backbone also draws from.
 
 Gradients are written out manually (no autodiff) and verified against
 central finite differences in the test suite.
@@ -56,7 +57,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import vocab as V
-from .checkpoint import read_checkpoint, write_checkpoint
+from .checkpoint import check_tensors, read_checkpoint, write_checkpoint
 from .errors import CapacityError, CheckpointFormatError, TrainingDivergedError, ValidationError
 from .optim import LossTrace, adam_step, clip_global_norm, init_adam
 from .vocab import Vocabulary
@@ -115,38 +116,23 @@ def init_backbone(
     seed: int,
     zero_residual: bool = True,
 ) -> BackboneModel:
-    """Seeded initialization.
+    """Seeded initialization, drawn weight by weight in _weight_shapes order.
 
-    Residual-branch output projections (wo, w2) start at zero by default so
-    the initial model is near uniform; gradient-check fixtures pass
-    zero_residual=False to keep every path active.
+    Norm gains start at one, the head bias at zero and every other weight at
+    0.02 * N(0, 1). Residual-branch output projections (wo, w2) start at
+    zero by default so the initial model is near uniform; gradient-check
+    fixtures pass zero_residual=False to keep every path active.
     """
     rng = np.random.default_rng(seed)
     dt = np.dtype(config.dtype)
-    d, ffn, vs = config.d, config.ffn_dim, len(vocabulary)
-
-    def noise(*shape):
-        return (0.02 * rng.standard_normal(shape)).astype(dt)
-
-    def residual(*shape):
-        return noise(*shape) if not zero_residual else np.zeros(shape, dtype=dt)
-
-    w: dict[str, np.ndarray] = {
-        "tok_emb": noise(vs, d),
-        "pos_emb": noise(config.max_seq, d),
-    }
-    for i in range(config.n_layers):
-        w[f"layers.{i}.attn_norm_g"] = np.ones(d, dtype=dt)
-        w[f"layers.{i}.wq"] = noise(d, d)
-        w[f"layers.{i}.wk"] = noise(d, d)
-        w[f"layers.{i}.wv"] = noise(d, d)
-        w[f"layers.{i}.wo"] = residual(d, d)
-        w[f"layers.{i}.ffn_norm_g"] = np.ones(d, dtype=dt)
-        w[f"layers.{i}.w1"] = noise(ffn, d)
-        w[f"layers.{i}.w2"] = residual(d, ffn)
-    w["final_norm_g"] = np.ones(d, dtype=dt)
-    w["head_w"] = noise(vs, d)
-    w["head_b"] = np.zeros(vs, dtype=dt)
+    w: dict[str, np.ndarray] = {}
+    for name, shape in _weight_shapes(config, len(vocabulary)).items():
+        if name.endswith("_g"):
+            w[name] = np.ones(shape, dtype=dt)
+        elif name == "head_b" or (zero_residual and name.endswith((".wo", ".w2"))):
+            w[name] = np.zeros(shape, dtype=dt)
+        else:
+            w[name] = (0.02 * rng.standard_normal(shape)).astype(dt)
     return BackboneModel(config=config, vocab=vocabulary, weights=w)
 
 
@@ -201,14 +187,7 @@ def load_backbone(path) -> BackboneModel:
         config, vocabulary = BackboneConfig(**raw), Vocabulary(tokens)
     except ValidationError as exc:
         raise CheckpointFormatError(f"bad backbone meta: {exc}") from exc
-    shapes = _weight_shapes(config, len(vocabulary))
-    if set(shapes) != set(tensors):
-        raise CheckpointFormatError(f"checkpoint weight set mismatch: {sorted(set(shapes) ^ set(tensors))}")
-    for name, shape in shapes.items():
-        arr = tensors[name]
-        if arr.shape != shape or arr.dtype != config.dtype:
-            raise CheckpointFormatError(
-                f"tensor {name!r} is {arr.dtype} {arr.shape}, expected {config.dtype} {shape}")
+    check_tensors(tensors, _weight_shapes(config, len(vocabulary)), config.dtype)
     model = BackboneModel(config=config, vocab=vocabulary, weights=tensors)
     if meta.get("frozen"):
         freeze(model)

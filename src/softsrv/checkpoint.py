@@ -4,7 +4,8 @@ Layout: magic line, 8-byte big-endian header length, UTF-8 JSON header
 {"kind", "meta", "tensors": [{"name", "dtype", "shape"}, ...]}, then each
 tensor's raw bytes in header order (C-contiguous, little-endian). The bytes
 written are a pure function of the payload, so identical state produces
-identical files; npz would embed zip timestamps.
+identical files; npz would embed zip timestamps. check_tensors holds what a
+reader got to the exact names, shapes and dtype that its format declares.
 """
 
 from __future__ import annotations
@@ -102,3 +103,13 @@ def read_checkpoint(path: str | Path, expect_kind: str | None = None) -> tuple[s
         raise CheckpointFormatError("trailing bytes after last tensor")
     return kind, header.get("meta", {}), tensors
 
+
+
+def check_tensors(tensors: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]], dtype: str) -> None:
+    """Raise CheckpointFormatError unless tensors are exactly the named shapes, all of dtype."""
+    if set(tensors) != set(shapes):
+        raise CheckpointFormatError(f"checkpoint tensor set mismatch: {sorted(set(shapes) ^ set(tensors))}")
+    for name, shape in shapes.items():
+        arr = tensors[name]
+        if arr.shape != shape or arr.dtype != dtype:
+            raise CheckpointFormatError(f"tensor {name!r} is {arr.dtype} {arr.shape}, expected {dtype} {shape}")

@@ -188,10 +188,7 @@ def preset_config(name: str) -> ExperimentConfig:
     raise ConfigError(f"unknown preset {name!r}")
 
 
-_SECTION_ORDER = (
-    "corpus", "backbone", "embedder", "softsrv", "trainer", "generation",
-    "postprocess", "mauve", "student", "seeds", "paths",
-)
+_SECTION_ORDER = tuple(f.name for f in fields(ExperimentConfig) if f.name != "preset")
 
 
 def _coerce(section: str, key: str, raw: str, current):
@@ -241,7 +238,7 @@ def override_master_seed(cfg: ExperimentConfig, master: int) -> ExperimentConfig
 
 
 def to_ini_text(cfg: ExperimentConfig) -> str:
-    """Canonical serialization: fixed section and key order, repr-stable values."""
+    """Canonical serialization: fixed section and key order; str of a float is its repr."""
     buf = io.StringIO()
     buf.write("[meta]\n")
     buf.write(f"preset = {cfg.preset}\n\n")
@@ -249,11 +246,7 @@ def to_ini_text(cfg: ExperimentConfig) -> str:
         buf.write(f"[{section}]\n")
         target = getattr(cfg, section)
         for f in fields(target):
-            value = getattr(target, f.name)
-            if isinstance(value, float):
-                buf.write(f"{f.name} = {value!r}\n")
-            else:
-                buf.write(f"{f.name} = {value}\n")
+            buf.write(f"{f.name} = {getattr(target, f.name)}\n")
         buf.write("\n")
     return buf.getvalue()
 

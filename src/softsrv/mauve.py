@@ -42,7 +42,6 @@ class MauveReport:
     score: float
     curve: list[tuple[float, float]]
     c: float
-    lambda_grid: list[float]
     k: int
 
     def to_text(self) -> str:
@@ -145,4 +144,4 @@ def mauve_score(
     # stacks (identical distributions) integrate to area 1
     pts.sort(key=lambda xy: (xy[0], -xy[1]))
     score = min(1.0, max(0.0, _trapezoid_area(pts)))
-    return MauveReport(score=score, curve=pts, c=c, lambda_grid=[float(l) for l in grid], k=k)
+    return MauveReport(score=score, curve=pts, c=c, k=k)

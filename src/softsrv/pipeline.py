@@ -2,9 +2,11 @@
 
 STAGE_TABLE declares each stage's artifacts, the config it reads and the
 stages it reads from. A stage's fingerprint is a sha256 over those config
-values and its upstream fingerprints. The reuse rule: a stage is loaded from
-its artifacts only when all of them exist and fingerprints.tsv records its
-current fingerprint; otherwise it is rebuilt. The record is dropped before a
+values and its upstream fingerprints. The reuse rule: a stage is built
+unless all its artifacts exist and fingerprints.tsv records its current
+fingerprint. Builders only write artifacts; a stage's value is always what
+its loader reads back from them, so a fresh Pipeline and one resumed on
+the same directory hold the same values. The record is dropped before a
 build and written back once all its artifacts are written, so a config
 change rebuilds the stages it touches and everything downstream, and an
 interrupted build is never trusted. A build that may replace artifacts of
@@ -169,20 +171,19 @@ class Pipeline:
         _write_text(self.out / FINGERPRINTS, "".join(f"{k}\t{v}\n" for k, v in sorted(recorded.items())))
 
     def _get(self, key: str):
-        """Memoized stage value: loaded when its artifacts are current, else built."""
+        """Memoized stage value, always read by its loader; built first unless its artifacts are current."""
         if key not in self._memo:
             stage = STAGE_TABLE[key]
             paths = [self.out / name for name in stage.artifacts.split()]
             try:
                 fingerprint = self._fingerprints()[key]
                 recorded = self._recorded().get(key)
-                if recorded == fingerprint and all(p.exists() for p in paths):
-                    self._memo[key] = getattr(self, "_load_" + key)(*paths)
-                else:
+                if recorded != fingerprint or not all(p.exists() for p in paths):
                     replaces = recorded != fingerprint and (recorded is not None or any(p.exists() for p in paths))
                     self._record(key, None, _downstream(key) if replaces else set())
-                    self._memo[key] = getattr(self, "_build_" + key)(*paths)
+                    getattr(self, "_build_" + key)(*paths)
                     self._record(key, fingerprint)
+                self._memo[key] = getattr(self, "_load_" + key)(*paths)
             except StageError:
                 raise
             except Exception as exc:
@@ -235,7 +236,7 @@ class Pipeline:
             "generic": list(raw["generic"]),
         }
 
-    def _build_corpus(self, path: Path) -> dict:
+    def _build_corpus(self, path: Path) -> None:
         c = self.cfg.corpus
         grammar = builtin_grammar(c.grammar)
         train_fold, test_fold = make_toy_corpus(grammar, c.n_examples, self.cfg.seeds.corpus)
@@ -249,7 +250,6 @@ class Pipeline:
             "generic": generic_corpus(c.n_generic, self.cfg.seeds.corpus + 2),
         }
         _write_text(path, json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
-        return self._load_corpus(path)
 
     def vocabulary(self) -> Vocabulary:
         if self._vocab is not None:
@@ -275,7 +275,7 @@ class Pipeline:
         seqs += [vocabulary.encode(s) for s in data["generic"]]
         return seqs
 
-    def _frozen(self, section, seed: int, seqs, ckpt: Path, trace: Path, dtype="float64") -> BackboneModel:
+    def _frozen(self, section, seed: int, seqs, ckpt: Path, trace: Path, dtype="float64") -> None:
         """Pretrain one frozen model from its config section and save it."""
         config = BackboneConfig(
             d=section.d, n_layers=section.n_layers, n_heads=section.n_heads,
@@ -287,27 +287,26 @@ class Pipeline:
         )
         save_backbone(ckpt, model)
         _write_text(trace, _trace_text(losses))
-        return model
 
     def _load_frozen(self, ckpt: Path, trace: Path) -> BackboneModel:
         return load_backbone(ckpt)
 
     _load_backbone = _load_embedder = _load_student_base = _load_frozen
 
-    def _build_backbone(self, *paths: Path) -> BackboneModel:
+    def _build_backbone(self, *paths: Path) -> None:
         b = self.cfg.backbone
-        return self._frozen(b, self.cfg.seeds.backbone, self._pretrain_sequences(), *paths, dtype=b.dtype)
+        self._frozen(b, self.cfg.seeds.backbone, self._pretrain_sequences(), *paths, dtype=b.dtype)
 
-    def _build_embedder(self, *paths: Path) -> BackboneModel:
+    def _build_embedder(self, *paths: Path) -> None:
         e = self.cfg.embedder
         if e.d_e > e.d:
             raise ValidationError("embedder.d_e cannot exceed embedder.d")
-        return self._frozen(e, self.cfg.seeds.embedder, self._pretrain_sequences(), *paths)
+        self._frozen(e, self.cfg.seeds.embedder, self._pretrain_sequences(), *paths)
 
-    def _build_student_base(self, *paths: Path) -> BackboneModel:
+    def _build_student_base(self, *paths: Path) -> None:
         # the proxy student never sees either grammar before fine-tuning
         seqs = [self.vocabulary().encode(t) for t in self.ensure_corpus()["generic"]]
-        return self._frozen(self.cfg.student, self.cfg.seeds.student, seqs, *paths)
+        self._frozen(self.cfg.student, self.cfg.seeds.student, seqs, *paths)
 
     # ------------------------------------------------------------------
     # soft-prompt training
@@ -315,7 +314,7 @@ class Pipeline:
     def _load_params(self, ckpt: Path, trace: Path):
         return load_params(ckpt, self.ensure_backbone())
 
-    def _build_params(self, ckpt: Path, trace: Path):
+    def _build_params(self, ckpt: Path, trace: Path) -> None:
         method = self.cfg.generation.method
         if method not in VARIANTS:
             raise ValidationError(f"method {method!r} does not train soft prompts")
@@ -339,7 +338,6 @@ class Pipeline:
         ), cfg)
         save_params(ckpt, trained)
         _write_text(trace, _trace_text(losses))
-        return trained
 
     # ------------------------------------------------------------------
     # synthesis and postprocess
@@ -349,7 +347,7 @@ class Pipeline:
 
     _load_questions = _load_answers = _load_postprocess = _load_records
 
-    def _build_questions(self, path: Path) -> list[SyntheticRecord]:
+    def _build_questions(self, path: Path) -> None:
         g = self.cfg.generation
         backbone = self.ensure_backbone()
         data = self.ensure_corpus()
@@ -381,9 +379,8 @@ class Pipeline:
                     max_new=g.max_new_tokens,
                 )
         write_records(path, records)
-        return records
 
-    def _build_answers(self, path: Path) -> list[SyntheticRecord]:
+    def _build_answers(self, path: Path) -> None:
         g = self.cfg.generation
         backbone = self.ensure_backbone()
         questions = self.ensure_questions()
@@ -394,9 +391,8 @@ class Pipeline:
             templates = load_builtin_templates(self.ensure_corpus()["grammar"])
             records = pt_generate_answers(backbone, templates, questions, *sampling)
         write_records(path, records)
-        return records
 
-    def _build_postprocess(self, final_path: Path, selected_path: Path, contaminated_path: Path):
+    def _build_postprocess(self, final_path: Path, selected_path: Path, contaminated_path: Path) -> None:
         p = self.cfg.postprocess
         answered = self.ensure_answers()
         data = self.ensure_corpus()
@@ -422,7 +418,6 @@ class Pipeline:
         ]
         write_records(contaminated_path, audited)
         write_records(final_path, final)
-        return final
 
     # ------------------------------------------------------------------
     # evaluation and summary
@@ -433,6 +428,8 @@ class Pipeline:
 
     def mauve_report(self, gen_texts: list[str], ref_texts: list[str]) -> MauveReport:
         """MAUVE of two text lists, embedded by the run's embedder, under its [mauve] settings."""
+        if not gen_texts or not ref_texts:
+            raise ValidationError("MAUVE needs at least one generated and one reference text")
         m = self.cfg.mauve
         embedder = self.ensure_embedder()
         vocabulary = self.vocabulary()
@@ -446,20 +443,17 @@ class Pipeline:
             k=m.k, c=m.c, grid_size=m.grid_size, seed=self.cfg.seeds.mauve,
         )
 
-    def _build_mauve(self, path: Path) -> float:
+    def _build_mauve(self, path: Path) -> None:
         final = self.ensure_postprocess()
-        if not final:
-            raise ValidationError("no synthetic records survived postprocessing")
         data = self.ensure_corpus()
         report = self.mauve_report([r.question for r in final], [ex.question for ex in data["test"]])
         _write_text(path, report.to_text())
-        return report.score
 
     def _load_student(self, path: Path) -> dict:
         report = dict(line.split("\t") for line in path.read_text(encoding="utf-8").splitlines() if line)
         return {key: float(report[key]) for key in ("base_ppl", "tuned_ppl", "ratio")}
 
-    def _build_student(self, path: Path) -> dict:
+    def _build_student(self, path: Path) -> None:
         s = self.cfg.student
         base = self.ensure_student_base()
         final = self.ensure_postprocess()
@@ -475,12 +469,11 @@ class Pipeline:
             batch_size=s.finetune_batch, seed=self.cfg.seeds.student,
         )
         _write_text(path, report.to_text())
-        return {"base_ppl": report.base_ppl, "tuned_ppl": report.tuned_ppl, "ratio": report.ratio}
 
     def _load_summary(self, path: Path) -> str:
         return path.read_text(encoding="utf-8")
 
-    def _build_summary(self, path: Path) -> str:
+    def _build_summary(self, path: Path) -> None:
         data = self.ensure_corpus()
         self.ensure_backbone()
         if self.cfg.generation.method in VARIANTS:
@@ -518,9 +511,7 @@ class Pipeline:
         lines.append("resolved config")
         lines.append("-" * 15)
         lines.append(to_ini_text(self.cfg))
-        text = "\n".join(lines)
-        _write_text(path, text)
-        return text
+        _write_text(path, "\n".join(lines))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> str:

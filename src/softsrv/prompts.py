@@ -16,6 +16,9 @@ Three ways to produce a (d, t) prompt matrix for the frozen backbone:
   param_arrays names those slices per column (the checkpoint layout) and
   param_stacks names the stacks (what the optimizer steps).
 
+zero_params declares each variant's arrays once; init_params draws into
+them and load_params fills them from a checkpoint through param_arrays.
+
 param_grad chains an upstream dL/dP into gradients over each variant's own
 parameters; like the backbone, all backward math is manual and is checked
 against finite differences in the tests. Both functions also take a whole
@@ -33,7 +36,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .backbone import BackboneModel
-from .config import VARIANTS
 from .errors import ValidationError
 
 
@@ -95,6 +97,24 @@ def _check_contexts(params: SoftSRVParams, z) -> tuple[np.ndarray, bool]:
     return z, single
 
 
+def zero_params(variant: str, d: int, t: int, d_e: int, k: int = 1, layer_sizes=()) -> SoftSRVParams:
+    """A variant's parameters, all zero: the one declaration of their layout.
+
+    The arguments are the checkpoint meta fields; k counts the mixture's
+    bases and layer_sizes lists each per-column MLP layer as [out, in].
+    """
+    if variant == "ss_np":
+        return NonContextualParams(d=d, t=t, d_e=d_e, prompt=np.zeros((d, t)))
+    if variant == "ss_mp":
+        return MixtureParams(d=d, t=t, d_e=d_e, bases=np.zeros((k, d, t)),
+                             gate_w=np.zeros((k, d_e)), gate_b=np.zeros(k))
+    if variant == "ss_mc":
+        return MlpConcatParams(d=d, t=t, d_e=d_e,
+                               weights=[np.zeros((t, out, n_in)) for out, n_in in layer_sizes],
+                               biases=[np.zeros((t, out)) for out, _ in layer_sizes])
+    raise ValidationError(f"unknown variant {variant!r}")
+
+
 def init_params(
     variant: str,
     backbone: BackboneModel,
@@ -112,41 +132,28 @@ def init_params(
     text. MLP hidden layers get fan-in-scaled uniform noise with zero final
     weights, making the initial output independent of the context.
     """
-    if variant not in VARIANTS:
-        raise ValidationError(f"unknown variant {variant!r}")
     d = backbone.d
     if not 0 < t < backbone.config.max_seq:
         raise ValidationError(f"prompt width t={t} outside (0, {backbone.config.max_seq})")
     if mlp_layers < 2:
         raise ValidationError("per-column MLPs need at least two layers")
+    if variant == "ss_mp" and k < 1:
+        raise ValidationError("mixture needs k >= 1 bases")
+    sizes = [d_e] + [mlp_hidden] * (mlp_layers - 1) + [d]
+    params = zero_params(variant, d, t, d_e, k, [[sizes[li + 1], sizes[li]] for li in range(mlp_layers)])
     rng = np.random.default_rng(seed)
     table = backbone.weights["tok_emb"]
 
-    def sampled_columns() -> np.ndarray:
-        rows = rng.integers(0, table.shape[0], size=t)
-        return table[rows].T.astype(np.float64).copy()  # (d, t)
-
-    if variant == "ss_np":
-        return NonContextualParams(d=d, t=t, d_e=d_e, prompt=sampled_columns())
-
-    if variant == "ss_mp":
-        if k < 1:
-            raise ValidationError("mixture needs k >= 1 bases")
-        bases = np.stack([sampled_columns() for _ in range(k)])
-        return MixtureParams(
-            d=d, t=t, d_e=d_e, bases=bases,
-            gate_w=np.zeros((k, d_e)), gate_b=np.zeros(k),
-        )
-
-    sizes = [d_e] + [mlp_hidden] * (mlp_layers - 1) + [d]
-    weights = [np.zeros((t, sizes[li + 1], sizes[li])) for li in range(mlp_layers)]
-    biases = [np.zeros((t, sizes[li + 1])) for li in range(mlp_layers)]
-    for j in range(t):  # draws go column by column, layer by layer
-        for li in range(mlp_layers - 1):
-            bound = 1.0 / np.sqrt(sizes[li])
-            weights[li][j] = rng.uniform(-bound, bound, size=(sizes[li + 1], sizes[li]))
-        biases[-1][j] = table[int(rng.integers(0, table.shape[0]))]
-    return MlpConcatParams(d=d, t=t, d_e=d_e, weights=weights, biases=biases)
+    if isinstance(params, MlpConcatParams):
+        for j in range(t):  # draws go column by column, layer by layer
+            for li in range(mlp_layers - 1):
+                bound = 1.0 / np.sqrt(sizes[li])
+                params.weights[li][j] = rng.uniform(-bound, bound, size=(sizes[li + 1], sizes[li]))
+            params.biases[-1][j] = table[int(rng.integers(0, table.shape[0]))]
+    else:  # the prompt, or each basis in turn, is t sampled rows of the table
+        for block in params.bases if isinstance(params, MixtureParams) else params.prompt[None]:
+            block[...] = table[rng.integers(0, table.shape[0], size=t)].T
+    return params
 
 
 def mixture_weights(params: MixtureParams, z) -> np.ndarray:

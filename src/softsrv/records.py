@@ -3,13 +3,15 @@
 One JSON object per line, keys sorted, UTF-8, embedded newlines escaped by
 JSON itself. Records carry detokenized text plus provenance; token ids are
 re-derivable because the tokenizer's render/split pair is stable for every
-vocabulary surface form.
+vocabulary surface form. SyntheticRecord holds the one validator of every
+field, types included: read_records only parses a line, checks that it is
+an object with every field, and constructs the record from it.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .errors import RecordFormatError, ValidationError
@@ -26,22 +28,19 @@ class SyntheticRecord:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.question:
-            raise ValidationError("record question must be nonempty")
+        if not isinstance(self.question, str) or not self.question:
+            raise ValidationError("record question must be a nonempty string")
+        if self.answer is not None and not isinstance(self.answer, str):
+            raise ValidationError("record answer must be a string or None")
+        if type(self.seed_index) is not int or self.seed_index < 0:  # bool is a subclass of int
+            raise ValidationError("record seed_index must be an int >= 0")
         if self.method_tag not in METHOD_TAGS:
             raise ValidationError(f"unknown method_tag {self.method_tag!r}")
-        if self.seed_index < 0:
-            raise ValidationError("seed_index must be >= 0")
+        if not isinstance(self.provenance, dict):
+            raise ValidationError("record provenance must be a dict")
 
     def to_json(self) -> str:
-        payload = {
-            "question": self.question,
-            "answer": self.answer,
-            "seed_index": self.seed_index,
-            "method_tag": self.method_tag,
-            "provenance": self.provenance,
-        }
-        return json.dumps(payload, sort_keys=True, ensure_ascii=False)
+        return json.dumps(asdict(self), sort_keys=True, ensure_ascii=False)
 
 
 def write_records(path: str | Path, records: list[SyntheticRecord]) -> None:
@@ -53,40 +52,21 @@ def write_records(path: str | Path, records: list[SyntheticRecord]) -> None:
 
 def read_records(path: str | Path) -> list[SyntheticRecord]:
     """Parse a record file; any malformed line reports its 1-based number."""
+    names = [f.name for f in fields(SyntheticRecord)]
     out: list[SyntheticRecord] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                raise RecordFormatError("blank line", lineno)
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise RecordFormatError(f"invalid JSON ({exc.msg})", lineno) from exc
             if not isinstance(obj, dict):
                 raise RecordFormatError("record is not an object", lineno)
-            missing = {"question", "answer", "seed_index", "method_tag", "provenance"} - set(obj)
+            missing = set(names) - set(obj)
             if missing:
                 raise RecordFormatError(f"missing fields {sorted(missing)}", lineno)
-            if not isinstance(obj["question"], str) or not obj["question"]:
-                raise RecordFormatError("question must be a nonempty string", lineno)
-            if obj["answer"] is not None and not isinstance(obj["answer"], str):
-                raise RecordFormatError("answer must be a string or null", lineno)
-            if not isinstance(obj["seed_index"], int) or isinstance(obj["seed_index"], bool):
-                raise RecordFormatError("seed_index must be an integer", lineno)
-            if obj["method_tag"] not in METHOD_TAGS:
-                raise RecordFormatError(f"unknown method_tag {obj['method_tag']!r}", lineno)
-            if not isinstance(obj["provenance"], dict):
-                raise RecordFormatError("provenance must be an object", lineno)
             try:
-                rec = SyntheticRecord(
-                    question=obj["question"],
-                    answer=obj["answer"],
-                    seed_index=obj["seed_index"],
-                    method_tag=obj["method_tag"],
-                    provenance=obj["provenance"],
-                )
+                out.append(SyntheticRecord(**{name: obj[name] for name in names}))
             except ValidationError as exc:
                 raise RecordFormatError(str(exc), lineno) from exc
-            out.append(rec)
     return out

@@ -24,10 +24,11 @@ import numpy as np
 
 from . import vocab as V
 from .backbone import BackboneModel, batch_loss_and_grads
-from .checkpoint import read_checkpoint, write_checkpoint
+from .checkpoint import check_tensors, read_checkpoint, write_checkpoint
 from .embedder import embed_sequence
 from .errors import CheckpointFormatError, TrainingDivergedError, ValidationError
 from .optim import LossTrace, adam_step, clip_global_norm, init_adam
+from .config import VARIANTS
 from .prompts import (
     MixtureParams,
     MlpConcatParams,
@@ -37,6 +38,7 @@ from .prompts import (
     param_arrays,
     param_grad,
     param_stacks,
+    zero_params,
     zeros_like_params,  # noqa: F401  perfbench/tracing.py wraps it under this module
 )
 
@@ -152,9 +154,9 @@ def _is_int(value, lo: int) -> bool:
 
 
 def _check_params_meta(meta) -> None:
-    """Raise CheckpointFormatError unless meta has the fields load_params reads."""
-    if not isinstance(meta, dict) or not isinstance(meta.get("variant"), str):
-        raise CheckpointFormatError(f"checkpoint meta lacks a string variant: {meta!r}")
+    """Raise CheckpointFormatError unless meta has the fields zero_params reads."""
+    if not isinstance(meta, dict) or meta.get("variant") not in VARIANTS:
+        raise CheckpointFormatError(f"checkpoint meta lacks a known variant: {meta!r}")
     for key, lo in (("d", 1), ("t", 1), ("d_e", 0)):
         if not _is_int(meta.get(key), lo):
             raise CheckpointFormatError(f"checkpoint meta {key!r} must be an int >= {lo}, got {meta.get(key)!r}")
@@ -162,42 +164,28 @@ def _check_params_meta(meta) -> None:
         raise CheckpointFormatError(f"checkpoint meta 'k' must be an int >= 1, got {meta.get('k')!r}")
     if meta["variant"] == "ss_mc":
         sizes = meta.get("layer_sizes")
-        if not (isinstance(sizes, list) and sizes and all(
-                isinstance(pair, list) and len(pair) == 2 and all(_is_int(n, 1) for n in pair)
-                for pair in sizes)):
-            raise CheckpointFormatError(f"checkpoint meta 'layer_sizes' must be a list of [out, in] "
-                                        f"int pairs, got {sizes!r}")
+        pairs = isinstance(sizes, list) and all(
+            isinstance(pair, list) and len(pair) == 2 and all(_is_int(n, 1) for n in pair) for pair in sizes)
+        # two layers or more, as init_params builds; each takes the last one's outputs, d_e first, d out
+        if not (pairs and len(sizes) >= 2 and
+                [meta["d_e"]] + [out for out, _ in sizes] == [n_in for _, n_in in sizes] + [meta["d"]]):
+            raise CheckpointFormatError(f"checkpoint meta 'layer_sizes' must be [out, in] int pairs chaining "
+                                        f"d_e={meta['d_e']} to d={meta['d']}, got {sizes!r}")
 
 
 def load_params(path, backbone: BackboneModel | None = None) -> SoftSRVParams:
+    """Read a params checkpoint; raises CheckpointFormatError unless meta and tensors match."""
     _, meta, tensors = read_checkpoint(path, expect_kind="softsrv_params")
     _check_params_meta(meta)
-    variant, d, t, d_e = meta["variant"], meta["d"], meta["t"], meta["d_e"]
+    d, t = meta["d"], meta["t"]
     if backbone is not None:
         if d != backbone.d:
             raise ValidationError(f"checkpoint d={d} does not match backbone d={backbone.d}")
         if not 0 < t < backbone.config.max_seq:
             raise ValidationError(f"checkpoint t={t} exceeds backbone capacity")
-
-    def par(name: str) -> np.ndarray:
-        key = f"param.{name}"
-        if key not in tensors:
-            raise ValidationError(f"checkpoint is missing tensor {name!r}")
-        return tensors[key]
-
-    if variant == "ss_np":
-        params: SoftSRVParams = NonContextualParams(d=d, t=t, d_e=d_e, prompt=par("prompt"))
-    elif variant == "ss_mp":
-        bases = np.stack([par(f"basis_{i}") for i in range(meta["k"])])
-        params = MixtureParams(d=d, t=t, d_e=d_e, bases=bases,
-                               gate_w=par("gate_w"), gate_b=par("gate_b"))
-    elif variant == "ss_mc":
-        n_layers = len(meta["layer_sizes"])
-        params = MlpConcatParams(
-            d=d, t=t, d_e=d_e,
-            weights=[np.stack([par(f"col{j}_w{li}") for j in range(t)]) for li in range(n_layers)],
-            biases=[np.stack([par(f"col{j}_b{li}") for j in range(t)]) for li in range(n_layers)],
-        )
-    else:
-        raise ValidationError(f"unknown variant {variant!r} in checkpoint")
+    params = zero_params(meta["variant"], d, t, meta["d_e"], meta.get("k", 1), meta.get("layer_sizes", ()))
+    views = {f"param.{name}": view for name, view in param_arrays(params)}
+    check_tensors(tensors, {name: view.shape for name, view in views.items()}, "float64")
+    for name, view in views.items():
+        view[...] = tensors[name]
     return params

@@ -124,6 +124,17 @@ def test_standalone_mauve_requires_both_files(mini_ini, tmp_path, capsys):
     assert "--gen and --ref" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("empty", ["gen", "ref"])
+def test_standalone_mauve_rejects_an_empty_file(mini_ini, tmp_path, capsys, empty):
+    paths = {side: tmp_path / f"{side}.txt" for side in ("gen", "ref")}
+    for side, path in paths.items():
+        path.write_text("\n\n" if side == empty else "Ava has 3 apples.\n", encoding="utf-8")
+    code = main(["mauve", "--config", mini_ini, "--out", str(tmp_path / "m"),
+                 "--gen", str(paths["gen"]), "--ref", str(paths["ref"])])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_seed_flag_rewrites_stage_seeds(tmp_path):
     out = tmp_path / "seeded"
     cfg = mini_config()

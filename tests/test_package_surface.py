@@ -1,13 +1,16 @@
 """Static checks on the package's surface: the root's exports and its imports.
 
-There is no linter in the toolchain, so two of its checks live here: every
-name the package root exports resolves and is listed once, and no module
-under src/softsrv imports a name it never uses. The one exception is a
-name that perfbench/tracing.py wraps in that module: the benchmark times
-calls by replacing the attribute there, so the import must stay.
+There is no linter in the toolchain, so three of its checks live here: every
+name the package root exports resolves and is listed once, no module under
+src/softsrv imports a name it never uses, and no private module-level
+function, class or constant goes unread. The one exception to the import
+check is a name that perfbench/tracing.py wraps in that module: the
+benchmark times calls by replacing the attribute there, so the import must
+stay.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import softsrv
@@ -56,3 +59,53 @@ def test_no_module_imports_a_name_it_never_uses(monkeypatch):
         if (f"softsrv.{path.stem}", name) not in wrapped
     ]
     assert found == []
+
+
+def _reads(node: ast.AST) -> Counter:
+    """Each name the node reads, as a bare name, an attribute or an import."""
+    names = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            names[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            names[n.attr] += 1
+        elif isinstance(n, ast.ImportFrom):
+            names.update(a.name for a in n.names)
+    return names
+
+
+def unread_privates(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions, classes and constants read nowhere but in their own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    total = sum((_reads(tree) for tree in trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            own = _reads(node)
+            found += [f"{module}: {name}" for name in names
+                      if name.startswith("_") and not name.startswith("__") and total[name] == own[name]]
+    return sorted(found)
+
+
+def test_unread_privates_finds_what_it_should():
+    source = (
+        "_A = 1\n_B = 2\n_C: int = 3\n__all__ = []\n"
+        "def _f():\n    return _f()\n"
+        "def _g():\n    return _B\n"
+        "class _K:\n    pass\n"
+        "x = _g() + _K.__name__\n"
+    )
+    assert unread_privates({"m": source}) == ["m: _A", "m: _C", "m: _f"]
+    assert unread_privates({"m": source, "n": "from m import _A\nimport m\nm._f()\nprint(_C)\n"}) == []
+
+
+def test_no_private_module_level_name_goes_unread():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    assert unread_privates(sources) == []

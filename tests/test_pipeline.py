@@ -8,9 +8,11 @@ from pathlib import Path
 import pytest
 
 from softsrv import pipeline
+from softsrv.backbone import BackboneModel, checksum
 from softsrv.config import preset_config
 from softsrv.errors import StageError
-from softsrv.pipeline import STAGE_EXIT_CODES, STAGES, Pipeline, run_experiment
+from softsrv.pipeline import STAGE_EXIT_CODES, STAGE_TABLE, STAGES, Pipeline, run_experiment
+from softsrv.prompts import param_arrays
 from softsrv.records import read_records
 from softsrv.training import load_params
 
@@ -342,6 +344,24 @@ def test_stages_look_up_wrapped_names_at_call_time(tmp_path, monkeypatch):
     (tmp_path / "ss_np" / "summary.txt").unlink()
     run_experiment(mini_config("ss_np"), str(tmp_path / "ss_np"))
     assert calls["read_records"] == 4
+
+
+def _comparable(value):
+    """A stage value in a form that == compares exactly: models and prompts by their tensor bytes."""
+    if isinstance(value, BackboneModel):
+        return value.config, value.vocab.tokens, value.frozen, checksum(value)
+    if hasattr(value, "variant"):
+        return value.variant, value.d, value.t, value.d_e, [(n, a.tobytes()) for n, a in param_arrays(value)]
+    return value
+
+
+def test_fresh_and_resumed_pipelines_hold_the_same_stage_values(tmp_path):
+    cfg = mini_config("ss_mc")
+    fresh = Pipeline(cfg, tmp_path / "run")
+    fresh.run_all()
+    resumed = Pipeline(cfg, tmp_path / "run")
+    differ = [key for key in STAGE_TABLE if _comparable(fresh._get(key)) != _comparable(resumed._get(key))]
+    assert differ == []
 
 
 def test_template_method_skips_soft_prompt_stages(tmp_path):

@@ -229,6 +229,14 @@ _DROP = object()
     ("ss_mc", {"layer_sizes": [[4, 6], [4, "4"]]}),
     ("ss_mc", {"layer_sizes": [[4, 6], 4]}),
     ("ss_np", None),  # meta is not an object at all
+    # "param." keys patch the tensors: each must be exactly the one the meta declares
+    ("ss_np", {"param.prompt": np.zeros((5, 3))}),
+    ("ss_np", {"param.prompt": np.zeros((8, 2), dtype=np.float32)}),
+    ("ss_np", {"param.extra": np.zeros(2)}),
+    ("ss_np", {"param.prompt": _DROP}),
+    # the first layer does not take d_e=6 inputs, and its tensors agree with the meta
+    ("ss_mc", {"layer_sizes": [[4, 5], [4, 4], [8, 4]],
+               "param.col0_w0": np.zeros((4, 5)), "param.col1_w0": np.zeros((4, 5))}),
 ])
 def test_malformed_params_meta_rejected(setup, tmp_path, variant, patch):
     backbone, _, _ = setup
@@ -239,10 +247,11 @@ def test_malformed_params_meta_rejected(setup, tmp_path, variant, patch):
         meta = [meta]
     else:
         for key, value in patch.items():
+            target = tensors if key.startswith("param.") else meta
             if value is _DROP:
-                del meta[key]
+                del target[key]
             else:
-                meta[key] = value
+                target[key] = value
     write_checkpoint(path, kind, meta, tensors)
     with pytest.raises(CheckpointFormatError):
         load_params(path)
