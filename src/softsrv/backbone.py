@@ -26,6 +26,9 @@ and scale: _backward recomputes the normed rows, by the same ops on the
 same operands and so to the same bits, where a weight gradient reads them.
 _backward frees each layer's cache as it consumes it, and the logits
 buffer is overwritten with dlogits once the loss temporaries are gone.
+Both training loops, train_full_weights here and training.train, keep one
+rule: nothing a step allocates outlives it, so no two steps' gradients are
+alive at once.
 
 sample and continue_tokens share one decode loop, _decode. It has no KV
 cache: every sampled token reruns a full forward pass of its stream. Decode
@@ -673,6 +676,8 @@ def train_full_weights(
         raise ValidationError("model is frozen")
     if not sequences:
         raise ValidationError("empty training corpus")
+    if not lr > 0:
+        raise ValidationError(f"lr must be positive, got {lr}")
     wrapped = [[V.BOS] + _check_ids(model, s) + [V.EOS] for s in sequences]
     for s in wrapped:
         _check_capacity(model, len(s))
@@ -690,15 +695,8 @@ def train_full_weights(
             raise TrainingDivergedError(step, loss)
         clip_global_norm(wg, 1.0)
         adam_step(adam, model.weights, wg, lr)
+        del wg  # applied; no two steps' gradients are alive at once
         trace.record(loss)
-        # wg stays referenced until the next step's gradients replace it, at
-        # the cost of one backbone gradient (about 2 MB at desk shape).
-        # Dropping it here lets glibc trim the heap after every step, and 30
-        # desk pretraining steps take about 2.5x the minor page faults. The
-        # perfbench template workload's peak RSS then read 55.4-55.9 MB
-        # against about 58.6, but its fixed_work_s was higher in 3 of 5
-        # pairs (by up to 18%) in one measurement and lower in 7 of 10 in
-        # another (CHANGES.md).
     return trace
 
 

@@ -4,14 +4,19 @@ Layout: magic line, 8-byte big-endian header length, UTF-8 JSON header
 {"kind", "meta", "tensors": [{"name", "dtype", "shape"}, ...]}, then each
 tensor's raw bytes in header order (C-contiguous, little-endian). The bytes
 written are a pure function of the payload, so identical state produces
-identical files; npz would embed zip timestamps. check_tensors holds what a
-reader got to the exact names, shapes and dtype that its format declares.
+identical files; npz would embed zip timestamps. Both sides stream: the
+writer writes each tensor from its own memory, and the reader reads each
+one from the file straight into its own array, checking every length
+against the file's size first, so neither holds the whole file in memory.
+check_tensors holds what a reader got to the exact names, shapes and dtype
+that its format declares.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -53,56 +58,64 @@ def write_checkpoint(path: str | Path, kind: str, meta: dict, tensors: dict[str,
 
 
 def read_checkpoint(path: str | Path, expect_kind: str | None = None) -> tuple[str, dict, dict[str, np.ndarray]]:
-    """Read a container; raises CheckpointFormatError on any malformation."""
+    """Read a container; raises CheckpointFormatError on any malformation.
+
+    The file is streamed: each tensor is read straight from it into a fresh
+    array of its dtype, so a read holds no whole-file buffer. Every length
+    is checked against the file's size before anything is allocated.
+    """
     try:
-        raw = Path(path).read_bytes()
+        fh = open(path, "rb")
     except OSError as exc:
         raise CheckpointFormatError(f"cannot read checkpoint: {exc}") from exc
-    if not raw.startswith(_MAGIC):
-        raise CheckpointFormatError("bad magic: not a checkpoint file")
-    off = len(_MAGIC)
-    if len(raw) < off + 8:
-        raise CheckpointFormatError("truncated header length")
-    (hlen,) = struct.unpack(">Q", raw[off:off + 8])
-    off += 8
-    if len(raw) < off + hlen:
-        raise CheckpointFormatError("truncated header")
-    try:
-        header = json.loads(raw[off:off + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointFormatError(f"unparseable header: {exc}") from exc
-    off += hlen
-    if not isinstance(header, dict):
-        raise CheckpointFormatError("header is not a JSON object")
-    kind = header.get("kind")
-    if expect_kind is not None and kind != expect_kind:
-        raise CheckpointFormatError(f"expected kind {expect_kind!r}, found {kind!r}")
-    entries = header.get("tensors", [])
-    if not isinstance(entries, list):
-        raise CheckpointFormatError("header tensors is not a list")
-    tensors: dict[str, np.ndarray] = {}
-    for entry in entries:
-        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-            raise CheckpointFormatError(f"malformed tensor entry {entry!r}")
-        name, dtype, shape = entry["name"], entry.get("dtype"), entry.get("shape")
-        if name in tensors:
-            raise CheckpointFormatError(f"duplicate tensor name {name!r}")
-        if not isinstance(dtype, str) or dtype not in _DTYPES:
-            raise CheckpointFormatError(f"unsupported dtype {dtype} for tensor {name!r}")
-        # bool is a subclass of int; a dim must be a plain non-negative int
-        if not isinstance(shape, list) or not all(type(dim) is int and dim >= 0 for dim in shape):
-            raise CheckpointFormatError(f"malformed shape {shape!r} for tensor {name!r}")
-        count = math.prod(shape)  # Python ints: a huge shape cannot wrap around
-        nbytes = count * np.dtype(_DTYPES[dtype]).itemsize
-        if len(raw) < off + nbytes:
-            raise CheckpointFormatError(f"truncated tensor payload for {name!r}")
-        # the one copy: out of the file's bytes, into a writable array of the host's dtype
-        tensors[name] = np.frombuffer(raw, _DTYPES[dtype], count, off).reshape(shape).astype(dtype)
-        off += nbytes
-    if off != len(raw):
-        raise CheckpointFormatError("trailing bytes after last tensor")
-    return kind, header.get("meta", {}), tensors
-
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(_MAGIC)) != _MAGIC:
+            raise CheckpointFormatError("bad magic: not a checkpoint file")
+        off = len(_MAGIC)
+        if size < off + 8:
+            raise CheckpointFormatError("truncated header length")
+        (hlen,) = struct.unpack(">Q", fh.read(8))
+        off += 8
+        if size < off + hlen:
+            raise CheckpointFormatError("truncated header")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointFormatError(f"unparseable header: {exc}") from exc
+        off += hlen
+        if not isinstance(header, dict):
+            raise CheckpointFormatError("header is not a JSON object")
+        kind = header.get("kind")
+        if expect_kind is not None and kind != expect_kind:
+            raise CheckpointFormatError(f"expected kind {expect_kind!r}, found {kind!r}")
+        entries = header.get("tensors", [])
+        if not isinstance(entries, list):
+            raise CheckpointFormatError("header tensors is not a list")
+        tensors: dict[str, np.ndarray] = {}
+        for entry in entries:
+            if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+                raise CheckpointFormatError(f"malformed tensor entry {entry!r}")
+            name, dtype, shape = entry["name"], entry.get("dtype"), entry.get("shape")
+            if name in tensors:
+                raise CheckpointFormatError(f"duplicate tensor name {name!r}")
+            if not isinstance(dtype, str) or dtype not in _DTYPES:
+                raise CheckpointFormatError(f"unsupported dtype {dtype} for tensor {name!r}")
+            # bool is a subclass of int; a dim must be a plain non-negative int
+            if not isinstance(shape, list) or not all(type(dim) is int and dim >= 0 for dim in shape):
+                raise CheckpointFormatError(f"malformed shape {shape!r} for tensor {name!r}")
+            nbytes = math.prod(shape) * np.dtype(_DTYPES[dtype]).itemsize  # Python ints cannot wrap around
+            if size < off + nbytes:
+                raise CheckpointFormatError(f"truncated tensor payload for {name!r}")
+            # the one copy: out of the file, into a writable array of the on-disk dtype
+            arr = np.empty(shape, _DTYPES[dtype])
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
+                raise CheckpointFormatError(f"truncated tensor payload for {name!r}")
+            tensors[name] = arr.astype(dtype, copy=False)  # a copy only on a big-endian host
+            off += nbytes
+        if off != size:
+            raise CheckpointFormatError("trailing bytes after last tensor")
+        return kind, header.get("meta", {}), tensors
 
 
 def check_tensors(tensors: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]], dtype: str) -> None:

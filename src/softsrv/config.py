@@ -4,7 +4,9 @@ The file format is key-value-with-sections text (configparser syntax). A
 config always starts from a named preset and applies overrides on top;
 every seed is explicit, and the fully resolved config serializes into
 reports for provenance. Unknown sections, unknown keys, and unparsable
-values raise ConfigError.
+values raise ConfigError, as do optimizer settings under which training
+would climb the loss or stall: a non-positive learning rate, clip norm or
+eps, or an Adam beta outside [0, 1).
 """
 
 from __future__ import annotations
@@ -163,7 +165,18 @@ class ExperimentConfig:
         for name, value in vars(self.seeds).items():
             if not isinstance(value, int):
                 raise ConfigError(f"seeds.{name} must be an integer")
+        for key in ("backbone.pretrain_lr", "embedder.pretrain_lr", "student.pretrain_lr",
+                    "student.finetune_lr", "trainer.lr", "trainer.eps", "trainer.grad_clip"):
+            if not self._value(key) > 0:  # a negative clip norm negates every gradient
+                raise ConfigError(f"{key} must be positive, got {self._value(key)}")
+        for key in ("trainer.beta1", "trainer.beta2"):
+            if not 0 <= self._value(key) < 1:
+                raise ConfigError(f"{key} must be in [0, 1), got {self._value(key)}")
         return self
+
+    def _value(self, key: str):
+        section, name = key.split(".")
+        return getattr(getattr(self, section), name)
 
 
 # Named presets. "desk" is the dataclass defaults; "paper" mirrors the

@@ -143,6 +143,39 @@ def test_validate_rejects_bad_combinations():
         cfg.validate()
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("trainer", "grad_clip", "-1"),  # clipping to a negative norm negates every gradient
+    ("trainer", "grad_clip", "0"),
+    ("trainer", "lr", "0"),
+    ("backbone", "pretrain_lr", "0"),
+    ("backbone", "pretrain_lr", "-1e-3"),
+    ("embedder", "pretrain_lr", "-1e-3"),
+    ("student", "pretrain_lr", "0"),
+    ("student", "finetune_lr", "-1e-3"),
+    ("student", "finetune_lr", "nan"),
+    ("trainer", "beta1", "1"),
+    ("trainer", "beta1", "-0.1"),
+    ("trainer", "beta2", "1.5"),
+    ("trainer", "eps", "0"),
+    ("trainer", "eps", "-1e-8"),
+])
+def test_optimizer_settings_that_train_the_wrong_way_rejected(tmp_path, section, key, value):
+    path = tmp_path / "opt.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+        load_config(str(path))
+
+
+def test_optimizer_boundary_values_load(tmp_path):
+    # the control for the cases above: the smallest valid settings load
+    path = tmp_path / "opt.ini"
+    path.write_text("[trainer]\nbeta1 = 0.0\nbeta2 = 0.0\neps = 1e-300\ngrad_clip = 1e-12\nlr = 1e-12\n"
+                    "[student]\nfinetune_lr = 1e-12\n", encoding="utf-8")
+    cfg = load_config(str(path))
+    assert (cfg.trainer.beta1, cfg.trainer.beta2, cfg.trainer.eps) == (0.0, 0.0, 1e-300)
+    assert (cfg.trainer.grad_clip, cfg.trainer.lr, cfg.student.finetune_lr) == (1e-12, 1e-12, 1e-12)
+
+
 def test_serialization_is_byte_stable():
     assert to_ini_text(preset_config("desk")) == to_ini_text(preset_config("desk"))
     a = preset_config("paper")

@@ -1,11 +1,15 @@
 """Soft-prompt training loop: exactness, immutability, memory, persistence."""
 
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from softsrv.backbone import BackboneConfig, checksum, init_backbone, freeze, causal_loss, train_full_weights
+import softsrv.backbone
+from softsrv.backbone import (
+    BackboneConfig, causal_loss, checksum, clone_unfrozen, freeze, init_backbone, train_full_weights,
+)
 from softsrv.checkpoint import read_checkpoint, write_checkpoint
 from softsrv.errors import CheckpointFormatError, ValidationError
 from softsrv.optim import init_adam
@@ -126,10 +130,12 @@ def test_loss_descends_while_memorizing(tiny_backbone):
 def test_backbone_pretraining_peak_memory_at_desk_shape(tiny_folds, tiny_vocab):
     # desk backbone shape (d64/L4, ffn 256), batch 8, 30 steps. Each norm
     # caches only (x, s), the backward pass frees each layer's cache as it
-    # consumes it, and the loss temporaries die before it starts: about
-    # 15.3 MB traced. Caching each norm's xhat and output, keeping every
-    # layer to the end of the backward pass and a second logits-sized
-    # buffer for dlogits read 19.4 MB
+    # consumes it, the loss temporaries die before it starts, and a step's
+    # weight gradients die once Adam has applied them: about 13.3 MB
+    # traced. Keeping one step's gradients alive through the next read
+    # 15.3 MB; caching each norm's xhat and output, keeping every layer to
+    # the end of the backward pass and a second logits-sized buffer for
+    # dlogits read 19.4 MB on top of that
     vocab = tiny_vocab
     model = init_backbone(BackboneConfig(d=64, n_layers=4, n_heads=4, ffn_dim=256), vocab, 1)
     sequences = [vocab.encode(ex.question + " " + ex.answer) for ex in tiny_folds[0]]
@@ -139,7 +145,35 @@ def test_backbone_pretraining_peak_memory_at_desk_shape(tiny_folds, tiny_vocab):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 17e6, peak
+    assert peak < 15e6, peak
+
+
+def test_full_weight_training_keeps_one_gradient_generation(setup, monkeypatch):
+    # every weight gradient a step gets back is dead before the next step
+    # asks for its own
+    backbone, _, dataset = setup
+    model = clone_unfrozen(backbone)
+    refs: list[weakref.ref] = []
+    real = softsrv.backbone.batch_loss_and_grads
+
+    def tracked(*args, **kwargs):
+        alive = sum(ref() is not None for ref in refs)
+        assert alive == 0, f"{alive} gradient arrays of an earlier step are alive"
+        out = real(*args, **kwargs)
+        refs.extend(weakref.ref(g) for g in out[3].values())
+        return out
+
+    monkeypatch.setattr(softsrv.backbone, "batch_loss_and_grads", tracked)
+    train_full_weights(model, dataset, steps=5, lr=1e-3, seed=1, batch_size=2)
+    assert len(refs) == 5 * len(model.weights)
+
+
+def test_full_weight_training_rejects_a_non_positive_lr(setup):
+    backbone, _, dataset = setup
+    model = clone_unfrozen(backbone)
+    for lr in (0.0, -1e-3):
+        with pytest.raises(ValidationError, match="lr"):
+            train_full_weights(model, dataset, steps=1, lr=lr, seed=1)
 
 
 def test_ss_mc_training_peak_memory_at_desk_shape(tiny_folds, tiny_vocab):
@@ -189,6 +223,25 @@ def test_backbone_and_embedder_unchanged_by_training(setup):
     params = init_params("ss_mc", backbone, t=2, d_e=6, seed=9, mlp_hidden=4)
     train(backbone, embedder, dataset, params, TrainConfig(steps=25, seed=10))
     assert (checksum(backbone), checksum(embedder)) == before
+
+
+def test_params_checkpoint_reads_without_a_whole_file_buffer(tiny_vocab, tmp_path):
+    # desk ss_mc shapes: t=16 columns of 128x3 MLPs over d_e=32, about
+    # 3.7 MB of tensors. The reader streams each tensor from the file into
+    # its own array; holding the file's bytes while copying out of them
+    # peaked at about twice the tensor bytes
+    backbone = init_backbone(BackboneConfig(d=64, n_layers=4, n_heads=4, ffn_dim=256), tiny_vocab, 1)
+    path = tmp_path / "params.ckpt"
+    save_params(path, init_params("ss_mc", backbone, t=16, d_e=32, seed=3))
+    tracemalloc.start()
+    try:
+        _, _, tensors = read_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tensor_bytes = sum(arr.nbytes for arr in tensors.values())
+    assert tensor_bytes > 3e6
+    assert peak < 1.3 * tensor_bytes, (peak, tensor_bytes)
 
 
 @pytest.mark.parametrize("variant", ["ss_np", "ss_mp", "ss_mc"])
