@@ -10,7 +10,6 @@ and watches the reconstruction loss fall.
 
 from softsrv import (
     BackboneConfig,
-    TrainConfig,
     build_vocab,
     builtin_grammar,
     checksum,
@@ -31,8 +30,8 @@ backbone, _ = pretrain_backbone(
     seqs, vocab, BackboneConfig(d=32, n_layers=2, n_heads=2, ffn_dim=64, max_seq=96),
     steps=400, lr=1e-3, seed=12,
 )
-# the embedder is a separate frozen model; its mean-pooled token states,
-# truncated to d_e dims, summarize a seed sequence
+# the embedder is a separate frozen model; the mean of its token-embedding
+# rows over a seed sequence, truncated to d_e dims, summarizes that sequence
 embedder, _ = pretrain_backbone(
     seqs, vocab, BackboneConfig(d=16, n_layers=1, n_heads=1, ffn_dim=32, max_seq=96),
     steps=100, lr=1e-3, seed=13,
@@ -42,10 +41,7 @@ dataset = [vocab.encode(ex.question) for ex in train_fold]
 params = init_params("ss_mc", backbone, t=8, d_e=16, seed=14, mlp_hidden=32)
 
 before = checksum(backbone)
-params, trace = train(
-    backbone, embedder, dataset, params,
-    TrainConfig(steps=300, lr=5e-3, batch_size=8, seed=15),
-)
+params, trace = train(backbone, embedder, dataset, params, steps=300, lr=5e-3, seed=15, batch_size=8)
 print(f"loss: first 20 mean {sum(trace.losses[:20]) / 20:.3f}, "
       f"last 20 mean {sum(trace.losses[-20:]) / 20:.3f}")
 assert checksum(backbone) == before  # training touched nothing but params

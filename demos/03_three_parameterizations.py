@@ -16,7 +16,6 @@ import numpy as np
 
 from softsrv import (
     BackboneConfig,
-    TrainConfig,
     build_vocab,
     builtin_grammar,
     generate_questions,
@@ -52,10 +51,10 @@ for variant in ("ss_np", "ss_mp", "ss_mc"):
 
 # train ss_np and ss_mc, then count distinct greedy outputs over 20 contexts
 dataset = [vocab.encode(ex.question) for ex in train_fold]
-cfg = TrainConfig(steps=250, lr=5e-3, batch_size=8, seed=25)
 for variant in ("ss_np", "ss_mc"):
     params = init_params(variant, backbone, t=6, d_e=16, seed=26, mlp_hidden=24)
-    trained, _ = train(backbone, None if variant == "ss_np" else embedder, dataset, params, cfg)
+    trained, _ = train(backbone, None if variant == "ss_np" else embedder, dataset, params,
+                       steps=250, lr=5e-3, seed=25, batch_size=8)
     records = generate_questions(
         backbone, None if variant == "ss_np" else embedder, trained,
         dataset[:20], n_raw=20, temperature=0.0, seed=27, max_len=32,

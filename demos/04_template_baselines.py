@@ -11,7 +11,6 @@ or the round budget runs out.
 
 from softsrv import (
     BackboneConfig,
-    RefineConfig,
     build_vocab,
     builtin_grammar,
     load_builtin_templates,
@@ -51,8 +50,7 @@ for r in records[:3]:
 
 refined = ptsr_generate(
     backbone, templates, seeds, n_raw=4,
-    cfg=RefineConfig(max_rounds=2, stop_token_text="Stop"),
-    temperature=2.0, seed=34, max_new=24,
+    temperature=2.0, seed=34, max_new=24, max_rounds=2, stop_text="Stop",
 )
 for r in refined:
     print(f"[{r.method_tag}] rounds={r.provenance['rounds']} "

@@ -24,7 +24,6 @@ from .postprocess import (
 )
 from .prompts import init_params, materialize
 from .templates import (
-    RefineConfig,
     load_builtin_templates,
     pt_generate,
     ptsr_generate,
@@ -32,13 +31,11 @@ from .templates import (
     split_questions,
 )
 from .toygrammar import builtin_grammar, generic_corpus, make_toy_corpus
-from .training import TrainConfig, train
+from .training import train
 from .vocab import build_vocab
 
 __all__ = [
     "BackboneConfig",
-    "RefineConfig",
-    "TrainConfig",
     "build_vocab",
     "builtin_grammar",
     "checksum",

@@ -62,7 +62,7 @@ import numpy as np
 from . import vocab as V
 from .checkpoint import check_tensors, read_checkpoint, write_checkpoint
 from .errors import CapacityError, CheckpointFormatError, TrainingDivergedError, ValidationError
-from .optim import LossTrace, adam_step, clip_global_norm, init_adam
+from .optim import LossTrace, adam_step, check_schedule, clip_global_norm, init_adam
 from .vocab import Vocabulary
 
 _RMS_EPS = 1e-5
@@ -79,6 +79,10 @@ class BackboneConfig:
     dtype: str = "float64"
 
     def __post_init__(self):
+        sizes = (self.d, self.n_layers, self.n_heads, self.ffn_dim, self.max_seq)
+        # bool is a subclass of int; every size must be a plain positive int
+        if not all(type(v) is int and v >= 1 for v in sizes):
+            raise ValidationError(f"sizes must be ints >= 1: {self}")
         if self.d % self.n_heads != 0:
             raise ValidationError("d must divide evenly into heads")
         if self.dtype not in ("float64", "float32"):
@@ -181,9 +185,6 @@ def load_backbone(path) -> BackboneModel:
     raw, tokens = meta.get("config"), meta.get("tokens")
     if not isinstance(raw, dict) or set(raw) != {f.name for f in fields(BackboneConfig)}:
         raise CheckpointFormatError(f"backbone meta config must hold the BackboneConfig fields: {raw!r}")
-    # bool is a subclass of int; every size must be a plain positive int
-    if not all(type(v) is int and v >= 1 for k, v in raw.items() if k != "dtype"):
-        raise CheckpointFormatError(f"backbone config sizes must be ints >= 1: {raw!r}")
     if not isinstance(tokens, list) or not all(isinstance(tok, str) for tok in tokens):
         raise CheckpointFormatError("backbone meta tokens must be a list of strings")
     try:
@@ -569,24 +570,6 @@ def forward_logits(model: BackboneModel, prefix: np.ndarray, target) -> np.ndarr
     return logits
 
 
-def causal_loss(model: BackboneModel, prefix: np.ndarray, target) -> float:
-    """Mean NLL of target under teacher forcing with the prefix as sole context."""
-    prefix = _check_prefix(model, prefix)
-    ids = _check_ids(model, target)
-    loss, _, _, _ = batch_loss_and_grads(model, [prefix.T], [ids])
-    return loss
-
-
-def loss_and_prefix_grad(model: BackboneModel, prefix: np.ndarray, target) -> tuple[float, np.ndarray]:
-    """causal_loss plus its gradient with respect to the prefix, shape (d, t)."""
-    prefix = _check_prefix(model, prefix)
-    ids = _check_ids(model, target)
-    loss, _, pg, _ = batch_loss_and_grads(
-        model, [prefix.T], [ids], want_prefix_grads=True
-    )
-    return loss, pg[0].T.copy()
-
-
 def _next_logits(model: BackboneModel, prefixes, ids: list[int]) -> np.ndarray:
     """Logits after the last row of one stream; only that row reaches the head."""
     x0, layout, _ = _build_streams(model, prefixes, [ids])
@@ -676,8 +659,7 @@ def train_full_weights(
         raise ValidationError("model is frozen")
     if not sequences:
         raise ValidationError("empty training corpus")
-    if not lr > 0:
-        raise ValidationError(f"lr must be positive, got {lr}")
+    check_schedule(steps, lr, batch_size)
     wrapped = [[V.BOS] + _check_ids(model, s) + [V.EOS] for s in sequences]
     for s in wrapped:
         _check_capacity(model, len(s))

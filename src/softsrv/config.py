@@ -5,8 +5,9 @@ config always starts from a named preset and applies overrides on top;
 every seed is explicit, and the fully resolved config serializes into
 reports for provenance. Unknown sections, unknown keys, and unparsable
 values raise ConfigError, as do optimizer settings under which training
-would climb the loss or stall: a non-positive learning rate, clip norm or
-eps, or an Adam beta outside [0, 1).
+would climb the loss or stall (a non-positive learning rate, clip norm or
+eps, an Adam beta outside [0, 1)), negative steps, an empty batch and any
+model section that BackboneConfig rejects, so they fail before any stage.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import configparser
 import io
 from dataclasses import dataclass, field, fields
 
-from .errors import ConfigError
+from .backbone import BackboneConfig
+from .errors import ConfigError, ValidationError
 
 VARIANTS = ("ss_np", "ss_mp", "ss_mc")
 METHODS = VARIANTS + ("pt", "ptsr")
@@ -172,7 +174,28 @@ class ExperimentConfig:
         for key in ("trainer.beta1", "trainer.beta2"):
             if not 0 <= self._value(key) < 1:
                 raise ConfigError(f"{key} must be in [0, 1), got {self._value(key)}")
+        # zero steps train nothing, which is legal; an empty batch is not
+        for key, lo in (("backbone.pretrain_steps", 0), ("embedder.pretrain_steps", 0),
+                        ("student.pretrain_steps", 0), ("student.finetune_steps", 0), ("trainer.steps", 0),
+                        ("backbone.pretrain_batch", 1), ("embedder.pretrain_batch", 1),
+                        ("student.pretrain_batch", 1), ("student.finetune_batch", 1), ("trainer.batch_size", 1)):
+            if not self._value(key) >= lo:
+                raise ConfigError(f"{key} must be >= {lo}, got {self._value(key)}")
+        e = self.embedder
+        if not 0 < e.d_e <= e.d:  # embed_sequence's bounds
+            raise ConfigError(f"embedder.d_e must be in [1, embedder.d = {e.d}], got {e.d_e}")
+        for section in ("backbone", "embedder", "student"):
+            try:
+                self.model_config(section)
+            except ValidationError as exc:
+                raise ConfigError(f"[{section}]: {exc}") from exc
         return self
+
+    def model_config(self, section: str) -> BackboneConfig:
+        """The [backbone], [embedder] or [student] BackboneConfig; all share backbone.max_seq."""
+        s = getattr(self, section)
+        return BackboneConfig(d=s.d, n_layers=s.n_layers, n_heads=s.n_heads, ffn_dim=s.ffn_dim,
+                              max_seq=self.backbone.max_seq, dtype=getattr(s, "dtype", "float64"))
 
     def _value(self, key: str):
         section, name = key.split(".")

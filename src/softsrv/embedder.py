@@ -14,10 +14,8 @@ import numpy as np
 from .backbone import BackboneModel
 from .errors import ValidationError
 
-DEFAULT_D_E = 32
 
-
-def embed_sequence(embedder: BackboneModel, ids, d_e: int = DEFAULT_D_E) -> np.ndarray:
+def embed_sequence(embedder: BackboneModel, ids, d_e: int) -> np.ndarray:
     """Mean-pooled token embedding of a sequence, shape (d_e,)."""
     if not embedder.frozen:
         raise ValidationError("embedder must be frozen")

@@ -34,7 +34,6 @@ _LLOYD_MAX_ITER = 100
 class QuantizedPair:
     p: np.ndarray  # generated-side histogram, sums to 1
     q: np.ndarray  # reference-side histogram, sums to 1
-    k: int
 
 
 @dataclass
@@ -95,7 +94,7 @@ def quantize(gen_vecs, ref_vecs, k: int = DEFAULT_K, seed: int = 0) -> Quantized
         labels = nearest_centroid(side, centroids)
         return np.bincount(labels, minlength=k).astype(np.float64) / len(side)
 
-    return QuantizedPair(p=hist(gen), q=hist(ref), k=k)
+    return QuantizedPair(p=hist(gen), q=hist(ref))
 
 
 def _kl(a: np.ndarray, r: np.ndarray) -> float:

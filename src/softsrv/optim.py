@@ -106,6 +106,13 @@ def _scratch_row(state: AdamState, row: int, dtype: np.dtype, like: np.ndarray) 
     return buf[:like.size].reshape(like.shape)
 
 
+def check_schedule(steps: int, lr: float, batch_size: int) -> None:
+    """Raise ValidationError unless steps >= 0, batch_size >= 1 and lr > 0."""
+    if steps < 0 or batch_size < 1 or not lr > 0:
+        raise ValidationError(f"steps >= 0, batch_size >= 1 and lr > 0 required, "
+                              f"got steps={steps}, batch_size={batch_size}, lr={lr}")
+
+
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients in place so their joint L2 norm is <= max_norm."""
     total = 0.0

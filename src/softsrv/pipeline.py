@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .backbone import BackboneConfig, BackboneModel, load_backbone, pretrain_backbone, save_backbone
+from .backbone import BackboneModel, load_backbone, pretrain_backbone, save_backbone
 from .config import ExperimentConfig, VARIANTS, save_config, to_ini_text
 from .embedder import embed_sequence
 from .errors import StageError, ValidationError
@@ -41,9 +41,9 @@ from .postprocess import decontaminate_report, diverse_subsample
 from .prompts import init_params
 from .records import SyntheticRecord, read_records, write_records
 from .student import evaluate_student
-from .templates import RefineConfig, load_builtin_templates, pt_generate, pt_generate_answers, ptsr_generate
+from .templates import load_builtin_templates, pt_generate, pt_generate_answers, ptsr_generate
 from .toygrammar import CorpusExample, builtin_grammar, generic_corpus, make_toy_corpus
-from .training import TrainConfig, load_params, save_params, train
+from .training import load_params, save_params, train
 from .vocab import Vocabulary, build_vocab
 
 STAGES = (
@@ -275,15 +275,12 @@ class Pipeline:
         seqs += [vocabulary.encode(s) for s in data["generic"]]
         return seqs
 
-    def _frozen(self, section, seed: int, seqs, ckpt: Path, trace: Path, dtype="float64") -> None:
-        """Pretrain one frozen model from its config section and save it."""
-        config = BackboneConfig(
-            d=section.d, n_layers=section.n_layers, n_heads=section.n_heads,
-            ffn_dim=section.ffn_dim, max_seq=self.cfg.backbone.max_seq, dtype=dtype,
-        )
+    def _frozen(self, section: str, seqs, ckpt: Path, trace: Path) -> None:
+        """Pretrain one frozen model from its config section and seed, and save it."""
+        s = getattr(self.cfg, section)
         model, losses = pretrain_backbone(
-            seqs, self.vocabulary(), config, steps=section.pretrain_steps,
-            lr=section.pretrain_lr, seed=seed, batch_size=section.pretrain_batch,
+            seqs, self.vocabulary(), self.cfg.model_config(section), steps=s.pretrain_steps,
+            lr=s.pretrain_lr, seed=getattr(self.cfg.seeds, section), batch_size=s.pretrain_batch,
         )
         save_backbone(ckpt, model)
         _write_text(trace, _trace_text(losses))
@@ -294,19 +291,15 @@ class Pipeline:
     _load_backbone = _load_embedder = _load_student_base = _load_frozen
 
     def _build_backbone(self, *paths: Path) -> None:
-        b = self.cfg.backbone
-        self._frozen(b, self.cfg.seeds.backbone, self._pretrain_sequences(), *paths, dtype=b.dtype)
+        self._frozen("backbone", self._pretrain_sequences(), *paths)
 
     def _build_embedder(self, *paths: Path) -> None:
-        e = self.cfg.embedder
-        if e.d_e > e.d:
-            raise ValidationError("embedder.d_e cannot exceed embedder.d")
-        self._frozen(e, self.cfg.seeds.embedder, self._pretrain_sequences(), *paths)
+        self._frozen("embedder", self._pretrain_sequences(), *paths)
 
     def _build_student_base(self, *paths: Path) -> None:
         # the proxy student never sees either grammar before fine-tuning
         seqs = [self.vocabulary().encode(t) for t in self.ensure_corpus()["generic"]]
-        self._frozen(self.cfg.student, self.cfg.seeds.student, seqs, *paths)
+        self._frozen("student", seqs, *paths)
 
     # ------------------------------------------------------------------
     # soft-prompt training
@@ -325,17 +318,14 @@ class Pipeline:
         data = self.ensure_corpus()
         vocabulary = self.vocabulary()
         dataset = [vocabulary.encode(ex.question) for ex in data["train"]]
-        cfg = TrainConfig(
-            steps=tr.steps, lr=tr.lr, batch_size=tr.batch_size,
-            betas=(tr.beta1, tr.beta2), eps=tr.eps,
-            grad_clip=tr.grad_clip, seed=self.cfg.seeds.train,
-        )
         # passed inline, so train's working copy is the only one it keeps alive
-        trained, losses = train(backbone, embedder, dataset, init_params(
-            method, backbone, t=s.t, d_e=self.cfg.embedder.d_e,
-            seed=self.cfg.seeds.train, k=s.k,
-            mlp_hidden=s.mlp_hidden, mlp_layers=s.mlp_layers,
-        ), cfg)
+        trained, losses = train(
+            backbone, embedder, dataset,
+            init_params(method, backbone, t=s.t, d_e=self.cfg.embedder.d_e, seed=self.cfg.seeds.train,
+                        k=s.k, mlp_hidden=s.mlp_hidden, mlp_layers=s.mlp_layers),
+            tr.steps, tr.lr, self.cfg.seeds.train, tr.batch_size,
+            betas=(tr.beta1, tr.beta2), eps=tr.eps, grad_clip=tr.grad_clip,
+        )
         save_params(ckpt, trained)
         _write_text(trace, _trace_text(losses))
 
@@ -374,9 +364,8 @@ class Pipeline:
             else:
                 records = ptsr_generate(
                     backbone, templates, seeds, g.n_raw,
-                    cfg=RefineConfig(max_rounds=g.ptsr_max_rounds, stop_token_text=g.ptsr_stop_text),
                     temperature=g.pt_temperature, seed=self.cfg.seeds.generate,
-                    max_new=g.max_new_tokens,
+                    max_new=g.max_new_tokens, max_rounds=g.ptsr_max_rounds, stop_text=g.ptsr_stop_text,
                 )
         write_records(path, records)
 

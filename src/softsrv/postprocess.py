@@ -216,7 +216,6 @@ def kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
 class ClusterAssignment:
     labels: np.ndarray     # (n,) int cluster ids
     centroids: np.ndarray  # (k, dims)
-    k: int
 
 
 def nearest_centroid(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -279,7 +278,7 @@ def minibatch_kmeans(
             counts[c] += 1
             eta = (1.0 / counts[c])[:, None]
             centroids[c] = (1.0 - eta) * centroids[c] + eta * batch[members]
-    return ClusterAssignment(labels=nearest_centroid(X, centroids), centroids=centroids, k=k)
+    return ClusterAssignment(labels=nearest_centroid(X, centroids), centroids=centroids)
 
 
 def round_robin_subsample(assignment: ClusterAssignment, n_s: int, seed: int = 0) -> list[int]:
@@ -289,7 +288,7 @@ def round_robin_subsample(assignment: ClusterAssignment, n_s: int, seed: int = 0
     n = len(assignment.labels)
     if not 1 <= n_s <= n:
         raise ValidationError(f"n_s={n_s} outside [1, {n}]")
-    pools: list[list[int]] = [[] for _ in range(assignment.k)]
+    pools: list[list[int]] = [[] for _ in assignment.centroids]
     for i, lab in enumerate(assignment.labels):
         pools[int(lab)].append(i)
     rng = np.random.default_rng(seed)

@@ -16,8 +16,10 @@ Three ways to produce a (d, t) prompt matrix for the frozen backbone:
   param_arrays names those slices per column (the checkpoint layout) and
   param_stacks names the stacks (what the optimizer steps).
 
-zero_params declares each variant's arrays once; init_params draws into
-them and load_params fills them from a checkpoint through param_arrays.
+zero_params declares and checks each variant's layout once, from the
+fields that params_meta derives and a checkpoint's meta stores: init_params
+draws into its arrays, load_params fills them through param_arrays, and
+zeros_like_params rebuilds them as a gradient container.
 
 param_grad chains an upstream dL/dP into gradients over each variant's own
 parameters; like the backbone, all backward math is manual and is checked
@@ -31,7 +33,7 @@ once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -97,22 +99,50 @@ def _check_contexts(params: SoftSRVParams, z) -> tuple[np.ndarray, bool]:
     return z, single
 
 
-def zero_params(variant: str, d: int, t: int, d_e: int, k: int = 1, layer_sizes=()) -> SoftSRVParams:
-    """A variant's parameters, all zero: the one declaration of their layout.
+def _is_int(value, lo: int) -> bool:
+    return type(value) is int and value >= lo  # bool is a subclass of int
 
-    The arguments are the checkpoint meta fields; k counts the mixture's
-    bases and layer_sizes lists each per-column MLP layer as [out, in].
+
+def zero_params(variant: str, d: int, t: int, d_e: int, k: int | None = None, layer_sizes=None) -> SoftSRVParams:
+    """A variant's parameters, all zero: the one declaration and check of their layout.
+
+    The arguments are the checkpoint meta fields that params_meta writes. d
+    and t are ints >= 1 and d_e an int >= 0; the mixture's k counts its
+    bases (>= 1); the per-column MLPs' layer_sizes lists each layer as an
+    [out, in] pair, two layers or more, each taking the last one's outputs,
+    d_e in first and d out last. Raises ValidationError otherwise.
     """
+    for name, value, lo in (("d", d, 1), ("t", t, 1), ("d_e", d_e, 0)):
+        if not _is_int(value, lo):
+            raise ValidationError(f"{name} must be an int >= {lo}, got {value!r}")
     if variant == "ss_np":
         return NonContextualParams(d=d, t=t, d_e=d_e, prompt=np.zeros((d, t)))
     if variant == "ss_mp":
+        if not _is_int(k, 1):
+            raise ValidationError(f"the mixture needs an int k >= 1 of bases, got {k!r}")
         return MixtureParams(d=d, t=t, d_e=d_e, bases=np.zeros((k, d, t)),
                              gate_w=np.zeros((k, d_e)), gate_b=np.zeros(k))
     if variant == "ss_mc":
+        pairs = isinstance(layer_sizes, list) and all(isinstance(pair, list) and len(pair) == 2 and
+                                                      all(_is_int(n, 1) for n in pair) for pair in layer_sizes)
+        if not (pairs and len(layer_sizes) >= 2 and
+                [d_e] + [out for out, _ in layer_sizes] == [n_in for _, n_in in layer_sizes] + [d]):
+            raise ValidationError(f"layer_sizes must be two or more [out, in] int pairs chaining "
+                                  f"d_e={d_e} to d={d}, got {layer_sizes!r}")
         return MlpConcatParams(d=d, t=t, d_e=d_e,
                                weights=[np.zeros((t, out, n_in)) for out, n_in in layer_sizes],
                                biases=[np.zeros((t, out)) for out, _ in layer_sizes])
     raise ValidationError(f"unknown variant {variant!r}")
+
+
+def params_meta(params: SoftSRVParams) -> dict:
+    """The zero_params arguments that declare params' layout; the checkpoint meta."""
+    meta = {"variant": params.variant, "d": params.d, "t": params.t, "d_e": params.d_e}
+    if isinstance(params, MixtureParams):
+        meta["k"] = params.k
+    if isinstance(params, MlpConcatParams):
+        meta["layer_sizes"] = [list(w.shape[1:]) for w in params.weights]
+    return meta
 
 
 def init_params(
@@ -131,14 +161,11 @@ def init_params(
     the token-embedding table, so the initial prompt looks like embedded
     text. MLP hidden layers get fan-in-scaled uniform noise with zero final
     weights, making the initial output independent of the context.
+    zero_params checks the layout: k >= 1 bases, two or more MLP layers.
     """
     d = backbone.d
     if not 0 < t < backbone.config.max_seq:
         raise ValidationError(f"prompt width t={t} outside (0, {backbone.config.max_seq})")
-    if mlp_layers < 2:
-        raise ValidationError("per-column MLPs need at least two layers")
-    if variant == "ss_mp" and k < 1:
-        raise ValidationError("mixture needs k >= 1 bases")
     sizes = [d_e] + [mlp_hidden] * (mlp_layers - 1) + [d]
     params = zero_params(variant, d, t, d_e, k, [[sizes[li + 1], sizes[li]] for li in range(mlp_layers)])
     rng = np.random.default_rng(seed)
@@ -154,16 +181,6 @@ def init_params(
         for block in params.bases if isinstance(params, MixtureParams) else params.prompt[None]:
             block[...] = table[rng.integers(0, table.shape[0], size=t)].T
     return params
-
-
-def mixture_weights(params: MixtureParams, z) -> np.ndarray:
-    """Softmax gate output, a point on the k-simplex per context.
-
-    z is one (d_e,) context, giving (k,), or a (B, d_e) batch, giving (B, k).
-    """
-    z, single = _check_contexts(params, z)
-    w = _gate(params, z)
-    return w[0] if single else w
 
 
 def _gate(params: MixtureParams, z: np.ndarray) -> np.ndarray:
@@ -220,21 +237,8 @@ def materialize(params: SoftSRVParams, z=None, acts: list | None = None) -> np.n
 
 
 def zeros_like_params(params: SoftSRVParams) -> SoftSRVParams:
-    """Same structure, all arrays zero; used as a gradient container."""
-    if isinstance(params, NonContextualParams):
-        return replace(params, prompt=np.zeros_like(params.prompt))
-    if isinstance(params, MixtureParams):
-        return replace(
-            params,
-            bases=np.zeros_like(params.bases),
-            gate_w=np.zeros_like(params.gate_w),
-            gate_b=np.zeros_like(params.gate_b),
-        )
-    return replace(
-        params,
-        weights=[np.zeros_like(w) for w in params.weights],
-        biases=[np.zeros_like(b) for b in params.biases],
-    )
+    """Same layout, all arrays zero; used as a gradient container."""
+    return zero_params(**params_meta(params))
 
 
 def param_arrays(params: SoftSRVParams) -> list[tuple[str, np.ndarray]]:

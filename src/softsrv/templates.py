@@ -5,10 +5,11 @@ plain-template path (PT) renders a seed example into the question template,
 samples a continuation at its own default temperature, and splits it into
 up to ten candidates at "Question <n>:" / "Passage and Question <n>:"
 markers. The self-refinement path (PT_SR) then alternates critique and
-refine rounds per candidate, accepting as soon as a refine output begins
-with the stop token after whitespace trimming. Answers for both render the
-answer template around each question and continue it through
-generation.generate_answers, the loop the soft-prompt methods use.
+refine rounds per candidate, up to max_rounds of them, accepting as soon
+as a refine output begins with stop_text after whitespace trimming; the
+pipeline passes generation.ptsr_max_rounds and ptsr_stop_text. Answers for
+both render the answer template around each question and continue it
+through generation.generate_answers, the loop the soft-prompt methods use.
 """
 
 from __future__ import annotations
@@ -77,18 +78,6 @@ def split_questions(text: str) -> list[str]:
     return parts[:_MAX_SPLIT]
 
 
-@dataclass
-class RefineConfig:
-    max_rounds: int = 3
-    stop_token_text: str = "Stop"
-
-    def __post_init__(self):
-        if self.max_rounds < 1:
-            raise ValidationError("max_rounds must be >= 1")
-        if not self.stop_token_text:
-            raise ValidationError("stop_token_text must be nonempty")
-
-
 def _continuation_text(model: BackboneModel, prompt_text: str, max_new: int, temperature: float, stream) -> str:
     ids = model.vocab.encode(prompt_text)
     return model.vocab.decode(continue_tokens(model, ids, max_new, temperature, stream))
@@ -146,13 +135,17 @@ def ptsr_generate(
     templates: dict[str, PromptTemplate],
     seeds: list[str],
     n_raw: int,
-    cfg: RefineConfig | None = None,
     temperature: float = 2.0,
     seed: int = 0,
     max_new: int = 96,
+    max_rounds: int = 3,
+    stop_text: str = "Stop",
 ) -> list[SyntheticRecord]:
-    """PT candidates followed by critique/refine rounds per candidate."""
-    cfg = cfg or RefineConfig()
+    """PT candidates followed by up to max_rounds critique/refine rounds per candidate."""
+    if max_rounds < 1:
+        raise ValidationError("max_rounds must be >= 1")
+    if not stop_text:
+        raise ValidationError("stop_text must be nonempty")
     for key in ("critique", "refine"):
         if key not in templates:
             raise ValidationError(f"missing template {key!r}")
@@ -165,7 +158,7 @@ def ptsr_generate(
         question = rec.question
         rounds_used = 0
         accepted = False
-        for rnd in range(cfg.max_rounds):
+        for rnd in range(max_rounds):
             rounds_used = rnd + 1
             critique = _continuation_text(
                 backbone,
@@ -180,7 +173,7 @@ def ptsr_generate(
                 max_new, temperature,
                 record_stream(seed, "PT_SR", idx, rnd, _REFINE_PHASE),
             ).strip()
-            if refined.startswith(cfg.stop_token_text):
+            if refined.startswith(stop_text):
                 accepted = True
                 break
             if refined:  # an empty rewrite keeps the previous question

@@ -13,12 +13,15 @@ embedder are frozen and their checksums must not change.
 train works on a copy and drops its reference to the input as soon as the
 copy exists. A caller that passes init_params(...) inline keeps no
 reference either, so only one copy of the prompt lives through training.
+Its schedule arguments are backbone.train_full_weights' (steps, lr, seed,
+batch_size; both run optim.check_schedule) plus Adam's betas and eps and
+the clip norm. A checkpoint's meta is prompts.params_meta; load_params
+rebuilds the layout from it through zero_params, which checks it.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,35 +30,18 @@ from .backbone import BackboneModel, batch_loss_and_grads
 from .checkpoint import check_tensors, read_checkpoint, write_checkpoint
 from .embedder import embed_sequence
 from .errors import CheckpointFormatError, TrainingDivergedError, ValidationError
-from .optim import LossTrace, adam_step, clip_global_norm, init_adam
-from .config import VARIANTS
+from .optim import LossTrace, adam_step, check_schedule, clip_global_norm, init_adam
 from .prompts import (
-    MixtureParams,
-    MlpConcatParams,
     NonContextualParams,
     SoftSRVParams,
     materialize,
     param_arrays,
     param_grad,
     param_stacks,
+    params_meta,
     zero_params,
     zeros_like_params,  # noqa: F401  perfbench/tracing.py wraps it under this module
 )
-
-
-@dataclass
-class TrainConfig:
-    steps: int = 2000
-    lr: float = 1e-3
-    batch_size: int = 8
-    betas: tuple[float, float] = (0.9, 0.999)
-    eps: float = 1e-8
-    grad_clip: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.steps < 0 or self.batch_size < 1 or self.lr <= 0:
-            raise ValidationError("steps >= 0, batch_size >= 1, lr > 0 required")
 
 
 def train(
@@ -63,9 +49,16 @@ def train(
     embedder: BackboneModel | None,
     dataset: list[list[int]],
     params: SoftSRVParams,
-    cfg: TrainConfig,
+    steps: int,
+    lr: float,
+    seed: int,
+    batch_size: int = 8,
+    betas: tuple[float, float] = (0.9, 0.999),
+    eps: float = 1e-8,
+    grad_clip: float = 1.0,
 ) -> tuple[SoftSRVParams, LossTrace]:
     """Train a copy of params; the input object is never mutated."""
+    check_schedule(steps, lr, batch_size)
     if not backbone.frozen:
         raise ValidationError("backbone must be frozen")
     contextual = not isinstance(params, NonContextualParams)
@@ -97,18 +90,18 @@ def train(
     work = copy.deepcopy(params)
     del params  # the input is never mutated, and the caller may hold no other reference
     trace = LossTrace()
-    if cfg.steps == 0:
+    if steps == 0:
         return work, trace
 
     stacks = dict(param_stacks(work))
     adam = init_adam(stacks)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     order: list[int] = []
-    for step in range(cfg.steps):
-        if len(order) < cfg.batch_size:
+    for step in range(steps):
+        if len(order) < batch_size:
             order += [int(i) for i in rng.permutation(len(targets))]
-        batch = order[: cfg.batch_size]
-        order = order[cfg.batch_size:]
+        batch = order[:batch_size]
+        order = order[batch_size:]
 
         z = contexts[batch]
         acts: list[np.ndarray] = []
@@ -124,8 +117,8 @@ def train(
 
         grads = param_grad(work, z, prefix_grads.transpose(0, 2, 1) / len(batch), acts)
         # summed per column and layer, in the checkpoint's order
-        clip_global_norm(dict(param_arrays(grads)), cfg.grad_clip)
-        adam_step(adam, stacks, dict(param_stacks(grads)), cfg.lr, cfg.betas, cfg.eps)
+        clip_global_norm(dict(param_arrays(grads)), grad_clip)
+        adam_step(adam, stacks, dict(param_stacks(grads)), lr, betas, eps)
         trace.record(loss)
         # one gradient generation: none of this step's arrays outlive it
         del prompts, acts, prefix_grads, grads
@@ -135,55 +128,26 @@ def train(
 # ---------------------------------------------------------------------------
 # parameter checkpoints
 
-def _params_meta(params: SoftSRVParams) -> dict:
-    meta = {"variant": params.variant, "d": params.d, "t": params.t, "d_e": params.d_e}
-    if isinstance(params, MixtureParams):
-        meta["k"] = params.k
-    if isinstance(params, MlpConcatParams):
-        meta["layer_sizes"] = [list(w.shape[1:]) for w in params.weights]
-    return meta
-
-
 def save_params(path, params: SoftSRVParams) -> None:
     tensors = {f"param.{name}": arr for name, arr in param_arrays(params)}
-    write_checkpoint(path, "softsrv_params", _params_meta(params), tensors)
-
-
-def _is_int(value, lo: int) -> bool:
-    return type(value) is int and value >= lo  # bool is a subclass of int
-
-
-def _check_params_meta(meta) -> None:
-    """Raise CheckpointFormatError unless meta has the fields zero_params reads."""
-    if not isinstance(meta, dict) or meta.get("variant") not in VARIANTS:
-        raise CheckpointFormatError(f"checkpoint meta lacks a known variant: {meta!r}")
-    for key, lo in (("d", 1), ("t", 1), ("d_e", 0)):
-        if not _is_int(meta.get(key), lo):
-            raise CheckpointFormatError(f"checkpoint meta {key!r} must be an int >= {lo}, got {meta.get(key)!r}")
-    if meta["variant"] == "ss_mp" and not _is_int(meta.get("k"), 1):
-        raise CheckpointFormatError(f"checkpoint meta 'k' must be an int >= 1, got {meta.get('k')!r}")
-    if meta["variant"] == "ss_mc":
-        sizes = meta.get("layer_sizes")
-        pairs = isinstance(sizes, list) and all(
-            isinstance(pair, list) and len(pair) == 2 and all(_is_int(n, 1) for n in pair) for pair in sizes)
-        # two layers or more, as init_params builds; each takes the last one's outputs, d_e first, d out
-        if not (pairs and len(sizes) >= 2 and
-                [meta["d_e"]] + [out for out, _ in sizes] == [n_in for _, n_in in sizes] + [meta["d"]]):
-            raise CheckpointFormatError(f"checkpoint meta 'layer_sizes' must be [out, in] int pairs chaining "
-                                        f"d_e={meta['d_e']} to d={meta['d']}, got {sizes!r}")
+    write_checkpoint(path, "softsrv_params", params_meta(params), tensors)
 
 
 def load_params(path, backbone: BackboneModel | None = None) -> SoftSRVParams:
     """Read a params checkpoint; raises CheckpointFormatError unless meta and tensors match."""
     _, meta, tensors = read_checkpoint(path, expect_kind="softsrv_params")
-    _check_params_meta(meta)
-    d, t = meta["d"], meta["t"]
+    if not isinstance(meta, dict):
+        raise CheckpointFormatError(f"params meta is a {type(meta).__name__}, not an object")
+    try:
+        params = zero_params(meta.get("variant"), meta.get("d"), meta.get("t"), meta.get("d_e"),
+                             meta.get("k"), meta.get("layer_sizes"))
+    except ValidationError as exc:
+        raise CheckpointFormatError(f"bad params meta: {exc}") from exc
     if backbone is not None:
-        if d != backbone.d:
-            raise ValidationError(f"checkpoint d={d} does not match backbone d={backbone.d}")
-        if not 0 < t < backbone.config.max_seq:
-            raise ValidationError(f"checkpoint t={t} exceeds backbone capacity")
-    params = zero_params(meta["variant"], d, t, meta["d_e"], meta.get("k", 1), meta.get("layer_sizes", ()))
+        if params.d != backbone.d:
+            raise ValidationError(f"checkpoint d={params.d} does not match backbone d={backbone.d}")
+        if not params.t < backbone.config.max_seq:
+            raise ValidationError(f"checkpoint t={params.t} exceeds backbone capacity")
     views = {f"param.{name}": view for name, view in param_arrays(params)}
     check_tensors(tensors, {name: view.shape for name, view in views.items()}, "float64")
     for name, view in views.items():

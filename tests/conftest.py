@@ -16,7 +16,7 @@ import pytest
 from softsrv.backbone import BackboneConfig, checksum, pretrain_backbone
 from softsrv.templates import load_builtin_templates
 from softsrv.toygrammar import builtin_grammar, generic_corpus, make_toy_corpus
-from softsrv.training import TrainConfig, train
+from softsrv.training import train
 from softsrv.prompts import init_params
 from softsrv.vocab import build_vocab
 
@@ -152,11 +152,11 @@ def desk_trained(desk_backbone, desk_embedder, desk_question_ids):
     covers exactly the train() call so budget checks see the real cost.
     """
     out = {}
-    cfg = TrainConfig(steps=2000, lr=1e-3, batch_size=8, seed=DESK_SEEDS["train"])
     for variant in ("ss_np", "ss_mp", "ss_mc"):
         p0 = init_params(variant, desk_backbone, t=16, d_e=32, seed=DESK_SEEDS["train"])
         embedder = None if variant == "ss_np" else desk_embedder
         t0 = time.time()
-        params, trace = train(desk_backbone, embedder, desk_question_ids, p0, cfg)
+        params, trace = train(desk_backbone, embedder, desk_question_ids, p0,
+                              steps=2000, lr=1e-3, seed=DESK_SEEDS["train"], batch_size=8)
         out[variant] = (params, trace, time.time() - t0)
     return out

@@ -16,7 +16,7 @@ import pytest
 from conftest import BUILD_CHECKSUMS, DESK_SEEDS
 from test_pipeline import mini_config
 
-from softsrv.backbone import BackboneConfig, causal_loss, checksum, init_backbone, loss_and_prefix_grad
+from softsrv.backbone import BackboneConfig, batch_loss_and_grads, checksum, init_backbone
 from softsrv.cli import main as cli_main
 from softsrv.config import preset_config, save_config
 from softsrv.embedder import embed_sequence
@@ -55,9 +55,11 @@ def test_criterion_01_gradient_suite_matches_finite_differences():
         z = None if variant == "ss_np" else rng.standard_normal(4)
 
         def loss():
-            return causal_loss(model, materialize(params, z), target)
+            return batch_loss_and_grads(model, [materialize(params, z).T], [target])[0]
 
-        _, upstream = loss_and_prefix_grad(model, materialize(params, z), target)
+        _, _, prefix_grads, _ = batch_loss_and_grads(model, [materialize(params, z).T], [target],
+                                                     want_prefix_grads=True)
+        upstream = prefix_grads[0].T
         analytic = dict(param_arrays(param_grad(params, z, upstream)))
         for name, arr in param_arrays(params):
             flat = arr.ravel()
@@ -156,7 +158,7 @@ def test_criterion_05_mauve_properties():
     ]
     monotone = all(b <= a + 0.02 for a, b in zip(scores, scores[1:]))
 
-    pair = QuantizedPair(p=np.array([1.0, 0.0]), q=np.array([0.0, 1.0]), k=2)
+    pair = QuantizedPair(p=np.array([1.0, 0.0]), q=np.array([0.0, 1.0]))
     grid = np.linspace(0.05, 0.95, 19)
     closed_form = max(
         max(abs(x - (1 - lam) ** 5), abs(y - lam**5))
@@ -226,7 +228,7 @@ def test_criterion_07_postprocess_oracles():
         k = int(rng.integers(1, 7))
         labels = rng.integers(0, k, size=n)
         n_s = int(rng.integers(1, n + 1))
-        assignment = ClusterAssignment(labels=labels, centroids=np.zeros((k, 2)), k=k)
+        assignment = ClusterAssignment(labels=labels, centroids=np.zeros((k, 2)))
         picked = round_robin_subsample(assignment, n_s, seed=trial)
         counts = {c: 0 for c in range(k)}
         for i in picked:

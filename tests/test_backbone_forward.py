@@ -12,7 +12,6 @@ from softsrv.backbone import (
     BackboneConfig,
     _weight_shapes,
     batch_loss_and_grads,
-    causal_loss,
     continuation_logits,
     forward_logits,
     freeze,
@@ -21,7 +20,7 @@ from softsrv.backbone import (
 from softsrv.errors import CapacityError, ValidationError
 from softsrv.prompts import init_params
 from softsrv.student import perplexity
-from softsrv.training import TrainConfig, train
+from softsrv.training import train
 from softsrv.vocab import build_vocab
 
 RMS_EPS = 1e-5
@@ -105,7 +104,8 @@ def test_causal_loss_matches_manual_cross_entropy():
     for j, tid in enumerate(target):
         row = logits[prefix.shape[1] - 1 + j]
         total += np.log(np.sum(np.exp(row - row.max()))) + row.max() - row[tid]
-    assert causal_loss(model, prefix, target) == pytest.approx(total / len(target), rel=1e-12)
+    loss, _, _, _ = batch_loss_and_grads(model, [prefix.T], [target])
+    assert loss == pytest.approx(total / len(target), rel=1e-12)
 
 
 def test_zero_residual_init_reduces_to_direct_readout():
@@ -140,7 +140,7 @@ def test_padded_batch_rows_match_single_example_losses():
     rows = [[4, 5], [6, 7, 4, 5, 6], [7]]
     mean_loss, per_example, _, _ = batch_loss_and_grads(model, prefixes, rows)
     for i in range(3):
-        single = causal_loss(model, prefixes[i].T, rows[i])
+        single, _, _, _ = batch_loss_and_grads(model, [prefixes[i]], [rows[i]])
         assert per_example[i] == pytest.approx(single, rel=1e-12)
     assert mean_loss == pytest.approx(np.mean(per_example), rel=1e-12)
 
@@ -161,7 +161,7 @@ def test_sequence_capacity_enforced():
 
 
 _ID_OPS = {
-    "train": lambda m, ids: train(m, None, [ids], init_params("ss_np", m, 2, 4, seed=1), TrainConfig(steps=1)),
+    "train": lambda m, ids: train(m, None, [ids], init_params("ss_np", m, 2, 4, seed=1), steps=1, lr=1e-3, seed=0),
     "perplexity": lambda m, ids: perplexity(m, [ids]),
     "batch_loss_and_grads": lambda m, ids: batch_loss_and_grads(m, None, [[4, 5], ids]),
 }

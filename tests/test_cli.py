@@ -31,6 +31,19 @@ def test_invalid_config_value_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_model_config_error_exits_two_before_any_stage_runs(tmp_path, capsys):
+    # embedder.d_e > embedder.d used to fail after the backbone pretrain, with exit 12
+    cfg = mini_config()
+    cfg.embedder.d_e = 64
+    path = tmp_path / "wide.ini"
+    save_config(str(path), cfg)
+    out = tmp_path / "o"
+    code = main(["pretrain", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert "embedder.d_e" in capsys.readouterr().err
+    assert not (out / "backbone.ckpt").exists()
+
+
 def test_unknown_method_flag_is_rejected_by_argparse(mini_ini, tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["generate", "--config", mini_ini, "--out", str(tmp_path / "o"), "--method", "osmosis"])

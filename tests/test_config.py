@@ -166,6 +166,53 @@ def test_optimizer_settings_that_train_the_wrong_way_rejected(tmp_path, section,
         load_config(str(path))
 
 
+@pytest.mark.parametrize("section, key", [
+    ("backbone", "pretrain_steps"), ("embedder", "pretrain_steps"), ("student", "pretrain_steps"),
+    ("student", "finetune_steps"), ("trainer", "steps"),
+])
+def test_negative_step_counts_rejected(tmp_path, section, key):
+    path = tmp_path / "steps.ini"
+    path.write_text(f"[{section}]\n{key} = -3\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be >= 0"):
+        load_config(str(path))
+
+
+@pytest.mark.parametrize("section, key", [
+    ("backbone", "pretrain_batch"), ("embedder", "pretrain_batch"), ("student", "pretrain_batch"),
+    ("student", "finetune_batch"), ("trainer", "batch_size"),
+])
+def test_empty_batches_rejected(tmp_path, section, key):
+    path = tmp_path / "batch.ini"
+    path.write_text(f"[{section}]\n{key} = 0\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be >= 1"):
+        load_config(str(path))
+
+
+def test_zero_step_counts_load(tmp_path):
+    # the control for the two tests above: zero steps train nothing, legally
+    path = tmp_path / "zero.ini"
+    path.write_text("[backbone]\npretrain_steps = 0\npretrain_batch = 1\n[embedder]\npretrain_steps = 0\n"
+                    "[student]\npretrain_steps = 0\nfinetune_steps = 0\n[trainer]\nsteps = 0\n",
+                    encoding="utf-8")
+    cfg = load_config(str(path))
+    assert (cfg.backbone.pretrain_steps, cfg.trainer.steps, cfg.backbone.pretrain_batch) == (0, 0, 1)
+
+
+@pytest.mark.parametrize("section, key, value, match", [
+    ("embedder", "d_e", "64", "embedder.d_e must be in"),
+    ("embedder", "d_e", "0", "embedder.d_e must be in"),
+    ("embedder", "n_heads", "3", r"\[embedder\]: d must divide evenly into heads"),
+    ("backbone", "dtype", "float16", r"\[backbone\]: unsupported dtype"),
+    ("student", "d", "0", r"\[student\]: sizes must be ints >= 1"),
+])
+def test_model_settings_fail_when_the_config_loads(tmp_path, section, key, value, match):
+    # each of these used to fail only once its stage ran
+    path = tmp_path / "model.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=match):
+        load_config(str(path))
+
+
 def test_optimizer_boundary_values_load(tmp_path):
     # the control for the cases above: the smallest valid settings load
     path = tmp_path / "opt.ini"

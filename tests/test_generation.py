@@ -6,7 +6,7 @@ import pytest
 from softsrv.errors import ValidationError
 from softsrv.generation import generate_answers, generate_questions, record_stream
 from softsrv.prompts import init_params
-from softsrv.training import TrainConfig, train
+from softsrv.training import train
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +18,7 @@ def trained(tiny_backbone, tiny_embedder, tiny_folds):
         p0 = init_params(variant, tiny_backbone, t=4, d_e=6, seed=31, mlp_hidden=8)
         params, _ = train(
             tiny_backbone, None if variant == "ss_np" else tiny_embedder,
-            dataset, p0, TrainConfig(steps=60, lr=0.02, seed=32),
+            dataset, p0, steps=60, lr=0.02, seed=32,
         )
         out[variant] = params
     return out, dataset

@@ -9,13 +9,7 @@ is dead.
 import numpy as np
 import pytest
 
-from softsrv.backbone import (
-    BackboneConfig,
-    batch_loss_and_grads,
-    causal_loss,
-    init_backbone,
-    loss_and_prefix_grad,
-)
+from softsrv.backbone import BackboneConfig, batch_loss_and_grads, init_backbone
 from softsrv.prompts import init_params, materialize, param_arrays, param_grad
 from softsrv.vocab import build_vocab
 
@@ -28,6 +22,17 @@ def tiny_model(seed=3):
     vocab = build_vocab(["alpha beta gamma delta epsilon"])
     cfg = BackboneConfig(d=8, n_layers=2, n_heads=2, ffn_dim=10, max_seq=24)
     return init_backbone(cfg, vocab, seed, zero_residual=False)
+
+
+def prefix_loss(model, prefix, target):
+    """Mean NLL of target after a (d, t) prefix: a batch of one stream."""
+    return batch_loss_and_grads(model, [prefix.T], [target])[0]
+
+
+def prefix_grad(model, prefix, target):
+    """The gradient of prefix_loss with respect to the prefix, shape (d, t)."""
+    _, _, pg, _ = batch_loss_and_grads(model, [prefix.T], [target], want_prefix_grads=True)
+    return pg[0].T
 
 
 def check_close(analytic, numeric):
@@ -74,8 +79,8 @@ def test_prefix_gradient_matches_fd():
     rng = np.random.default_rng(4)
     prefix = rng.standard_normal((8, 3))
     target = [4, 5, 6, 7]
-    _, analytic = loss_and_prefix_grad(model, prefix, target)
-    numeric = fd_full(lambda: causal_loss(model, prefix, target), prefix)
+    analytic = prefix_grad(model, prefix, target)
+    numeric = fd_full(lambda: prefix_loss(model, prefix, target), prefix)
     check_close(analytic, numeric)
 
 
@@ -126,7 +131,7 @@ def test_batch_prefix_grads_match_single_runs():
     rows = [[4, 5], [6, 7, 4], [5]]
     _, _, pg, _ = batch_loss_and_grads(model, prefixes, rows, want_prefix_grads=True)
     for i in range(3):
-        _, single = loss_and_prefix_grad(model, prefixes[i].T, rows[i])
+        single = prefix_grad(model, prefixes[i].T, rows[i])
         # batch mean divides by B; single-sequence runs are a batch of one
         np.testing.assert_allclose(pg[i].T * 3, single, rtol=1e-10, atol=1e-14)
 
@@ -140,9 +145,9 @@ def test_full_chain_parameter_gradients_match_fd(variant):
     target = [4, 6, 5]
 
     def loss():
-        return causal_loss(model, materialize(params, z), target)
+        return prefix_loss(model, materialize(params, z), target)
 
-    _, upstream = loss_and_prefix_grad(model, materialize(params, z), target)
+    upstream = prefix_grad(model, materialize(params, z), target)
     grads = dict(param_arrays(param_grad(params, z, upstream)))
     for name, arr in param_arrays(params):
         idx, numeric = fd_sampled(loss, arr, rng)

@@ -39,7 +39,7 @@ def test_defaults_are_pinned():
 
 
 def test_point_mass_curve_matches_closed_form():
-    pair = QuantizedPair(p=np.array([1.0, 0.0]), q=np.array([0.0, 1.0]), k=2)
+    pair = QuantizedPair(p=np.array([1.0, 0.0]), q=np.array([0.0, 1.0]))
     grid = np.linspace(0.05, 0.95, 19)
     pts = divergence_curve(pair, c=5.0, lambda_grid=grid)
     for lam, (x, y) in zip(grid, pts):
@@ -49,7 +49,7 @@ def test_point_mass_curve_matches_closed_form():
 
 def test_identical_histograms_give_flat_curve_at_one():
     p = np.array([0.25, 0.5, 0.25])
-    pair = QuantizedPair(p=p, q=p.copy(), k=3)
+    pair = QuantizedPair(p=p, q=p.copy())
     for x, y in divergence_curve(pair, c=5.0, lambda_grid=[0.2, 0.5, 0.8]):
         assert x == pytest.approx(1.0, abs=1e-12)
         assert y == pytest.approx(1.0, abs=1e-12)
@@ -160,7 +160,7 @@ def test_validation_rejects_bad_inputs():
 
 
 def test_curve_validation():
-    pair = QuantizedPair(p=np.array([1.0]), q=np.array([1.0]), k=1)
+    pair = QuantizedPair(p=np.array([1.0]), q=np.array([1.0]))
     with pytest.raises(ValidationError):
         divergence_curve(pair, c=0.0)
     with pytest.raises(ValidationError):

@@ -1,12 +1,12 @@
 """Static checks on the package's surface: the root's exports and its imports.
 
-There is no linter in the toolchain, so three of its checks live here: every
+There is no linter in the toolchain, so four of its checks live here: every
 name the package root exports resolves and is listed once, no module under
-src/softsrv imports a name it never uses, and no private module-level
-function, class or constant goes unread. The one exception to the import
-check is a name that perfbench/tracing.py wraps in that module: the
-benchmark times calls by replacing the attribute there, so the import must
-stay.
+src/softsrv imports a name it never uses, no private module-level function,
+class or constant goes unread, and no public module-level function or class
+is read by the tests alone. The one exception to the import check is a name
+that perfbench/tracing.py wraps in that module: the benchmark times calls by
+replacing the attribute there, so the import must stay.
 """
 
 import ast
@@ -74,10 +74,11 @@ def _reads(node: ast.AST) -> Counter:
     return names
 
 
-def unread_privates(sources: dict[str, str]) -> list[str]:
-    """Private module-level functions, classes and constants read nowhere but in their own definition."""
+def _unread(sources: dict[str, str], readers: list[str], wanted) -> list[str]:
+    """Module-level names of sources, picked by wanted(node, name), that neither
+    sources nor readers read anywhere but in their own definition."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    total = sum((_reads(tree) for tree in trees.values()), Counter())
+    total = sum((_reads(tree) for tree in [*trees.values(), *map(ast.parse, readers)]), Counter())
     found = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -89,9 +90,22 @@ def unread_privates(sources: dict[str, str]) -> list[str]:
             else:
                 continue
             own = _reads(node)
-            found += [f"{module}: {name}" for name in names
-                      if name.startswith("_") and not name.startswith("__") and total[name] == own[name]]
+            found += [f"{module}: {name}" for name in names if wanted(node, name) and total[name] == own[name]]
     return sorted(found)
+
+
+def unread_privates(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions, classes and constants read nowhere but in their own definition."""
+    return _unread(sources, [], lambda node, name: name.startswith("_") and not name.startswith("__"))
+
+
+def unread_publics(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """Public module-level functions and classes read nowhere in sources or readers but in their own definition.
+
+    Constants are left out: vocab.PAD names a token id that only tests read.
+    """
+    return _unread(sources, readers, lambda node, name: (
+        isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not name.startswith("_")))
 
 
 def test_unread_privates_finds_what_it_should():
@@ -109,3 +123,25 @@ def test_unread_privates_finds_what_it_should():
 def test_no_private_module_level_name_goes_unread():
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
     assert unread_privates(sources) == []
+
+
+def test_unread_publics_finds_what_it_should():
+    source = (
+        "A = 1\n"
+        "def f():\n    return f()\n"
+        "def g():\n    return A\n"
+        "class K:\n    pass\n"
+        "def _h():\n    return 0\n"
+        "x = g()\n"
+    )
+    assert unread_publics({"m": source}, []) == ["m: K", "m: f"]
+    assert unread_publics({"m": source}, ["from m import f\nimport m\nm.K()\n"]) == []
+
+
+def test_every_public_function_and_class_is_read_outside_the_tests():
+    # readers: the package (its root only re-exports), the demos and the benchmark
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"}
+    readers = [path.read_text(encoding="utf-8")
+               for folder in ("demos", "perfbench") for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert unread_publics(sources, readers) == []

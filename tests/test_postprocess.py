@@ -401,7 +401,7 @@ def water_fill_counts(cluster_sizes, n_s):
 
 def test_round_robin_balances_over_uneven_clusters():
     labels = np.array([0] * 50 + [1] * 3 + [2] * 10)
-    assignment = ClusterAssignment(labels=labels, centroids=np.zeros((3, 2)), k=3)
+    assignment = ClusterAssignment(labels=labels, centroids=np.zeros((3, 2)))
     picked = round_robin_subsample(assignment, 21, seed=3)
     assert len(picked) == 21
     counts = {c: 0 for c in range(3)}
@@ -412,20 +412,20 @@ def test_round_robin_balances_over_uneven_clusters():
 
 def test_round_robin_output_is_sorted_and_unique():
     labels = np.array([0, 1, 0, 1, 0, 1, 0])
-    assignment = ClusterAssignment(labels=labels, centroids=np.zeros((2, 2)), k=2)
+    assignment = ClusterAssignment(labels=labels, centroids=np.zeros((2, 2)))
     picked = round_robin_subsample(assignment, 5, seed=4)
     assert picked == sorted(set(picked))
 
 
 def test_round_robin_requesting_everything_returns_everything():
     labels = np.array([0, 1, 2, 0, 1])
-    assignment = ClusterAssignment(labels=labels, centroids=np.zeros((3, 2)), k=3)
+    assignment = ClusterAssignment(labels=labels, centroids=np.zeros((3, 2)))
     assert round_robin_subsample(assignment, 5, seed=5) == [0, 1, 2, 3, 4]
 
 
 def test_round_robin_rejects_out_of_range_requests():
     labels = np.array([0, 1])
-    assignment = ClusterAssignment(labels=labels, centroids=np.zeros((2, 2)), k=2)
+    assignment = ClusterAssignment(labels=labels, centroids=np.zeros((2, 2)))
     with pytest.raises(ValidationError):
         round_robin_subsample(assignment, 0, seed=5)
     with pytest.raises(ValidationError):
@@ -442,7 +442,7 @@ def test_round_robin_counts_match_water_filling(data, labels, seed):
     n_s = data.draw(st.integers(min_value=1, max_value=len(labels)))
     labels = np.array(labels)
     k = int(labels.max()) + 1
-    assignment = ClusterAssignment(labels=labels, centroids=np.zeros((k, 2)), k=k)
+    assignment = ClusterAssignment(labels=labels, centroids=np.zeros((k, 2)))
     picked = round_robin_subsample(assignment, n_s, seed=seed)
     sizes = [int(np.sum(labels == c)) for c in range(k)]
     want = water_fill_counts(sizes, n_s)

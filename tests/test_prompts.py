@@ -1,5 +1,7 @@
 """Prompt parameterizations: shapes, gating, contextuality."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from softsrv.prompts import (
     NonContextualParams,
     init_params,
     materialize,
-    mixture_weights,
     param_arrays,
     param_grad,
     param_stacks,
@@ -58,11 +59,22 @@ def test_contextual_variants_require_context(model):
             materialize(params)
 
 
+def gate_weights(params, z):
+    """The mixture's gate output for context z, read through materialize.
+
+    With basis i the i-th unit vector of the flattened (d, t) prompt, the
+    prompt's first k entries are the k softmax weights, to the bit.
+    """
+    unit = np.eye(params.d * params.t)[:params.k].reshape(params.k, params.d, params.t)
+    return materialize(replace(params, bases=unit), z).ravel()[:params.k]
+
+
 def test_mixture_weights_live_on_the_simplex(model):
     params = init_params("ss_mp", model, t=3, d_e=4, seed=2, k=5)
     rng = np.random.default_rng(0)
+    params.gate_w[...] = rng.standard_normal(params.gate_w.shape)  # a gate that is not uniform
     for _ in range(20):
-        w = mixture_weights(params, rng.standard_normal(4) * 10)
+        w = gate_weights(params, rng.standard_normal(4) * 10)
         assert w.shape == (5,)
         assert np.all(w >= 0)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
@@ -71,7 +83,7 @@ def test_mixture_weights_live_on_the_simplex(model):
 def test_mixture_prompt_is_convex_combination(model):
     params = init_params("ss_mp", model, t=3, d_e=4, seed=2, k=3)
     z = np.array([0.3, -1.2, 0.7, 0.0])
-    w = mixture_weights(params, z)
+    w = gate_weights(params, z)
     want = sum(wi * basis for wi, basis in zip(w, params.bases))
     np.testing.assert_allclose(materialize(params, z), want, rtol=1e-12)
 
@@ -79,8 +91,16 @@ def test_mixture_prompt_is_convex_combination(model):
 def test_mixture_gate_starts_uniform(model):
     # gate weights start at zero, so every context mixes the bases equally
     params = init_params("ss_mp", model, t=3, d_e=4, seed=3, k=4)
-    w = mixture_weights(params, np.array([5.0, -2.0, 0.1, 9.0]))
+    w = gate_weights(params, np.array([5.0, -2.0, 0.1, 9.0]))
     np.testing.assert_allclose(w, np.full(4, 0.25), rtol=1e-12)
+
+
+def test_init_params_rejects_one_mlp_layer_and_no_mixture_bases(model):
+    # zero_params checks the layout that init_params asks for
+    with pytest.raises(ValidationError, match="layer_sizes"):
+        init_params("ss_mc", model, t=2, d_e=4, seed=4, mlp_layers=1)
+    with pytest.raises(ValidationError, match="k >= 1"):
+        init_params("ss_mp", model, t=2, d_e=4, seed=4, k=0)
 
 
 def test_mlp_columns_are_context_sensitive_after_perturbation(model):

@@ -6,7 +6,6 @@ from softsrv.errors import ValidationError
 from softsrv.templates import (
     PLACEHOLDER,
     PromptTemplate,
-    RefineConfig,
     load_builtin_templates,
     pt_generate,
     pt_generate_answers,
@@ -90,11 +89,18 @@ def test_pt_and_ptsr_draw_different_streams(tiny_backbone):
     assert [r.question for r in pt] != [r.question for r in sr]
 
 
+def test_ptsr_rejects_no_rounds_and_an_empty_stop_text(tiny_backbone):
+    templates = load_builtin_templates("arithmetic")
+    with pytest.raises(ValidationError, match="max_rounds"):
+        ptsr_generate(tiny_backbone, templates, ["seed q"], 1, max_rounds=0)
+    with pytest.raises(ValidationError, match="stop_text"):
+        ptsr_generate(tiny_backbone, templates, ["seed q"], 1, stop_text="")
+
+
 def test_ptsr_tags_and_round_accounting(tiny_backbone):
     templates = load_builtin_templates("arithmetic")
     seeds = ["Mara picked 4 pears and Ben picked 5. How many pears did they pick together?"]
-    cfg = RefineConfig(max_rounds=2)
-    records = ptsr_generate(tiny_backbone, templates, seeds, 5, cfg=cfg, seed=7, max_new=16)
+    records = ptsr_generate(tiny_backbone, templates, seeds, 5, seed=7, max_new=16, max_rounds=2)
     assert len(records) == 5
     for r in records:
         assert r.method_tag == "PT_SR"
@@ -111,7 +117,7 @@ def test_ptsr_accepts_immediately_on_stop(tiny_backbone, monkeypatch):
 
     monkeypatch.setattr(mod, "_continuation_text", fake_continuation)
     templates = load_builtin_templates("arithmetic")
-    records = ptsr_generate(tiny_backbone, templates, ["seed q"], 2, cfg=RefineConfig(max_rounds=3), seed=1)
+    records = ptsr_generate(tiny_backbone, templates, ["seed q"], 2, seed=1, max_rounds=3)
     for r in records:
         assert r.provenance["rounds"] == 1
         assert r.provenance["accepted"] is True
@@ -130,7 +136,7 @@ def test_ptsr_never_stop_runs_all_rounds_and_keeps_last_rewrite(tiny_backbone, m
 
     monkeypatch.setattr(mod, "_continuation_text", fake_continuation)
     templates = load_builtin_templates("arithmetic")
-    records = ptsr_generate(tiny_backbone, templates, ["seed q"], 1, cfg=RefineConfig(max_rounds=3), seed=1)
+    records = ptsr_generate(tiny_backbone, templates, ["seed q"], 1, seed=1, max_rounds=3)
     assert records[0].provenance["rounds"] == 3
     assert records[0].provenance["accepted"] is False
     # per round one critique and one refine call; the PT phase is real sampling

@@ -8,13 +8,13 @@ import pytest
 
 import softsrv.backbone
 from softsrv.backbone import (
-    BackboneConfig, causal_loss, checksum, clone_unfrozen, freeze, init_backbone, train_full_weights,
+    BackboneConfig, batch_loss_and_grads, checksum, clone_unfrozen, freeze, init_backbone, train_full_weights,
 )
 from softsrv.checkpoint import read_checkpoint, write_checkpoint
 from softsrv.errors import CheckpointFormatError, ValidationError
 from softsrv.optim import init_adam
 from softsrv.prompts import init_params, materialize, param_arrays
-from softsrv.training import TrainConfig, load_params, save_params, train
+from softsrv.training import load_params, save_params, train
 from softsrv.vocab import EOS, build_vocab
 
 
@@ -35,22 +35,22 @@ def test_unfrozen_backbone_rejected(setup):
     live = init_backbone(BackboneConfig(d=8, n_layers=1, n_heads=2, ffn_dim=12, max_seq=48), vocab_small, 7)
     params = init_params("ss_np", live, t=2, d_e=4, seed=0)
     with pytest.raises(ValidationError):
-        train(live, None, [[4]], params, TrainConfig(steps=1))
+        train(live, None, [[4]], params, steps=1, lr=1e-3, seed=0)
 
 
 def test_contextual_variant_requires_distinct_frozen_embedder(setup):
     backbone, _, dataset = setup
     params = init_params("ss_mp", backbone, t=2, d_e=4, seed=0)
     with pytest.raises(ValidationError):
-        train(backbone, None, dataset, params, TrainConfig(steps=1))
+        train(backbone, None, dataset, params, steps=1, lr=1e-3, seed=0)
     with pytest.raises(ValidationError):
-        train(backbone, backbone, dataset, params, TrainConfig(steps=1))
+        train(backbone, backbone, dataset, params, steps=1, lr=1e-3, seed=0)
 
 
 def test_zero_steps_returns_bit_identical_copy(setup):
     backbone, embedder, dataset = setup
     params = init_params("ss_mc", backbone, t=3, d_e=6, seed=1, mlp_hidden=4)
-    out, trace = train(backbone, embedder, dataset, params, TrainConfig(steps=0))
+    out, trace = train(backbone, embedder, dataset, params, steps=0, lr=1e-3, seed=0)
     assert out is not params
     for (_, a), (_, b) in zip(param_arrays(params), param_arrays(out)):
         np.testing.assert_array_equal(a, b)
@@ -61,19 +61,17 @@ def test_input_params_never_mutated(setup):
     backbone, embedder, dataset = setup
     params = init_params("ss_np", backbone, t=3, d_e=6, seed=2)
     before = params.prompt.copy()
-    train(backbone, embedder, dataset, params, TrainConfig(steps=5, seed=3))
+    train(backbone, embedder, dataset, params, steps=5, lr=1e-3, seed=3)
     np.testing.assert_array_equal(params.prompt, before)
 
 
 def test_first_step_is_exactly_one_adam_update(setup):
     backbone, embedder, dataset = setup
-    from softsrv.backbone import batch_loss_and_grads
     from softsrv.optim import adam_step, clip_global_norm
     from softsrv.prompts import param_grad, zeros_like_params
 
     params = init_params("ss_np", backbone, t=2, d_e=6, seed=4)
-    cfg = TrainConfig(steps=1, lr=0.05, batch_size=2, seed=9)
-    trained, trace = train(backbone, embedder, dataset, params, cfg)
+    trained, trace = train(backbone, embedder, dataset, params, steps=1, lr=0.05, seed=9, batch_size=2)
 
     # replay by hand: same batch order, same gradient, same update
     rng = np.random.default_rng(9)
@@ -98,7 +96,7 @@ def test_training_is_deterministic(setup):
     runs = []
     for _ in range(2):
         params = init_params("ss_mp", backbone, t=2, d_e=6, seed=5, k=2)
-        out, trace = train(backbone, embedder, dataset, params, TrainConfig(steps=20, seed=6))
+        out, trace = train(backbone, embedder, dataset, params, steps=20, lr=1e-3, seed=6)
         runs.append((out, trace.losses))
     assert runs[0][1] == runs[1][1]
     for (_, a), (_, b) in zip(param_arrays(runs[0][0]), param_arrays(runs[1][0])):
@@ -113,7 +111,7 @@ def test_loss_descends_while_memorizing(tiny_backbone):
     params = init_params("ss_np", tiny_backbone, t=6, d_e=6, seed=7)
     out, trace = train(
         tiny_backbone, None, dataset, params,
-        TrainConfig(steps=200, lr=0.05, batch_size=2, seed=8),
+        steps=200, lr=0.05, seed=8, batch_size=2,
     )
     head = float(np.mean(trace.losses[:10]))
     tail = float(np.mean(trace.losses[-10:]))
@@ -122,9 +120,11 @@ def test_loss_descends_while_memorizing(tiny_backbone):
     assert tail < head - 0.2
     # the trained prompt scores its targets better than the initial one
     tgt = dataset[0] + [EOS]
-    assert causal_loss(tiny_backbone, materialize(out), tgt) < causal_loss(
-        tiny_backbone, materialize(params), tgt
-    )
+
+    def loss(p):
+        return batch_loss_and_grads(tiny_backbone, [materialize(p).T], [tgt])[0]
+
+    assert loss(out) < loss(params)
 
 
 def test_backbone_pretraining_peak_memory_at_desk_shape(tiny_folds, tiny_vocab):
@@ -176,6 +176,18 @@ def test_full_weight_training_rejects_a_non_positive_lr(setup):
             train_full_weights(model, dataset, steps=1, lr=lr, seed=1)
 
 
+@pytest.mark.parametrize("steps, batch_size, lr", [(-3, 8, 1e-3), (1, 0, 1e-3), (1, 8, 0.0)])
+def test_both_training_loops_reject_a_bad_schedule(setup, steps, batch_size, lr):
+    # a zero batch used to fail mid-step on an empty reduction, and negative
+    # steps trained nothing and returned as if done
+    backbone, embedder, dataset = setup
+    schedule = {"steps": steps, "lr": lr, "seed": 1, "batch_size": batch_size}
+    with pytest.raises(ValidationError, match="steps >= 0, batch_size >= 1 and lr > 0"):
+        train_full_weights(clone_unfrozen(backbone), dataset, **schedule)
+    with pytest.raises(ValidationError, match="steps >= 0, batch_size >= 1 and lr > 0"):
+        train(backbone, embedder, dataset, init_params("ss_np", backbone, t=2, d_e=6, seed=0), **schedule)
+
+
 def test_ss_mc_training_peak_memory_at_desk_shape(tiny_folds, tiny_vocab):
     # desk shapes: backbone d64/L4, embedder d32 with d_e 32, t=16 columns of
     # 128x3 MLPs (about 3.7 MB per copy of the parameters), batch 8. The loop
@@ -190,7 +202,7 @@ def test_ss_mc_training_peak_memory_at_desk_shape(tiny_folds, tiny_vocab):
     params = init_params("ss_mc", backbone, t=16, d_e=32, seed=3)
     tracemalloc.start()
     try:
-        train(backbone, embedder, dataset, params, TrainConfig(steps=4, batch_size=8, seed=4))
+        train(backbone, embedder, dataset, params, steps=4, lr=1e-3, seed=4, batch_size=8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -210,7 +222,7 @@ def test_ss_mc_training_with_inline_params_keeps_one_copy_of_the_prompt(tiny_fol
     tracemalloc.start()
     try:
         train(backbone, embedder, dataset, init_params("ss_mc", backbone, t=16, d_e=32, seed=3),
-              TrainConfig(steps=4, batch_size=8, seed=4))
+              steps=4, lr=1e-3, seed=4, batch_size=8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -221,7 +233,7 @@ def test_backbone_and_embedder_unchanged_by_training(setup):
     backbone, embedder, dataset = setup
     before = (checksum(backbone), checksum(embedder))
     params = init_params("ss_mc", backbone, t=2, d_e=6, seed=9, mlp_hidden=4)
-    train(backbone, embedder, dataset, params, TrainConfig(steps=25, seed=10))
+    train(backbone, embedder, dataset, params, steps=25, lr=1e-3, seed=10)
     assert (checksum(backbone), checksum(embedder)) == before
 
 
