@@ -45,6 +45,23 @@ checks every sequence before the first step. load_backbone checks a
 checkpoint's config and vocabulary, then holds its tensors to the one
 weight table, _weight_shapes, which init_backbone also draws from.
 
+Precision. A model computes in its config's dtype, float64 or float32:
+weights, activations, logits and gradients all stay in it, and every scalar
+the core mixes in is a Python float so that no float32 op runs through a
+float64 loop. BackboneConfig defaults to float64, which the
+finite-difference fixtures need; the experiment config's [backbone]
+section defaults to float32, so the frozen generator of the desk and paper
+presets computes in float32, while the soft prompt it is steered by, its
+Adam moments, the embedder and the student stay float64. A float64 prompt
+enters the core through _build_streams, which casts it to the model's
+dtype, and its gradient leaves in that dtype for prompts.param_grad to
+chain in float64. _draw's softmax runs in float64 whatever the model's
+dtype. It is one vocabulary-sized row per token, so it costs nothing next
+to the forward pass, and the cumulative sum it searches adds up the whole
+vocabulary: in float32 that sum carries rounding of up to about 1e-5,
+enough to move the token a uniform draw near a boundary picks and to leave
+the total short of the draw.
+
 Gradients are written out manually (no autodiff) and verified against
 central finite differences in the test suite.
 """
@@ -330,7 +347,7 @@ def _forward(
         kh = _to_heads(a @ w[p + "wk"].T, layout, H)
         vh = _to_heads(a @ w[p + "wv"].T, layout, H)
         scores = qh @ kh.transpose(0, 1, 3, 2)
-        scores /= np.sqrt(dh)
+        scores /= math.sqrt(dh)  # a Python float keeps a float32 grid in a float32 loop
         scores += mask
         scores -= scores.max(axis=-1, keepdims=True)
         attn_w = np.exp(scores, out=scores)

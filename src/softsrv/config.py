@@ -6,8 +6,10 @@ every seed is explicit, and the fully resolved config serializes into
 reports for provenance. Unknown sections, unknown keys, and unparsable
 values raise ConfigError, as do optimizer settings under which training
 would climb the loss or stall (a non-positive learning rate, clip norm or
-eps, an Adam beta outside [0, 1)), negative steps, an empty batch and any
-model section that BackboneConfig rejects, so they fail before any stage.
+eps, an Adam beta outside [0, 1)), negative steps, an empty batch, a count
+below what its stage accepts, any model section that BackboneConfig rejects
+and any soft-prompt layout that prompts.zero_params rejects, so they fail
+before any stage.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field, fields
 
 from .backbone import BackboneConfig
 from .errors import ConfigError, ValidationError
+from .prompts import mlp_layer_sizes, zero_params
 
 VARIANTS = ("ss_np", "ss_mp", "ss_mc")
 METHODS = VARIANTS + ("pt", "ptsr")
@@ -39,7 +42,7 @@ class BackboneSection:
     ffn_dim: int = 256
     max_seq: int = 256
     vocab_size: int = 512
-    dtype: str = "float64"
+    dtype: str = "float32"  # the frozen generator's compute; see the backbone module docstring
     pretrain_steps: int = 2000
     pretrain_lr: float = 1e-3
     pretrain_batch: int = 8
@@ -168,17 +171,23 @@ class ExperimentConfig:
             if not isinstance(value, int):
                 raise ConfigError(f"seeds.{name} must be an integer")
         for key in ("backbone.pretrain_lr", "embedder.pretrain_lr", "student.pretrain_lr",
-                    "student.finetune_lr", "trainer.lr", "trainer.eps", "trainer.grad_clip"):
+                    "student.finetune_lr", "trainer.lr", "trainer.eps", "trainer.grad_clip", "mauve.c"):
             if not self._value(key) > 0:  # a negative clip norm negates every gradient
                 raise ConfigError(f"{key} must be positive, got {self._value(key)}")
         for key in ("trainer.beta1", "trainer.beta2"):
             if not 0 <= self._value(key) < 1:
                 raise ConfigError(f"{key} must be in [0, 1), got {self._value(key)}")
-        # zero steps train nothing, which is legal; an empty batch is not
+        # zero steps train nothing, which is legal; an empty batch or count is not, and a
+        # train/test split needs two examples, a divergence curve two grid points
         for key, lo in (("backbone.pretrain_steps", 0), ("embedder.pretrain_steps", 0),
                         ("student.pretrain_steps", 0), ("student.finetune_steps", 0), ("trainer.steps", 0),
                         ("backbone.pretrain_batch", 1), ("embedder.pretrain_batch", 1),
-                        ("student.pretrain_batch", 1), ("student.finetune_batch", 1), ("trainer.batch_size", 1)):
+                        ("student.pretrain_batch", 1), ("student.finetune_batch", 1), ("trainer.batch_size", 1),
+                        ("corpus.n_examples", 2), ("corpus.n_aux", 2), ("corpus.n_generic", 1),
+                        ("generation.n_raw", 1), ("generation.max_new_tokens", 1),
+                        ("generation.ptsr_max_rounds", 1), ("postprocess.n_select", 1),
+                        ("postprocess.svd_dims", 1), ("postprocess.kmeans_k", 1), ("postprocess.decontam_n", 1),
+                        ("mauve.k", 1), ("mauve.grid_size", 2)):
             if not self._value(key) >= lo:
                 raise ConfigError(f"{key} must be >= {lo}, got {self._value(key)}")
         e = self.embedder
@@ -189,6 +198,13 @@ class ExperimentConfig:
                 self.model_config(section)
             except ValidationError as exc:
                 raise ConfigError(f"[{section}]: {exc}") from exc
+        method, s = self.generation.method, self.softsrv
+        if method in VARIANTS:  # the layout init_params will build, checked by its one check
+            try:
+                zero_params(method, self.backbone.d, s.t, e.d_e, s.k,
+                            mlp_layer_sizes(e.d_e, self.backbone.d, s.mlp_hidden, s.mlp_layers))
+            except ValidationError as exc:
+                raise ConfigError(f"[softsrv] {method}: {exc}") from exc
         return self
 
     def model_config(self, section: str) -> BackboneConfig:

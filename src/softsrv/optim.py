@@ -117,7 +117,7 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients in place so their joint L2 norm is <= max_norm."""
     total = 0.0
     for g in grads.values():
-        total += float(np.sum(g.astype(np.float64, copy=False) ** 2))
+        total += float(np.sum(np.square(g, dtype=np.float64)))  # float64 sum, no float64 copy of g
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm

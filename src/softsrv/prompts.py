@@ -135,6 +135,12 @@ def zero_params(variant: str, d: int, t: int, d_e: int, k: int | None = None, la
     raise ValidationError(f"unknown variant {variant!r}")
 
 
+def mlp_layer_sizes(d_e: int, d: int, mlp_hidden: int, mlp_layers: int) -> list[list[int]]:
+    """The per-column MLPs' layer_sizes: mlp_layers [out, in] pairs from d_e via mlp_hidden to d."""
+    sizes = [d_e] + [mlp_hidden] * (mlp_layers - 1) + [d]
+    return [[sizes[li + 1], sizes[li]] for li in range(mlp_layers)]
+
+
 def params_meta(params: SoftSRVParams) -> dict:
     """The zero_params arguments that declare params' layout; the checkpoint meta."""
     meta = {"variant": params.variant, "d": params.d, "t": params.t, "d_e": params.d_e}
@@ -166,16 +172,16 @@ def init_params(
     d = backbone.d
     if not 0 < t < backbone.config.max_seq:
         raise ValidationError(f"prompt width t={t} outside (0, {backbone.config.max_seq})")
-    sizes = [d_e] + [mlp_hidden] * (mlp_layers - 1) + [d]
-    params = zero_params(variant, d, t, d_e, k, [[sizes[li + 1], sizes[li]] for li in range(mlp_layers)])
+    layer_sizes = mlp_layer_sizes(d_e, d, mlp_hidden, mlp_layers)
+    params = zero_params(variant, d, t, d_e, k, layer_sizes)
     rng = np.random.default_rng(seed)
     table = backbone.weights["tok_emb"]
 
     if isinstance(params, MlpConcatParams):
         for j in range(t):  # draws go column by column, layer by layer
-            for li in range(mlp_layers - 1):
-                bound = 1.0 / np.sqrt(sizes[li])
-                params.weights[li][j] = rng.uniform(-bound, bound, size=(sizes[li + 1], sizes[li]))
+            for li, (out, n_in) in enumerate(layer_sizes[:-1]):
+                bound = 1.0 / np.sqrt(n_in)
+                params.weights[li][j] = rng.uniform(-bound, bound, size=(out, n_in))
             params.biases[-1][j] = table[int(rng.integers(0, table.shape[0]))]
     else:  # the prompt, or each basis in turn, is t sampled rows of the table
         for block in params.bases if isinstance(params, MixtureParams) else params.prompt[None]:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from softsrv.backbone import BackboneConfig, checksum, pretrain_backbone
+from softsrv.config import preset_config
 from softsrv.templates import load_builtin_templates
 from softsrv.toygrammar import builtin_grammar, generic_corpus, make_toy_corpus
 from softsrv.training import train
@@ -107,8 +108,9 @@ BUILD_CHECKSUMS: dict[str, str] = {}
 def desk_backbone(desk_folds, desk_vocab):
     train_fold, _, aux_fold, generic = desk_folds
     seqs = pretrain_sequences(desk_vocab, train_fold, aux_fold, generic)
+    # the shipped [backbone] model, dtype included, so the gate measures what runs
     model, trace = pretrain_backbone(
-        seqs, desk_vocab, BackboneConfig(), steps=2000, lr=1e-3,
+        seqs, desk_vocab, preset_config("desk").model_config("backbone"), steps=2000, lr=1e-3,
         seed=DESK_SEEDS["backbone"],
     )
     BUILD_CHECKSUMS["backbone"] = checksum(model)

@@ -26,9 +26,9 @@ from softsrv.vocab import build_vocab
 RMS_EPS = 1e-5
 
 
-def small_model(zero_residual=False, seed=3):
+def small_model(zero_residual=False, seed=3, dtype="float64"):
     vocab = build_vocab(["alpha beta gamma delta epsilon zeta"])
-    cfg = BackboneConfig(d=8, n_layers=2, n_heads=2, ffn_dim=12, max_seq=32)
+    cfg = BackboneConfig(d=8, n_layers=2, n_heads=2, ffn_dim=12, max_seq=32, dtype=dtype)
     return init_backbone(cfg, vocab, seed, zero_residual=zero_residual)
 
 
@@ -133,15 +133,20 @@ def test_future_tokens_cannot_affect_earlier_rows():
     assert not np.array_equal(a[3], b[3])
 
 
-def test_padded_batch_rows_match_single_example_losses():
-    model = small_model(seed=15)
+@pytest.mark.parametrize("dtype, rel", [("float64", 1e-12), ("float32", 1e-6)], ids=["float64", "float32"])
+def test_padded_batch_rows_match_single_example_losses(dtype, rel):
+    # the mask value _NEG gives padding exactly zero weight, and no NaN, in
+    # either dtype, so a padded stream scores as it does alone, to float32
+    # rounding in float32
+    model = small_model(seed=15, dtype=dtype)
     rng = np.random.default_rng(10)
     prefixes = [rng.standard_normal((4, 8)) for _ in range(3)]
     rows = [[4, 5], [6, 7, 4, 5, 6], [7]]
-    mean_loss, per_example, _, _ = batch_loss_and_grads(model, prefixes, rows)
+    mean_loss, per_example, prefix_grads, _ = batch_loss_and_grads(model, prefixes, rows, want_prefix_grads=True)
+    assert np.all(np.isfinite(per_example)) and np.all(np.isfinite(prefix_grads))
     for i in range(3):
         single, _, _, _ = batch_loss_and_grads(model, [prefixes[i]], [rows[i]])
-        assert per_example[i] == pytest.approx(single, rel=1e-12)
+        assert per_example[i] == pytest.approx(single, rel=rel)
     assert mean_loss == pytest.approx(np.mean(per_example), rel=1e-12)
 
 

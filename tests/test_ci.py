@@ -1,5 +1,8 @@
 """The CI workflow runs the tier-1 command that ROADMAP.md names and the benchmark's self-test.
 
+The tier-1 step adds --durations=15, so each log shows where the suite's
+time goes.
+
 It installs the package with its test extra, and that extra names every
 third-party module the tests import, so no test skips for a missing module.
 """
@@ -20,7 +23,7 @@ def test_tier1_workflow_runs_the_roadmap_command_and_the_benchmark_selftest():
     steps = [step for job in workflow["jobs"].values() for step in job["steps"]]
     runs = [step["run"].strip() for step in steps if "run" in step]
     tier1 = re.search(r"\*\*Tier-1 verify:\*\* `([^`]+)`", (ROOT / "ROADMAP.md").read_text()).group(1)
-    assert tier1 in runs
+    assert tier1 + " --durations=15" in runs  # the log lists the slowest tests
     assert "python3 perfbench/selftest.py" in runs
     versions = [str(step["with"]["python-version"]) for step in steps
                 if step.get("uses", "").startswith("actions/setup-python")]

@@ -44,6 +44,23 @@ def test_model_config_error_exits_two_before_any_stage_runs(tmp_path, capsys):
     assert not (out / "backbone.ckpt").exists()
 
 
+@pytest.mark.parametrize("method, section, key, value", [
+    ("ss_mp", "softsrv", "k", 0), ("ss_mc", "softsrv", "mlp_layers", 1), ("ss_np", "postprocess", "n_select", 0),
+])
+def test_settings_a_stage_would_reject_exit_two_before_any_stage_runs(tmp_path, capsys, method, section, key,
+                                                                       value):
+    # these used to exit 13 or 16 after the backbone and embedder pretrains
+    cfg = mini_config(method)
+    setattr(getattr(cfg, section), key, value)
+    path = tmp_path / "bad.ini"
+    save_config(str(path), cfg)
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "backbone.ckpt").exists()
+
+
 def test_unknown_method_flag_is_rejected_by_argparse(mini_ini, tmp_path):
     with pytest.raises(SystemExit) as err:
         main(["generate", "--config", mini_ini, "--out", str(tmp_path / "o"), "--method", "osmosis"])

@@ -2,6 +2,7 @@
 
 import pytest
 
+from softsrv.backbone import BackboneConfig
 from softsrv.config import (
     ExperimentConfig,
     load_config,
@@ -198,12 +199,62 @@ def test_zero_step_counts_load(tmp_path):
     assert (cfg.backbone.pretrain_steps, cfg.trainer.steps, cfg.backbone.pretrain_batch) == (0, 0, 1)
 
 
+@pytest.mark.parametrize("section, key, lo", [
+    ("corpus", "n_examples", 2), ("corpus", "n_aux", 2), ("corpus", "n_generic", 1),
+    ("generation", "n_raw", 1), ("generation", "max_new_tokens", 1), ("generation", "ptsr_max_rounds", 1),
+    ("postprocess", "n_select", 1), ("postprocess", "svd_dims", 1), ("postprocess", "kmeans_k", 1),
+    ("postprocess", "decontam_n", 1), ("mauve", "k", 1), ("mauve", "grid_size", 2),
+])
+def test_counts_below_what_their_stage_accepts_rejected(tmp_path, section, key, lo):
+    # each of these used to load and fail only once its stage ran
+    path = tmp_path / "count.ini"
+    path.write_text(f"[{section}]\n{key} = {lo - 1}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be >= {lo}"):
+        load_config(str(path))
+    path.write_text(f"[{section}]\n{key} = {lo}\n", encoding="utf-8")
+    assert getattr(getattr(load_config(str(path)), section), key) == lo
+
+
+@pytest.mark.parametrize("method, key, value, match", [
+    ("ss_mp", "k", "0", "the mixture needs an int k >= 1"),
+    ("ss_mc", "mlp_layers", "1", "layer_sizes must be two or more"),
+    ("ss_mc", "mlp_layers", "0", "layer_sizes must be two or more"),
+    ("ss_mc", "mlp_hidden", "0", "layer_sizes must be two or more"),
+])
+def test_soft_prompt_layouts_fail_when_the_config_loads(tmp_path, method, key, value, match):
+    # these used to load, then fail in the params stage after both pretrains
+    path = tmp_path / "layout.ini"
+    path.write_text(f"[generation]\nmethod = {method}\n[softsrv]\n{key} = {value}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"\[softsrv\] {method}: {match}"):
+        load_config(str(path))
+
+
+def test_soft_prompt_layout_is_checked_only_for_the_variant_that_reads_it(tmp_path):
+    # the control for the test above: k is the mixture's, the MLP sizes ss_mc's
+    path = tmp_path / "layout.ini"
+    path.write_text("[generation]\nmethod = ss_mc\n[softsrv]\nk = 0\nmlp_layers = 2\n", encoding="utf-8")
+    assert load_config(str(path)).softsrv.mlp_layers == 2
+    for method in ("ss_np", "pt", "ptsr"):
+        path.write_text(f"[generation]\nmethod = {method}\n[softsrv]\nk = 0\nmlp_layers = 1\n",
+                        encoding="utf-8")
+        assert load_config(str(path)).generation.method == method
+
+
+@pytest.mark.parametrize("preset", ["desk", "paper"])
+def test_only_the_generator_computes_in_float32(preset):
+    cfg = preset_config(preset)
+    dtypes = {section: cfg.model_config(section).dtype for section in ("backbone", "embedder", "student")}
+    assert dtypes == {"backbone": "float32", "embedder": "float64", "student": "float64"}
+    assert BackboneConfig().dtype == "float64"  # what the finite-difference fixtures build
+
+
 @pytest.mark.parametrize("section, key, value, match", [
     ("embedder", "d_e", "64", "embedder.d_e must be in"),
     ("embedder", "d_e", "0", "embedder.d_e must be in"),
     ("embedder", "n_heads", "3", r"\[embedder\]: d must divide evenly into heads"),
     ("backbone", "dtype", "float16", r"\[backbone\]: unsupported dtype"),
     ("student", "d", "0", r"\[student\]: sizes must be ints >= 1"),
+    ("mauve", "c", "0", "mauve.c must be positive"),
 ])
 def test_model_settings_fail_when_the_config_loads(tmp_path, section, key, value, match):
     # each of these used to fail only once its stage ran
