@@ -50,7 +50,7 @@ for r in records[:3]:
 
 refined = ptsr_generate(
     backbone, templates, seeds, n_raw=4,
-    temperature=2.0, seed=34, max_new=24, max_rounds=2, stop_text="Stop",
+    temperature=2.0, seed=34, max_new=24, max_rounds=2,
 )
 for r in refined:
     print(f"[{r.method_tag}] rounds={r.provenance['rounds']} "

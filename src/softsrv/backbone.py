@@ -79,7 +79,7 @@ import numpy as np
 from . import vocab as V
 from .checkpoint import check_tensors, read_checkpoint, write_checkpoint
 from .errors import CapacityError, CheckpointFormatError, TrainingDivergedError, ValidationError
-from .optim import LossTrace, adam_step, check_schedule, clip_global_norm, init_adam
+from .optim import CLIP_NORM, LossTrace, adam_step, batch_schedule, check_schedule, clip_global_norm, init_adam
 from .vocab import Vocabulary
 
 _RMS_EPS = 1e-5
@@ -668,10 +668,7 @@ def train_full_weights(
     seed: int,
     batch_size: int = 8,
 ) -> LossTrace:
-    """Next-token training over BOS-wrapped sequences; modifies the model.
-
-    Gradients are clipped to global norm 1.0 and Adam runs at adam_step's defaults.
-    """
+    """Next-token training over BOS-wrapped sequences by optim's recipe; modifies the model."""
     if model.frozen:
         raise ValidationError("model is frozen")
     if not sequences:
@@ -680,22 +677,17 @@ def train_full_weights(
     wrapped = [[V.BOS] + _check_ids(model, s) + [V.EOS] for s in sequences]
     for s in wrapped:
         _check_capacity(model, len(s))
-    rng = np.random.default_rng(seed)
+    schedule = batch_schedule(len(wrapped), steps, batch_size, seed)
     adam = init_adam(model.weights)
     trace = LossTrace()
-    order: list[int] = []
-    for step in range(steps):
-        if len(order) < batch_size:
-            order += [int(i) for i in rng.permutation(len(wrapped))]
-        batch = [wrapped[i] for i in order[:batch_size]]
-        order = order[batch_size:]
-        loss, _, _, wg = batch_loss_and_grads(model, None, batch, want_weight_grads=True)
+    for step, batch in enumerate(schedule):
+        loss, _, _, wg = batch_loss_and_grads(model, None, [wrapped[i] for i in batch], want_weight_grads=True)
         if not np.isfinite(loss):
             raise TrainingDivergedError(step, loss)
-        clip_global_norm(wg, 1.0)
+        norm = clip_global_norm(wg, CLIP_NORM)
         adam_step(adam, model.weights, wg, lr)
         del wg  # applied; no two steps' gradients are alive at once
-        trace.record(loss)
+        trace.record(loss, norm)
     return trace
 
 

@@ -6,10 +6,14 @@ tensor's raw bytes in header order (C-contiguous, little-endian). The bytes
 written are a pure function of the payload, so identical state produces
 identical files; npz would embed zip timestamps. Both sides stream: the
 writer writes each tensor from its own memory, and the reader reads each
-one from the file straight into its own array, checking every length
-against the file's size first, so neither holds the whole file in memory.
-check_tensors holds what a reader got to the exact names, shapes and dtype
-that its format declares.
+one from the file straight into an array, so neither holds the whole file
+in memory. CheckpointReader is the one header parser: it checks the header
+and every payload's length against the file's size before any payload is
+read. read_checkpoint reads every tensor into a fresh array; a loader that
+owns its destination arrays checks the header's entries against them and
+reads each payload into its place. check_tensors holds what a reader got,
+arrays or entries, to the exact names, shapes and dtype that its format
+declares.
 """
 
 from __future__ import annotations
@@ -19,10 +23,11 @@ import math
 import os
 import struct
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CheckpointFormatError
+from .errors import CheckpointFormatError, ValidationError
 
 _MAGIC = b"SSRVCKPT1\n"
 
@@ -57,18 +62,37 @@ def write_checkpoint(path: str | Path, kind: str, meta: dict, tensors: dict[str,
             fh.write(np.ascontiguousarray(arr, dtype=_DTYPES[str(arr.dtype)]).data)
 
 
-def read_checkpoint(path: str | Path, expect_kind: str | None = None) -> tuple[str, dict, dict[str, np.ndarray]]:
-    """Read a container; raises CheckpointFormatError on any malformation.
+class TensorEntry(NamedTuple):
+    """One header entry: a payload's dtype, its shape and where it starts."""
 
-    The file is streamed: each tensor is read straight from it into a fresh
-    array of its dtype, so a read holds no whole-file buffer. Every length
-    is checked against the file's size before anything is allocated.
+    dtype: str
+    shape: tuple[int, ...]
+    offset: int
+
+
+class CheckpointReader:
+    """An open checkpoint whose header is read and checked, and no payload yet.
+
+    Opening reads the magic and the header, checks every tensor entry and
+    each payload's length against the file's size, and raises
+    CheckpointFormatError on any malformation; entries maps each tensor's
+    name to its TensorEntry in header order. read_into then copies one
+    payload from the file straight into an array the caller owns.
     """
-    try:
-        fh = open(path, "rb")
-    except OSError as exc:
-        raise CheckpointFormatError(f"cannot read checkpoint: {exc}") from exc
-    with fh:
+
+    def __init__(self, path: str | Path, expect_kind: str | None = None):
+        try:
+            self._fh = open(path, "rb")
+        except OSError as exc:
+            raise CheckpointFormatError(f"cannot read checkpoint: {exc}") from exc
+        try:
+            self.kind, self.meta, self.entries = self._read_header(expect_kind)
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def _read_header(self, expect_kind: str | None) -> tuple[str, dict, dict[str, TensorEntry]]:
+        fh = self._fh
         size = os.fstat(fh.fileno()).st_size
         if fh.read(len(_MAGIC)) != _MAGIC:
             raise CheckpointFormatError("bad magic: not a checkpoint file")
@@ -89,15 +113,15 @@ def read_checkpoint(path: str | Path, expect_kind: str | None = None) -> tuple[s
         kind = header.get("kind")
         if expect_kind is not None and kind != expect_kind:
             raise CheckpointFormatError(f"expected kind {expect_kind!r}, found {kind!r}")
-        entries = header.get("tensors", [])
-        if not isinstance(entries, list):
+        raw = header.get("tensors", [])
+        if not isinstance(raw, list):
             raise CheckpointFormatError("header tensors is not a list")
-        tensors: dict[str, np.ndarray] = {}
-        for entry in entries:
+        entries: dict[str, TensorEntry] = {}
+        for entry in raw:
             if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
                 raise CheckpointFormatError(f"malformed tensor entry {entry!r}")
             name, dtype, shape = entry["name"], entry.get("dtype"), entry.get("shape")
-            if name in tensors:
+            if name in entries:
                 raise CheckpointFormatError(f"duplicate tensor name {name!r}")
             if not isinstance(dtype, str) or dtype not in _DTYPES:
                 raise CheckpointFormatError(f"unsupported dtype {dtype} for tensor {name!r}")
@@ -107,19 +131,50 @@ def read_checkpoint(path: str | Path, expect_kind: str | None = None) -> tuple[s
             nbytes = math.prod(shape) * np.dtype(_DTYPES[dtype]).itemsize  # Python ints cannot wrap around
             if size < off + nbytes:
                 raise CheckpointFormatError(f"truncated tensor payload for {name!r}")
-            # the one copy: out of the file, into a writable array of the on-disk dtype
-            arr = np.empty(shape, _DTYPES[dtype])
-            if fh.readinto(arr.reshape(-1).view(np.uint8)) != nbytes:
-                raise CheckpointFormatError(f"truncated tensor payload for {name!r}")
-            tensors[name] = arr.astype(dtype, copy=False)  # a copy only on a big-endian host
+            entries[name] = TensorEntry(dtype, tuple(shape), off)
             off += nbytes
         if off != size:
             raise CheckpointFormatError("trailing bytes after last tensor")
-        return kind, header.get("meta", {}), tensors
+        return kind, header.get("meta", {}), entries
+
+    def read_into(self, name: str, out: np.ndarray) -> None:
+        """Fill out, a writable C-contiguous array of the entry's dtype and shape, from the file."""
+        entry = self.entries[name]
+        if out.dtype != entry.dtype or out.shape != entry.shape or not out.flags.c_contiguous:
+            raise ValidationError(f"tensor {name!r} is {entry.dtype} {entry.shape}, "
+                                  f"not a C-contiguous {out.dtype} {out.shape} array")
+        self._fh.seek(entry.offset)
+        if self._fh.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
+            raise CheckpointFormatError(f"truncated tensor payload for {name!r}")
+        if not np.dtype(_DTYPES[entry.dtype]).isnative:  # the file is little-endian
+            out.byteswap(inplace=True)
+
+    def __enter__(self) -> "CheckpointReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
 
 
-def check_tensors(tensors: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]], dtype: str) -> None:
-    """Raise CheckpointFormatError unless tensors are exactly the named shapes, all of dtype."""
+def read_checkpoint(path: str | Path, expect_kind: str | None = None) -> tuple[str, dict, dict[str, np.ndarray]]:
+    """Read a container; raises CheckpointFormatError on any malformation.
+
+    Each tensor is read straight from the file into a fresh array of its
+    dtype, so a read holds no whole-file buffer.
+    """
+    with CheckpointReader(path, expect_kind) as ckpt:
+        tensors = {}
+        for name, entry in ckpt.entries.items():
+            tensors[name] = np.empty(entry.shape, entry.dtype)
+            ckpt.read_into(name, tensors[name])
+        return ckpt.kind, ckpt.meta, tensors
+
+
+def check_tensors(tensors: dict, shapes: dict[str, tuple[int, ...]], dtype: str) -> None:
+    """Raise CheckpointFormatError unless tensors are exactly the named shapes, all of dtype.
+
+    tensors maps names to arrays, or to a reader's TensorEntry values.
+    """
     if set(tensors) != set(shapes):
         raise CheckpointFormatError(f"checkpoint tensor set mismatch: {sorted(set(shapes) ^ set(tensors))}")
     for name, shape in shapes.items():

@@ -3,13 +3,13 @@
 The file format is key-value-with-sections text (configparser syntax). A
 config always starts from a named preset and applies overrides on top;
 every seed is explicit, and the fully resolved config serializes into
-reports for provenance. Unknown sections, unknown keys, and unparsable
-values raise ConfigError, as do optimizer settings under which training
-would climb the loss or stall (a non-positive learning rate, clip norm or
-eps, an Adam beta outside [0, 1)), negative steps, an empty batch, a count
-below what its stage accepts, any model section that BackboneConfig rejects
-and any soft-prompt layout that prompts.zero_params rejects, so they fail
-before any stage.
+reports for provenance. A training section sets only steps, learning rate
+and batch size; optim declares the rest of the recipe and templates the
+PT-SR stop word. Unknown sections, unknown keys, and unparsable values
+raise ConfigError, as do a non-positive learning rate, negative steps, an
+empty batch, a count below what its stage accepts, any model section that
+BackboneConfig rejects and any soft-prompt layout that prompts.zero_params
+rejects, so they fail before any stage.
 """
 
 from __future__ import annotations
@@ -73,10 +73,6 @@ class TrainerSection:
     steps: int = 2000
     lr: float = 1e-3
     batch_size: int = 8
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    grad_clip: float = 1.0
 
 
 @dataclass
@@ -89,7 +85,6 @@ class GenerationSection:
     max_new_tokens: int = 48
     pt_template: str = "diversified"  # or "undiversified"
     ptsr_max_rounds: int = 3
-    ptsr_stop_text: str = "Stop"
 
 
 @dataclass
@@ -171,12 +166,9 @@ class ExperimentConfig:
             if not isinstance(value, int):
                 raise ConfigError(f"seeds.{name} must be an integer")
         for key in ("backbone.pretrain_lr", "embedder.pretrain_lr", "student.pretrain_lr",
-                    "student.finetune_lr", "trainer.lr", "trainer.eps", "trainer.grad_clip", "mauve.c"):
-            if not self._value(key) > 0:  # a negative clip norm negates every gradient
+                    "student.finetune_lr", "trainer.lr", "mauve.c"):
+            if not self._value(key) > 0:
                 raise ConfigError(f"{key} must be positive, got {self._value(key)}")
-        for key in ("trainer.beta1", "trainer.beta2"):
-            if not 0 <= self._value(key) < 1:
-                raise ConfigError(f"{key} must be in [0, 1), got {self._value(key)}")
         # zero steps train nothing, which is legal; an empty batch or count is not, and a
         # train/test split needs two examples, a divergence curve two grid points
         for key, lo in (("backbone.pretrain_steps", 0), ("embedder.pretrain_steps", 0),

@@ -1,13 +1,15 @@
-"""Adam with bias correction, global-norm clipping, and the loss trace type.
+"""The one training recipe, declared nowhere else: Adam, clipping, batches.
 
-All training loops in the package (backbone pretraining, soft-prompt
-training, student fine-tuning) share these pieces. adam_step updates the
-parameters, its moment buffers and its scratch in place, so no step after
-the first allocates anything parameter-sized. A key larger than BLOCK
-elements is updated one flat BLOCK-element slice at a time, so the slices
-of the parameter, gradient, moments and scratch that one pass reads stay in
-cache; the update is elementwise, so the slicing does not change its bits.
-LossTrace holds the per-step losses only, no wall-clock time.
+Every training loop (backbone pretraining, soft-prompt training, student
+fine-tuning) runs Adam at adam_step's default betas and eps, clips to a
+global norm of CLIP_NORM and draws batch_schedule's batches; its steps,
+lr, seed and batch size are its only settings. adam_step updates the
+parameters and moments in place, in two scratch rows that init_adam
+allocates in the moments' dtype, so no step allocates anything
+parameter-sized. A key larger than BLOCK elements is updated one flat
+BLOCK-element slice at a time, so one pass stays in cache; the update is
+elementwise, so the slicing does not change its bits. LossTrace holds each
+step's loss and pre-clip gradient norm, no wall-clock time.
 """
 
 from __future__ import annotations
@@ -19,27 +21,33 @@ import numpy as np
 from .errors import ValidationError
 
 BLOCK = 32768  # elements of one key that adam_step updates per pass
+CLIP_NORM = 1.0  # the global gradient norm every training loop clips to
 
 
 @dataclass
 class AdamState:
     """First/second moment buffers keyed like the gradient dict.
 
-    scratch holds the rows an update is built in, keyed by row and dtype.
-    The first step that needs a row allocates it, sized to the largest key
-    or to BLOCK if that is smaller, and later steps reuse it.
+    scratch holds the two rows an update is built in, in the moments'
+    dtype, each sized to the largest key or to BLOCK if that is smaller.
     """
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    scratch: np.ndarray
     step: int = 0
-    scratch: dict[tuple[int, np.dtype], np.ndarray] = field(default_factory=dict)
 
 
 def init_adam(arrays: dict[str, np.ndarray]) -> AdamState:
+    """Zero moments shaped like arrays, which must share exactly one dtype."""
+    dtypes = {a.dtype for a in arrays.values()}
+    if len(dtypes) != 1:
+        raise ValidationError(f"optimizer arrays must share exactly one dtype, got {sorted(map(str, dtypes))}")
+    size = min(max(a.size for a in arrays.values()), BLOCK)
     return AdamState(
         m={k: np.zeros(a.shape, a.dtype) for k, a in arrays.items()},
         v={k: np.zeros(a.shape, a.dtype) for k, a in arrays.items()},
+        scratch=np.empty((2, size), dtypes.pop()),
     )
 
 
@@ -55,22 +63,23 @@ def adam_step(
 
     The update is -lr * m_hat / (sqrt(v_hat) + eps) with the bias-corrected
     moments, built by in-place ops in the order that expression evaluates
-    in two scratch rows: the scaled moments in one, of the gradient's
-    dtype, and the denominator and then the update in the other, of the
-    moment's dtype. These are the dtypes the plain expression gives, so
-    the update rounds exactly as it does. A parameter larger than BLOCK
-    must be C-contiguous, as the moments are, so that its flat slices are
-    views.
+    in the two scratch rows: the scaled moments in one, and the denominator
+    and then the update in the other. Every gradient must have its moments'
+    dtype, so the update rounds exactly as the plain expression does. A
+    parameter larger than BLOCK must be C-contiguous, as the moments are,
+    so that its flat slices are views.
     """
     if set(grads) != set(state.m):
         raise ValidationError("gradient keys do not match optimizer state")
+    for key, grad in grads.items():
+        if grad.dtype != state.m[key].dtype:
+            raise ValidationError(f"gradient {key!r} is {grad.dtype}, its moments {state.m[key].dtype}")
     b1, b2 = betas
     state.step += 1
     t = state.step
     for key, grad in grads.items():
         for p, m, v, g in _blocks(key, params[key], state.m[key], state.v[key], grad):
-            scratch = _scratch_row(state, 0, g.dtype, g)
-            delta = _scratch_row(state, 1, v.dtype, g)
+            scratch, delta = (row[:g.size].reshape(g.shape) for row in state.scratch)
             np.multiply(g, 1.0 - b1, out=scratch)
             m *= b1
             m += scratch
@@ -97,20 +106,27 @@ def _blocks(key: str, param, m, v, grad) -> list:
     return [[a[lo:lo + BLOCK] for a in flat] for lo in range(0, grad.size, BLOCK)]
 
 
-def _scratch_row(state: AdamState, row: int, dtype: np.dtype, like: np.ndarray) -> np.ndarray:
-    """A view of one scratch row of the given dtype, shaped like `like`."""
-    buf = state.scratch.get((row, dtype))
-    if buf is None:
-        size = min(max(m.size for m in state.m.values()), BLOCK)
-        buf = state.scratch[row, dtype] = np.empty(size, dtype=dtype)
-    return buf[:like.size].reshape(like.shape)
-
-
 def check_schedule(steps: int, lr: float, batch_size: int) -> None:
     """Raise ValidationError unless steps >= 0, batch_size >= 1 and lr > 0."""
     if steps < 0 or batch_size < 1 or not lr > 0:
         raise ValidationError(f"steps >= 0, batch_size >= 1 and lr > 0 required, "
                               f"got steps={steps}, batch_size={batch_size}, lr={lr}")
+
+
+def batch_schedule(n: int, steps: int, batch_size: int, seed) -> list[list[int]]:
+    """Each step's indices: the next batch_size of seeded permutations of range(n), one after another.
+
+    A permutation is appended whenever fewer than batch_size indices remain.
+    """
+    rng = np.random.default_rng(seed)
+    order: list[int] = []
+    batches = []
+    for _ in range(steps):
+        if len(order) < batch_size:
+            order += [int(i) for i in rng.permutation(n)]
+        batches.append(order[:batch_size])
+        order = order[batch_size:]
+    return batches
 
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -128,9 +144,11 @@ def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
 
 @dataclass
 class LossTrace:
-    """Per-step mean losses of a training run."""
+    """Per-step mean losses of a training run and their pre-clip gradient norms."""
 
     losses: list[float] = field(default_factory=list)
+    grad_norms: list[float] = field(default_factory=list)
 
-    def record(self, loss: float) -> None:
+    def record(self, loss: float, grad_norm: float) -> None:
         self.losses.append(float(loss))
+        self.grad_norms.append(float(grad_norm))

@@ -80,7 +80,7 @@ STAGE_TABLE = {
                     "generation.method softsrv trainer embedder.d_e seeds.train", "corpus backbone embedder"),
     "questions": Stage("generate", "questions.jsonl",
                        "generation.method,n_raw,question_temperature,pt_temperature,max_new_tokens,"
-                       "pt_template,ptsr_max_rounds,ptsr_stop_text seeds.generate",
+                       "pt_template,ptsr_max_rounds seeds.generate",
                        "corpus backbone embedder params"),
     "answers": Stage("answers", "answered.jsonl",
                      "generation.method,answer_temperature,max_new_tokens seeds.answers",
@@ -118,9 +118,9 @@ def _config_text(cfg: ExperimentConfig, key: str) -> str:
 
 
 def _trace_text(trace: LossTrace) -> str:
-    lines = ["step\tloss"]
-    for i, loss in enumerate(trace.losses):
-        lines.append(f"{i}\t{loss:.10g}")
+    lines = ["step\tloss\tgrad_norm"]
+    for i, (loss, norm) in enumerate(zip(trace.losses, trace.grad_norms)):
+        lines.append(f"{i}\t{loss:.10g}\t{norm:.10g}")
     return "\n".join(lines) + "\n"
 
 
@@ -324,7 +324,6 @@ class Pipeline:
             init_params(method, backbone, t=s.t, d_e=self.cfg.embedder.d_e, seed=self.cfg.seeds.train,
                         k=s.k, mlp_hidden=s.mlp_hidden, mlp_layers=s.mlp_layers),
             tr.steps, tr.lr, self.cfg.seeds.train, tr.batch_size,
-            betas=(tr.beta1, tr.beta2), eps=tr.eps, grad_clip=tr.grad_clip,
         )
         save_params(ckpt, trained)
         _write_text(trace, _trace_text(losses))
@@ -365,7 +364,7 @@ class Pipeline:
                 records = ptsr_generate(
                     backbone, templates, seeds, g.n_raw,
                     temperature=g.pt_temperature, seed=self.cfg.seeds.generate,
-                    max_new=g.max_new_tokens, max_rounds=g.ptsr_max_rounds, stop_text=g.ptsr_stop_text,
+                    max_new=g.max_new_tokens, max_rounds=g.ptsr_max_rounds,
                 )
         write_records(path, records)
 

@@ -6,10 +6,10 @@ samples a continuation at its own default temperature, and splits it into
 up to ten candidates at "Question <n>:" / "Passage and Question <n>:"
 markers. The self-refinement path (PT_SR) then alternates critique and
 refine rounds per candidate, up to max_rounds of them, accepting as soon
-as a refine output begins with stop_text after whitespace trimming; the
-pipeline passes generation.ptsr_max_rounds and ptsr_stop_text. Answers for
-both render the answer template around each question and continue it
-through generation.generate_answers, the loop the soft-prompt methods use.
+as a refine output begins with STOP_TEXT after whitespace trimming; the
+pipeline passes generation.ptsr_max_rounds. Answers for both render the
+answer template around each question and continue it through
+generation.generate_answers, the loop the soft-prompt methods use.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .generation import generate_answers, record_stream
 from .records import SyntheticRecord
 
 PLACEHOLDER = "[[EXAMPLE]]"
+STOP_TEXT = "Stop"  # what every refine template tells the model to say; declared nowhere else
 
 _MARKER_RE = re.compile(r"(?:Passage and )?Question\s*\d+\s*:")
 _MAX_SPLIT = 10
@@ -139,13 +140,10 @@ def ptsr_generate(
     seed: int = 0,
     max_new: int = 96,
     max_rounds: int = 3,
-    stop_text: str = "Stop",
 ) -> list[SyntheticRecord]:
     """PT candidates followed by up to max_rounds critique/refine rounds per candidate."""
     if max_rounds < 1:
         raise ValidationError("max_rounds must be >= 1")
-    if not stop_text:
-        raise ValidationError("stop_text must be nonempty")
     for key in ("critique", "refine"):
         if key not in templates:
             raise ValidationError(f"missing template {key!r}")
@@ -173,7 +171,7 @@ def ptsr_generate(
                 max_new, temperature,
                 record_stream(seed, "PT_SR", idx, rnd, _REFINE_PHASE),
             ).strip()
-            if refined.startswith(stop_text):
+            if refined.startswith(STOP_TEXT):
                 accepted = True
                 break
             if refined:  # an empty rewrite keeps the previous question

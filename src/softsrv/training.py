@@ -14,9 +14,15 @@ train works on a copy and drops its reference to the input as soon as the
 copy exists. A caller that passes init_params(...) inline keeps no
 reference either, so only one copy of the prompt lives through training.
 Its schedule arguments are backbone.train_full_weights' (steps, lr, seed,
-batch_size; both run optim.check_schedule) plus Adam's betas and eps and
-the clip norm. A checkpoint's meta is prompts.params_meta; load_params
-rebuilds the layout from it through zero_params, which checks it.
+batch_size), and both loops take the rest of the recipe from optim:
+check_schedule, batch_schedule, Adam at its defaults and clipping to
+CLIP_NORM. Each step records its loss and pre-clip gradient norm.
+
+A checkpoint's meta is prompts.params_meta. load_params reads the header
+alone first, rebuilds the layout from the meta through zero_params, which
+checks it, and holds the header's tensors to that layout's names, shapes
+and dtype; only then does it read each payload straight into its place, so
+a load holds one copy of the parameters.
 """
 
 from __future__ import annotations
@@ -27,10 +33,11 @@ import numpy as np
 
 from . import vocab as V
 from .backbone import BackboneModel, batch_loss_and_grads
-from .checkpoint import check_tensors, read_checkpoint, write_checkpoint
+from .checkpoint import CheckpointReader, check_tensors, write_checkpoint
+from .checkpoint import read_checkpoint  # noqa: F401  perfbench/tracing.py wraps it under this module
 from .embedder import embed_sequence
 from .errors import CheckpointFormatError, TrainingDivergedError, ValidationError
-from .optim import LossTrace, adam_step, check_schedule, clip_global_norm, init_adam
+from .optim import CLIP_NORM, LossTrace, adam_step, batch_schedule, check_schedule, clip_global_norm, init_adam
 from .prompts import (
     NonContextualParams,
     SoftSRVParams,
@@ -53,9 +60,6 @@ def train(
     lr: float,
     seed: int,
     batch_size: int = 8,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
-    grad_clip: float = 1.0,
 ) -> tuple[SoftSRVParams, LossTrace]:
     """Train a copy of params; the input object is never mutated."""
     check_schedule(steps, lr, batch_size)
@@ -95,14 +99,7 @@ def train(
 
     stacks = dict(param_stacks(work))
     adam = init_adam(stacks)
-    rng = np.random.default_rng(seed)
-    order: list[int] = []
-    for step in range(steps):
-        if len(order) < batch_size:
-            order += [int(i) for i in rng.permutation(len(targets))]
-        batch = order[:batch_size]
-        order = order[batch_size:]
-
+    for step, batch in enumerate(batch_schedule(len(targets), steps, batch_size, seed)):
         z = contexts[batch]
         acts: list[np.ndarray] = []
         prompts = materialize(work, z, acts)  # (B, d, t)
@@ -117,9 +114,9 @@ def train(
 
         grads = param_grad(work, z, prefix_grads.transpose(0, 2, 1) / len(batch), acts)
         # summed per column and layer, in the checkpoint's order
-        clip_global_norm(dict(param_arrays(grads)), grad_clip)
-        adam_step(adam, stacks, dict(param_stacks(grads)), lr, betas, eps)
-        trace.record(loss)
+        norm = clip_global_norm(dict(param_arrays(grads)), CLIP_NORM)
+        adam_step(adam, stacks, dict(param_stacks(grads)), lr)
+        trace.record(loss, norm)
         # one gradient generation: none of this step's arrays outlive it
         del prompts, acts, prefix_grads, grads
     return work, trace
@@ -135,21 +132,22 @@ def save_params(path, params: SoftSRVParams) -> None:
 
 def load_params(path, backbone: BackboneModel | None = None) -> SoftSRVParams:
     """Read a params checkpoint; raises CheckpointFormatError unless meta and tensors match."""
-    _, meta, tensors = read_checkpoint(path, expect_kind="softsrv_params")
-    if not isinstance(meta, dict):
-        raise CheckpointFormatError(f"params meta is a {type(meta).__name__}, not an object")
-    try:
-        params = zero_params(meta.get("variant"), meta.get("d"), meta.get("t"), meta.get("d_e"),
-                             meta.get("k"), meta.get("layer_sizes"))
-    except ValidationError as exc:
-        raise CheckpointFormatError(f"bad params meta: {exc}") from exc
-    if backbone is not None:
-        if params.d != backbone.d:
-            raise ValidationError(f"checkpoint d={params.d} does not match backbone d={backbone.d}")
-        if not params.t < backbone.config.max_seq:
-            raise ValidationError(f"checkpoint t={params.t} exceeds backbone capacity")
-    views = {f"param.{name}": view for name, view in param_arrays(params)}
-    check_tensors(tensors, {name: view.shape for name, view in views.items()}, "float64")
-    for name, view in views.items():
-        view[...] = tensors[name]
+    with CheckpointReader(path, expect_kind="softsrv_params") as ckpt:
+        meta = ckpt.meta
+        if not isinstance(meta, dict):
+            raise CheckpointFormatError(f"params meta is a {type(meta).__name__}, not an object")
+        try:
+            params = zero_params(meta.get("variant"), meta.get("d"), meta.get("t"), meta.get("d_e"),
+                                 meta.get("k"), meta.get("layer_sizes"))
+        except ValidationError as exc:
+            raise CheckpointFormatError(f"bad params meta: {exc}") from exc
+        if backbone is not None:
+            if params.d != backbone.d:
+                raise ValidationError(f"checkpoint d={params.d} does not match backbone d={backbone.d}")
+            if not params.t < backbone.config.max_seq:
+                raise ValidationError(f"checkpoint t={params.t} exceeds backbone capacity")
+        views = {f"param.{name}": view for name, view in param_arrays(params)}
+        check_tensors(ckpt.entries, {name: view.shape for name, view in views.items()}, "float64")
+        for name, view in views.items():
+            ckpt.read_into(name, view)
     return params

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from softsrv.cli import main
-from softsrv.config import preset_config, save_config
+from softsrv.config import preset_config, save_config, to_ini_text
 from softsrv.records import read_records
 
 from test_pipeline import mini_config
@@ -58,6 +58,23 @@ def test_settings_a_stage_would_reject_exit_two_before_any_stage_runs(tmp_path, 
     code = main(["run", "--config", str(path), "--out", str(out)])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+    assert not (out / "backbone.ckpt").exists()
+
+
+@pytest.mark.parametrize("section, line", [
+    ("trainer", "grad_clip = 1.0"), ("generation", "ptsr_stop_text = Stop"),
+])
+def test_a_removed_key_exits_two_before_any_stage_runs(tmp_path, capsys, section, line):
+    # optim declares the clip norm and templates the stop word; a file that
+    # still sets either, even to the value the code uses, names an unknown key
+    text = to_ini_text(mini_config("ptsr")).replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+    path = tmp_path / "old.ini"
+    path.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    key = line.split(" = ")[0]
+    assert f"unknown key {section}.{key}" in capsys.readouterr().err
     assert not (out / "backbone.ckpt").exists()
 
 

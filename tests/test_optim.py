@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from softsrv.errors import ValidationError
-from softsrv.optim import BLOCK, adam_step, clip_global_norm, init_adam
+from softsrv.optim import BLOCK, adam_step, batch_schedule, clip_global_norm, init_adam
 
 
 def test_first_adam_step_matches_hand_formula():
@@ -65,46 +65,40 @@ def test_clip_leaves_small_gradients_alone():
 
 
 def _reference_step(m, v, g, t, lr, b1, b2, eps):
-    """Advance m and v in place and return the update, as the plain expression.
-
-    -lr * m_hat is taken in the gradient's dtype and the update is stored in
-    the moment's. With one dtype throughout this is the plain expression;
-    with a float32 moment and a float64 gradient, as a float32 model's wq
-    gets, it is the rounding adam_step has always had.
-    """
+    """Advance m and v in place and return the update, as the plain expression."""
     m *= b1
     m += (1.0 - b1) * g
     v *= b2
     v += (1.0 - b2) * g * g
-    m_hat = (m / (1.0 - b1**t)).astype(g.dtype)
+    m_hat = m / (1.0 - b1**t)
     v_hat = v / (1.0 - b2**t)
-    return (-lr * m_hat / (np.sqrt(v_hat) + eps)).astype(v.dtype)
+    return -lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
-def _check_steps_exactly(shapes, param_dtype, grad_dtypes):
+def _check_steps_exactly(shapes, dtype):
     rng = np.random.default_rng(0)
     lr, b1, b2, eps = 3e-3, 0.9, 0.98, 1e-8
-    state = init_adam({k: np.zeros(s, param_dtype) for k, s in shapes.items()})
-    m = {k: np.zeros(s, param_dtype) for k, s in shapes.items()}
-    v = {k: np.zeros(s, param_dtype) for k, s in shapes.items()}
+    state = init_adam({k: np.zeros(s, dtype) for k, s in shapes.items()})
+    m = {k: np.zeros(s, dtype) for k, s in shapes.items()}
+    v = {k: np.zeros(s, dtype) for k, s in shapes.items()}
 
     def draw():
-        return {k: (rng.standard_normal(s) * 10.0 ** rng.integers(-4, 2)).astype(grad_dtypes[k])
+        return {k: (rng.standard_normal(s) * 10.0 ** rng.integers(-4, 2)).astype(dtype)
                 for k, s in shapes.items()}
 
     for t in range(1, 6):
         # zero parameters, so after the step they hold the update itself
-        params = {k: np.zeros(s, param_dtype) for k, s in shapes.items()}
+        params = {k: np.zeros(s, dtype) for k, s in shapes.items()}
         grads = draw()
         adam_step(state, params, grads, lr, (b1, b2), eps)
         for k, g in grads.items():
             update = _reference_step(m[k], v[k], g, t, lr, b1, b2, eps)
-            assert params[k].dtype == param_dtype
+            assert params[k].dtype == update.dtype == dtype
             np.testing.assert_array_equal(params[k], update)
             np.testing.assert_array_equal(state.m[k], m[k])
             np.testing.assert_array_equal(state.v[k], v[k])
     # one more step on non-zero parameters: the update is added to them
-    params = {k: rng.standard_normal(s).astype(param_dtype) for k, s in shapes.items()}
+    params = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
     before = {k: p.copy() for k, p in params.items()}
     grads = draw()
     adam_step(state, params, grads, lr, (b1, b2), eps)
@@ -114,28 +108,41 @@ def _check_steps_exactly(shapes, param_dtype, grad_dtypes):
 
 
 def test_adam_steps_equal_the_plain_expression_exactly():
-    # the in-place update must round exactly as the plain expression; "big"
+    # the in-place update must round exactly as the plain expression, in
+    # float64 (prompt parameters) and float32 (the desk generator); "big"
     # spans two whole BLOCK slices and a partial third
     shapes = {"w": (5, 3), "b": (3,), "emb": (7, 2, 2), "big": (3, 2 * BLOCK // 3 + 5)}
-    _check_steps_exactly(shapes, np.float64, dict.fromkeys(shapes, np.float64))
+    _check_steps_exactly(shapes, np.float64)
+    _check_steps_exactly(shapes, np.float32)
 
 
-def test_float32_adam_steps_round_as_before_with_a_float64_gradient():
-    # a float32 model's wq, wk, attn_norm_g and prefix gradients come back
-    # float64 (backbone._backward); the moments and parameters stay float32
-    shapes = {"w": (5, 3), "wq": (3, 3), "emb": (7, 2, 2), "big": (3, 2 * BLOCK // 3 + 5)}
-    grad_dtypes = {"w": np.float32, "wq": np.float64, "emb": np.float32, "big": np.float64}
-    _check_steps_exactly(shapes, np.float32, grad_dtypes)
+def test_adam_rejects_a_gradient_of_another_dtype_than_its_moments():
+    # the scratch rows are in the moments' dtype; a float64 gradient of a
+    # float32 model would be rounded to float32 before its update
+    params = {"w": np.ones(3, np.float32), "wq": np.ones((2, 2), np.float32)}
+    state = init_adam(params)
+    grads = {"w": np.ones(3, np.float32), "wq": np.ones((2, 2), np.float64)}
+    with pytest.raises(ValidationError, match="'wq' is float64"):
+        adam_step(state, params, grads, 0.1)
+    # checked before anything moves
+    assert state.step == 0
+    np.testing.assert_array_equal(params["w"], 1.0)
+    np.testing.assert_array_equal(state.m["w"], 0.0)
+
+
+def test_init_adam_rejects_arrays_of_mixed_dtypes():
+    with pytest.raises(ValidationError, match="one dtype"):
+        init_adam({"w": np.zeros(2), "b": np.zeros(2, np.float32)})
 
 
 def test_adam_steps_after_the_first_allocate_nothing_parameter_sized():
-    # the first step allocates the scratch rows; later steps reuse them
+    # init_adam allocates the scratch rows, so no step allocates anything
+    # parameter-sized, the first one included
     rng = np.random.default_rng(1)
     shapes = {"w": (500, 400), "b": (400,)}
     params = {k: rng.standard_normal(s) for k, s in shapes.items()}
     grads = {k: rng.standard_normal(s) for k, s in shapes.items()}
     state = init_adam(params)
-    adam_step(state, params, grads, 1e-3)
     tracemalloc.start()
     try:
         adam_step(state, params, grads, 1e-3)
@@ -143,3 +150,19 @@ def test_adam_steps_after_the_first_allocate_nothing_parameter_sized():
     finally:
         tracemalloc.stop()
     assert peak < 0.02 * params["w"].nbytes, peak
+
+
+@pytest.mark.parametrize("n, steps, batch_size", [(10, 7, 4), (3, 5, 8), (6, 0, 2)])
+def test_batch_schedule_takes_seeded_permutations_in_turn(n, steps, batch_size):
+    # the running order is one seeded permutation of range(n) after another;
+    # a step takes its next batch_size indices, topping the order up first
+    # whenever fewer remain, so a step takes all n when batch_size > n
+    rng = np.random.default_rng(9)
+    order, expected = [], []
+    for _ in range(steps):
+        if len(order) < batch_size:
+            order += list(rng.permutation(n))
+        expected.append(order[:batch_size])
+        order = order[batch_size:]
+    assert batch_schedule(n, steps, batch_size, 9) == expected
+    assert all(type(i) is int for batch in batch_schedule(n, steps, batch_size, 9) for i in batch)

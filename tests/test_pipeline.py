@@ -3,6 +3,7 @@
 import os
 import shutil
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -391,6 +392,74 @@ def test_stage_failures_carry_the_stage_name(tmp_path):
         run_experiment(cfg, str(tmp_path / "bad"))
     assert err.value.stage == "mauve"
     assert STAGE_EXIT_CODES[err.value.stage] == 17
+
+
+class _ReadLog:
+    """A config, or one of its sections, that logs each field read as "section.field"."""
+
+    def __init__(self, target, reads: set, section: str = ""):
+        self._target, self._reads, self._section = target, reads, section
+
+    def __getattr__(self, name):
+        value = getattr(self._target, name)
+        if self._section:
+            self._reads.add(f"{self._section}.{name}")
+            return value
+        if callable(value):  # a config method such as model_config reads through the log too
+            return getattr(type(self._target), name).__get__(self)
+        return _ReadLog(value, self._reads, name)
+
+
+def _declared_fields(keys: str) -> set[str]:
+    declared = set()
+    for key in keys.split():
+        section, _, names = key.partition(".")
+        names = names.split(",") if names else [f.name for f in fields(getattr(preset_config("desk"), section))]
+        declared |= {f"{section}.{n}" for n in names}
+    return declared
+
+
+def test_stage_builds_read_only_the_config_their_rows_declare(tmp_path):
+    # the resume rule's "never less": a build that read a field its row
+    # leaves out would be reused after that field changed. Every stage is
+    # rebuilt in table order on a finished run, so its upstream stages are
+    # already memoized and their builds and the fingerprints, which read the
+    # whole config, are not charged to it; summary's "*" is exempt
+    read_anywhere = set()
+    for method in ("ss_np", "ss_mp", "ss_mc", "pt", "ptsr"):
+        cfg = mini_config(method)
+        out = tmp_path / method
+        run_experiment(cfg, str(out))
+        pipe = Pipeline(cfg, out)
+        for key, stage in STAGE_TABLE.items():
+            if stage.keys == "*" or (key == "params" and method not in ("ss_np", "ss_mp", "ss_mc")):
+                continue
+            reads: set[str] = set()
+            pipe.cfg = _ReadLog(cfg, reads)
+            try:
+                getattr(pipe, "_build_" + key)(*[out / name for name in stage.artifacts.split()])
+            finally:
+                pipe.cfg = cfg
+            assert reads <= _declared_fields(stage.keys), (method, key, sorted(reads - _declared_fields(stage.keys)))
+            read_anywhere |= reads
+            pipe._get(key)  # the rebuilt artifacts are current: this only loads them
+    everything = {f"{section.name}.{f.name}" for section in fields(cfg) if section.name != "preset"
+                  for f in fields(getattr(cfg, section.name))}
+    assert everything - read_anywhere == {"paths.out_dir"}
+
+
+def test_trace_files_carry_the_pre_clip_gradient_norm(finished_run):
+    out, summary = finished_run
+    for name in ("backbone_trace.tsv", "embedder_trace.tsv", "student_base_trace.tsv", "train_trace.tsv"):
+        lines = (out / name).read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "step\tloss\tgrad_norm", name
+        rows = [line.split("\t") for line in lines[1:]]
+        assert [int(r[0]) for r in rows] == list(range(len(rows))) and rows, name
+        assert all(float(r[2]) > 0 for r in rows), name
+    # the summary still averages the loss column
+    losses = pipeline._read_trace_losses(out / "train_trace.tsv")
+    assert len(losses) == 12
+    assert f"train_loss_last100\t{sum(losses) / len(losses):.10g}" in summary
 
 
 def test_config_dump_matches_resolved_settings(finished_run):

@@ -5,6 +5,7 @@ import pytest
 from softsrv.errors import ValidationError
 from softsrv.templates import (
     PLACEHOLDER,
+    STOP_TEXT,
     PromptTemplate,
     load_builtin_templates,
     pt_generate,
@@ -89,12 +90,18 @@ def test_pt_and_ptsr_draw_different_streams(tiny_backbone):
     assert [r.question for r in pt] != [r.question for r in sr]
 
 
-def test_ptsr_rejects_no_rounds_and_an_empty_stop_text(tiny_backbone):
+def test_ptsr_rejects_no_rounds(tiny_backbone):
     templates = load_builtin_templates("arithmetic")
     with pytest.raises(ValidationError, match="max_rounds"):
         ptsr_generate(tiny_backbone, templates, ["seed q"], 1, max_rounds=0)
-    with pytest.raises(ValidationError, match="stop_text"):
-        ptsr_generate(tiny_backbone, templates, ["seed q"], 1, stop_text="")
+
+
+@pytest.mark.parametrize("domain", ["arithmetic", "truefalse"])
+def test_every_refine_template_asks_for_the_stop_word(domain):
+    # ptsr_generate accepts a question when the refine output begins with
+    # STOP_TEXT, so the template must tell the model to say exactly that
+    body = load_builtin_templates(domain)["refine"].body
+    assert f"say {STOP_TEXT}." in body
 
 
 def test_ptsr_tags_and_round_accounting(tiny_backbone):

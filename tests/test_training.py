@@ -12,8 +12,8 @@ from softsrv.backbone import (
 )
 from softsrv.checkpoint import read_checkpoint, write_checkpoint
 from softsrv.errors import CheckpointFormatError, ValidationError
-from softsrv.optim import init_adam
-from softsrv.prompts import init_params, materialize, param_arrays
+from softsrv.optim import CLIP_NORM, batch_schedule, clip_global_norm, init_adam
+from softsrv.prompts import init_params, materialize, param_arrays, param_grad
 from softsrv.training import load_params, save_params, train
 from softsrv.vocab import EOS, build_vocab
 
@@ -231,6 +231,29 @@ def test_ss_mc_training_with_inline_params_keeps_one_copy_of_the_prompt(tiny_fol
     assert peak < 25e6, peak
 
 
+def test_trace_records_each_steps_loss_and_pre_clip_gradient_norm(setup):
+    # one step of train, redone by hand from its batch schedule
+    backbone, _, dataset = setup
+    params = init_params("ss_np", backbone, t=2, d_e=6, seed=0)
+    _, trace = train(backbone, None, dataset, params, steps=1, lr=1e-3, seed=3, batch_size=2)
+    batch = batch_schedule(len(dataset), 1, 2, 3)[0]
+    z = np.zeros((len(batch), 6))
+    prompts = materialize(params, z)
+    loss, _, prefix_grads, _ = batch_loss_and_grads(
+        backbone, prompts.transpose(0, 2, 1), [dataset[i] + [EOS] for i in batch], want_prefix_grads=True)
+    grads = param_grad(params, z, prefix_grads.transpose(0, 2, 1) / len(batch))
+    assert trace.losses == [loss]
+    assert trace.grad_norms == [clip_global_norm(dict(param_arrays(grads)), CLIP_NORM)]
+
+
+def test_full_weight_trace_records_a_norm_per_step(setup):
+    backbone, _, dataset = setup
+    model = clone_unfrozen(backbone)
+    trace = train_full_weights(model, dataset, steps=5, lr=1e-3, seed=2, batch_size=2)
+    assert len(trace.losses) == len(trace.grad_norms) == 5
+    assert all(np.isfinite(n) and n > 0 for n in trace.grad_norms)
+
+
 def test_backbone_and_embedder_unchanged_by_training(setup):
     backbone, embedder, dataset = setup
     before = (checksum(backbone), checksum(embedder))
@@ -256,6 +279,28 @@ def test_params_checkpoint_reads_without_a_whole_file_buffer(tiny_vocab, tmp_pat
     tensor_bytes = sum(arr.nbytes for arr in tensors.values())
     assert tensor_bytes > 3e6
     assert peak < 1.3 * tensor_bytes, (peak, tensor_bytes)
+
+
+def test_params_load_holds_one_copy_of_the_parameters(tiny_vocab, tmp_path):
+    # the same desk ss_mc checkpoint: load_params checks the header against
+    # the zero_params layout, then reads each payload straight into its
+    # view. Reading every tensor first and copying it into the layout
+    # peaked at about twice the tensor bytes (7.49 MB for 3.72 MB)
+    backbone = init_backbone(BackboneConfig(d=64, n_layers=4, n_heads=4, ffn_dim=256), tiny_vocab, 1)
+    path = tmp_path / "params.ckpt"
+    saved = init_params("ss_mc", backbone, t=16, d_e=32, seed=3)
+    save_params(path, saved)
+    tracemalloc.start()
+    try:
+        loaded = load_params(path, backbone)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tensor_bytes = sum(arr.nbytes for _, arr in param_arrays(loaded))
+    assert tensor_bytes > 3e6
+    assert peak < 1.2 * tensor_bytes, (peak, tensor_bytes)
+    for (_, a), (_, b) in zip(param_arrays(saved), param_arrays(loaded)):
+        np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("variant", ["ss_np", "ss_mp", "ss_mc"])
