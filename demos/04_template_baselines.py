@@ -44,7 +44,7 @@ backbone, _ = pretrain_backbone(
 )
 
 seeds = [ex.question for ex in train_fold[:10]]
-records = pt_generate(backbone, templates, seeds, n_raw=6, temperature=2.0, seed=33)
+records = pt_generate(backbone, templates, seeds, n_raw=6, temperature=2.0, seed=33, max_new=96)
 for r in records[:3]:
     print(f"[{r.method_tag}] {r.question[:70]}")
 

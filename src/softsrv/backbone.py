@@ -35,13 +35,14 @@ cache: every sampled token reruns a full forward pass of its stream. Decode
 is the largest slice of a desk run; ROADMAP item 1 plans the batched,
 KV-cached engine that replaces _decode.
 
-Every training, scoring and decode batch enters the core through
-_build_streams, which checks it once: its longest stream (prefix plus
-tokens) against max_seq (CapacityError), and its token ids against [0, V)
-(ValidationError). On top of that the single-sequence ops check the
-prefix's shape and their ids up front, decode checks its whole length
-(context plus max_new) before the first token, and train_full_weights
-checks every sequence before the first step. load_backbone checks a
+Each token-sequence rule has one implementation, which every module
+calls: check_ids holds ids to [0, V), check_prompt a (d, t) prompt to the
+model's d and 0 < t < max_seq. Every batch enters the core through
+_build_streams, which checks its longest stream against max_seq
+(CapacityError) and its ids. The single-sequence ops also check their
+prefix and ids up front, decode checks its whole length before the first
+token, and both training loops, train_full_weights and training.train,
+check every sequence before the first step. load_backbone checks a
 checkpoint's config and vocabulary, then holds its tensors to the one
 weight table, _weight_shapes, which init_backbone also draws from.
 
@@ -216,27 +217,46 @@ def load_backbone(path) -> BackboneModel:
 
 
 # ---------------------------------------------------------------------------
-# validation helpers
+# validation helpers: each token-sequence rule has one implementation here
+
+def check_ids(model: BackboneModel, ids) -> np.ndarray:
+    """ids as an intp array; ValidationError naming the first id outside [0, V).
+
+    An int too large for intp (2**70) is caught before it can raise OverflowError.
+    Emptiness is each caller's rule: sample's first step packs an empty token row.
+    """
+    ids = list(ids)
+    try:
+        arr = np.array(ids, dtype=np.intp)
+    except OverflowError:
+        arr = None
+    if arr is None or (arr.size and (arr.min() < 0 or arr.max() >= model.vocab_size)):
+        bad = next(i for i in ids if not 0 <= i < model.vocab_size)
+        raise ValidationError(f"token id {bad} out of vocabulary range")
+    return arr
+
+
+def check_prompt(model: BackboneModel, d: int, t: int) -> None:
+    """ValidationError unless a (d, t) prompt fits the model: d equal, 0 < t < max_seq."""
+    if d != model.d or not 0 < t < model.config.max_seq:
+        raise ValidationError(f"a prompt of d={d}, width t={t} does not fit the backbone: "
+                              f"it needs d={model.d} and 0 < t < {model.config.max_seq}")
+
 
 def _check_prefix(model: BackboneModel, prefix: np.ndarray) -> np.ndarray:
     prefix = np.asarray(prefix)
-    if prefix.ndim != 2 or prefix.shape[0] != model.d:
-        raise ValidationError(f"prefix must be (d={model.d}, t), got {prefix.shape}")
-    t = prefix.shape[1]
-    if not 0 < t < model.config.max_seq:
-        raise ValidationError(f"prefix width t={t} outside (0, {model.config.max_seq})")
+    if prefix.ndim != 2:
+        raise ValidationError(f"prefix must be a (d, t) matrix, got shape {prefix.shape}")
+    check_prompt(model, *prefix.shape)
     if not np.all(np.isfinite(prefix)):
         raise ValidationError("prefix contains non-finite entries")
     return prefix.astype(model.config.dtype, copy=False)
 
 
-def _check_ids(model: BackboneModel, ids) -> list[int]:
-    ids = [int(i) for i in ids]
+def _nonempty_ids(model: BackboneModel, ids) -> list[int]:
+    ids = check_ids(model, ids).tolist()
     if not ids:
         raise ValidationError("empty token sequence")
-    for i in ids:
-        if not 0 <= i < model.vocab_size:
-            raise ValidationError(f"token id {i} out of vocabulary range")
     return ids
 
 
@@ -476,10 +496,7 @@ def _build_streams(model: BackboneModel, prefixes, token_rows):
     pos = ramp - np.repeat(tok_starts, lens)
     layout = _Layout(B, T, t, lens, starts, real, tok_rows, pos)
 
-    ids = np.fromiter(chain.from_iterable(token_rows), dtype=np.intp, count=n_tok)
-    if n_tok and (ids.min() < 0 or ids.max() >= model.vocab_size):
-        bad = ids[(ids < 0) | (ids >= model.vocab_size)][0]
-        raise ValidationError(f"token id {bad} out of vocabulary range")
+    ids = check_ids(model, chain.from_iterable(token_rows))
     x0 = np.empty((n_real, cfg.d), dtype=np.dtype(cfg.dtype))
     if t:
         x0[_prefix_rows(layout)] = np.reshape(prefixes, (B * t, cfg.d))
@@ -580,7 +597,7 @@ def forward_logits(model: BackboneModel, prefix: np.ndarray, target) -> np.ndarr
     the prefix columns plus embedded tokens target[0..j-1].
     """
     prefix = _check_prefix(model, prefix)
-    ids = _check_ids(model, target)
+    ids = _nonempty_ids(model, target)
     x0, layout, _ = _build_streams(model, [prefix.T], [ids])
     rows, _, _ = _loss_rows(layout, has_prefix=True)
     logits, _ = _forward(model, x0, layout, rows)
@@ -596,7 +613,7 @@ def _next_logits(model: BackboneModel, prefixes, ids: list[int]) -> np.ndarray:
 
 def continuation_logits(model: BackboneModel, ids) -> np.ndarray:
     """Logits for the token following a plain token sequence (no prefix)."""
-    ids = _check_ids(model, ids)
+    ids = _nonempty_ids(model, ids)
     _check_capacity(model, len(ids) + 1)
     return _next_logits(model, None, ids)
 
@@ -618,6 +635,8 @@ def _decode(model: BackboneModel, prefix_rows, ids: list[int], max_new: int, tem
 
     prefix_rows is None or a list of one row-major (t, d) prefix; ids is never extended.
     """
+    if max_new < 1:
+        raise ValidationError(f"decode length must be >= 1, got {max_new}")
     if temperature < 0:
         raise ValidationError("temperature must be >= 0")
     t = 0 if prefix_rows is None else len(prefix_rows[0])
@@ -639,8 +658,6 @@ def sample(model: BackboneModel, prefix: np.ndarray, max_len: int, temperature: 
     temperature before the softmax draw. EOS is consumed, not returned.
     """
     prefix = _check_prefix(model, prefix)
-    if max_len < 1:
-        raise ValidationError("max_len must be >= 1")
     return _decode(model, [prefix.T], [], max_len, temperature, seed)
 
 
@@ -651,9 +668,7 @@ def continue_tokens(model: BackboneModel, context_ids, max_new: int, temperature
     generated tokens extend the position indices; only the continuation is
     returned. Used for answer generation and the template baselines.
     """
-    context = _check_ids(model, context_ids)
-    if max_new < 1:
-        raise ValidationError("max_new must be >= 1")
+    context = _nonempty_ids(model, context_ids)
     return _decode(model, None, context, max_new, temperature, seed)
 
 
@@ -674,7 +689,7 @@ def train_full_weights(
     if not sequences:
         raise ValidationError("empty training corpus")
     check_schedule(steps, lr, batch_size)
-    wrapped = [[V.BOS] + _check_ids(model, s) + [V.EOS] for s in sequences]
+    wrapped = [[V.BOS] + _nonempty_ids(model, s) + [V.EOS] for s in sequences]
     for s in wrapped:
         _check_capacity(model, len(s))
     schedule = batch_schedule(len(wrapped), steps, batch_size, seed)

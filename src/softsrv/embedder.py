@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backbone import BackboneModel
+from .backbone import BackboneModel, check_ids
 from .errors import ValidationError
 
 
@@ -19,13 +19,9 @@ def embed_sequence(embedder: BackboneModel, ids, d_e: int) -> np.ndarray:
     """Mean-pooled token embedding of a sequence, shape (d_e,)."""
     if not embedder.frozen:
         raise ValidationError("embedder must be frozen")
-    ids = [int(i) for i in ids]
-    if not ids:
+    ids = check_ids(embedder, ids)
+    if not len(ids):
         raise ValidationError("cannot embed an empty sequence")
-    vocab_size = embedder.vocab_size
-    if min(ids) < 0 or max(ids) >= vocab_size:
-        bad = next(i for i in ids if not 0 <= i < vocab_size)
-        raise ValidationError(f"token id {bad} out of vocabulary range")
     if not 0 < d_e <= embedder.d:
         raise ValidationError(f"d_e={d_e} outside (0, {embedder.d}]")
     # the sum-then-divide that ndarray.mean performs, without its call overhead

@@ -60,9 +60,9 @@ def generate_questions(
     params: SoftSRVParams,
     seeds: list[list[int]],
     n_raw: int,
-    temperature: float = 1.0,
-    seed: int = 0,
-    max_len: int = 64,
+    temperature: float,
+    seed: int,
+    max_len: int,
 ) -> list[SyntheticRecord]:
     """Sample n_raw question records, cycling contexts over the seed examples."""
     if params is None:
@@ -98,9 +98,9 @@ def generate_questions(
 def generate_answers(
     backbone: BackboneModel,
     records: list[SyntheticRecord],
-    temperature: float = 1.0,
-    seed: int = 0,
-    max_new: int = 64,
+    temperature: float,
+    seed: int,
+    max_new: int,
     prompts: list[str] | None = None,
 ) -> list[SyntheticRecord]:
     """Attach sampled answers: answer j continues prompts[j], or the question."""

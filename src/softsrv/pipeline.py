@@ -46,14 +46,6 @@ from .toygrammar import CorpusExample, builtin_grammar, generic_corpus, make_toy
 from .training import load_params, save_params, train
 from .vocab import Vocabulary, build_vocab
 
-STAGES = (
-    "corpus", "backbone", "embedder", "train", "generate",
-    "answers", "postprocess", "mauve", "student", "summary",
-)
-
-# exit codes 10.. keep stage failures distinguishable from argparse (2)
-STAGE_EXIT_CODES = {name: 10 + i for i, name in enumerate(STAGES)}
-
 FINGERPRINTS = "fingerprints.tsv"
 
 
@@ -73,9 +65,6 @@ STAGE_TABLE = {
     "backbone": Stage("backbone", "backbone.ckpt backbone_trace.tsv", "backbone seeds.backbone", "corpus"),
     "embedder": Stage("embedder", "embedder.ckpt embedder_trace.tsv",
                       "embedder backbone.max_seq,vocab_size seeds.embedder", "corpus"),
-    "student_base": Stage("student", "student_base.ckpt student_base_trace.tsv",
-                          "student.d,n_layers,n_heads,ffn_dim,pretrain_steps,pretrain_lr,pretrain_batch "
-                          "backbone.max_seq,vocab_size seeds.student", "corpus"),
     "params": Stage("train", "params.ckpt train_trace.tsv",
                     "generation.method softsrv trainer embedder.d_e seeds.train", "corpus backbone embedder"),
     "questions": Stage("generate", "questions.jsonl",
@@ -88,11 +77,19 @@ STAGE_TABLE = {
     "postprocess": Stage("postprocess", "final.jsonl selected.jsonl contaminated.jsonl",
                          "postprocess seeds.postprocess", "corpus answers"),
     "mauve": Stage("mauve", "mauve_report.txt", "mauve embedder.d_e seeds.mauve", "corpus embedder postprocess"),
+    "student_base": Stage("student", "student_base.ckpt student_base_trace.tsv",
+                          "student.d,n_layers,n_heads,ffn_dim,pretrain_steps,pretrain_lr,pretrain_batch "
+                          "backbone.max_seq,vocab_size seeds.student", "corpus"),
     "student": Stage("student", "student_report.txt",
                      "student.finetune_steps,finetune_lr,finetune_batch seeds.student",
                      "corpus student_base postprocess"),
     "summary": Stage("summary", "summary.txt", "*", "corpus params questions answers postprocess mauve student"),
 }
+
+# the stage names in first-seen row order; exit codes 10.. keep stage
+# failures distinguishable from argparse (2)
+STAGES = tuple(dict.fromkeys(stage.name for stage in STAGE_TABLE.values()))
+STAGE_EXIT_CODES = {name: 10 + i for i, name in enumerate(STAGES)}
 
 
 def _downstream(key: str) -> set[str]:

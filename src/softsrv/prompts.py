@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backbone import BackboneModel
+from .backbone import BackboneModel, check_prompt
 from .errors import ValidationError
 
 
@@ -170,8 +170,7 @@ def init_params(
     zero_params checks the layout: k >= 1 bases, two or more MLP layers.
     """
     d = backbone.d
-    if not 0 < t < backbone.config.max_seq:
-        raise ValidationError(f"prompt width t={t} outside (0, {backbone.config.max_seq})")
+    check_prompt(backbone, d, t)
     layer_sizes = mlp_layer_sizes(d_e, d, mlp_hidden, mlp_layers)
     params = zero_params(variant, d, t, d_e, k, layer_sizes)
     rng = np.random.default_rng(seed)

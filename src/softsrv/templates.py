@@ -2,14 +2,15 @@
 
 A template is plain text with exactly one [[EXAMPLE]] placeholder. The
 plain-template path (PT) renders a seed example into the question template,
-samples a continuation at its own default temperature, and splits it into
-up to ten candidates at "Question <n>:" / "Passage and Question <n>:"
-markers. The self-refinement path (PT_SR) then alternates critique and
-refine rounds per candidate, up to max_rounds of them, accepting as soon
-as a refine output begins with STOP_TEXT after whitespace trimming; the
-pipeline passes generation.ptsr_max_rounds. Answers for both render the
-answer template around each question and continue it through
-generation.generate_answers, the loop the soft-prompt methods use.
+samples a continuation, and splits it into up to ten candidates at
+"Question <n>:" / "Passage and Question <n>:" markers. The self-refinement
+path (PT_SR) then alternates critique and refine rounds per candidate, up
+to max_rounds of them, accepting as soon as a refine output begins with
+STOP_TEXT after whitespace trimming. Answers for both render the answer
+template around each question and continue it through
+generation.generate_answers, the loop the soft-prompt methods use. The
+caller sets temperature, seed and length; the pipeline passes its
+[generation] values.
 """
 
 from __future__ import annotations
@@ -89,9 +90,9 @@ def pt_generate(
     templates: dict[str, PromptTemplate],
     seeds: list[str],
     n_raw: int,
-    temperature: float = 2.0,
-    seed: int = 0,
-    max_new: int = 96,
+    temperature: float,
+    seed: int,
+    max_new: int,
     template_key: str = "question",
     method_tag: str = "PT",
 ) -> list[SyntheticRecord]:
@@ -136,9 +137,9 @@ def ptsr_generate(
     templates: dict[str, PromptTemplate],
     seeds: list[str],
     n_raw: int,
-    temperature: float = 2.0,
-    seed: int = 0,
-    max_new: int = 96,
+    temperature: float,
+    seed: int,
+    max_new: int,
     max_rounds: int = 3,
 ) -> list[SyntheticRecord]:
     """PT candidates followed by up to max_rounds critique/refine rounds per candidate."""
@@ -193,9 +194,9 @@ def pt_generate_answers(
     backbone: BackboneModel,
     templates: dict[str, PromptTemplate],
     records: list[SyntheticRecord],
-    temperature: float = 2.0,
-    seed: int = 0,
-    max_new: int = 64,
+    temperature: float,
+    seed: int,
+    max_new: int,
 ) -> list[SyntheticRecord]:
     """Answers via the answer template rendered around each question."""
     if "answer" not in templates:

@@ -16,7 +16,8 @@ reference either, so only one copy of the prompt lives through training.
 Its schedule arguments are backbone.train_full_weights' (steps, lr, seed,
 batch_size), and both loops take the rest of the recipe from optim:
 check_schedule, batch_schedule, Adam at its defaults and clipping to
-CLIP_NORM. Each step records its loss and pre-clip gradient norm.
+CLIP_NORM. Each step records its loss and pre-clip gradient norm. Both
+loops check every sequence before the first step, sampled or not.
 
 A checkpoint's meta is prompts.params_meta. load_params reads the header
 alone first, rebuilds the layout from the meta through zero_params, which
@@ -32,7 +33,7 @@ import copy
 import numpy as np
 
 from . import vocab as V
-from .backbone import BackboneModel, batch_loss_and_grads
+from .backbone import BackboneModel, batch_loss_and_grads, check_ids, check_prompt
 from .checkpoint import CheckpointReader, check_tensors, write_checkpoint
 from .checkpoint import read_checkpoint  # noqa: F401  perfbench/tracing.py wraps it under this module
 from .embedder import embed_sequence
@@ -71,22 +72,14 @@ def train(
             raise ValidationError(f"variant {params.variant} requires an embedder")
         if embedder is backbone:
             raise ValidationError("embedder must be distinct from the backbone")
-        if not embedder.frozen:
-            raise ValidationError("embedder must be frozen")
     if not dataset:
         raise ValidationError("empty dataset")
-    if params.d != backbone.d:
-        raise ValidationError(f"params.d={params.d} does not match backbone d={backbone.d}")
-    if not 0 < params.t < backbone.config.max_seq:
-        raise ValidationError(f"prompt width t={params.t} exceeds backbone capacity")
+    check_prompt(backbone, params.d, params.t)
 
-    targets = []
-    for ids in dataset:
-        ids = [int(i) for i in ids]
-        if not ids:
-            raise ValidationError("empty sequence in dataset")
-        targets.append(ids + [V.EOS])
-    if contextual:
+    targets = [check_ids(backbone, ids).tolist() + [V.EOS] for ids in dataset]
+    if min(map(len, targets)) == 1:
+        raise ValidationError("empty sequence in dataset")
+    if contextual:  # embed_sequence rejects an embedder that is not frozen
         contexts = np.stack([embed_sequence(embedder, ids, params.d_e) for ids in dataset])
     else:
         contexts = np.zeros((len(dataset), params.d_e))  # only the batch size is read
@@ -142,10 +135,7 @@ def load_params(path, backbone: BackboneModel | None = None) -> SoftSRVParams:
         except ValidationError as exc:
             raise CheckpointFormatError(f"bad params meta: {exc}") from exc
         if backbone is not None:
-            if params.d != backbone.d:
-                raise ValidationError(f"checkpoint d={params.d} does not match backbone d={backbone.d}")
-            if not params.t < backbone.config.max_seq:
-                raise ValidationError(f"checkpoint t={params.t} exceeds backbone capacity")
+            check_prompt(backbone, params.d, params.t)
         views = {f"param.{name}": view for name, view in param_arrays(params)}
         check_tensors(ckpt.entries, {name: view.shape for name, view in views.items()}, "float64")
         for name, view in views.items():

@@ -172,15 +172,16 @@ _ID_OPS = {
 }
 
 
-@pytest.mark.parametrize("bad", ["-1", "V"])
+@pytest.mark.parametrize("bad", ["-1", "V", "2**70"])
 @pytest.mark.parametrize("op", sorted(_ID_OPS))
 def test_token_ids_outside_the_vocabulary_rejected(op, bad):
-    # -1 would otherwise index the last embedding row, and V raise IndexError
+    # -1 would otherwise index the last embedding row, V raise IndexError
+    # and 2**70 an OverflowError from the conversion to intp
     model = freeze(small_model())
-    bad_id = -1 if bad == "-1" else model.vocab_size
+    bad_id = {"-1": -1, "V": model.vocab_size, "2**70": 2**70}[bad]
     _ID_OPS[op](model, [4, 5])  # the same call with ids in range runs
-    with pytest.raises(ValidationError, match="out of vocabulary range"):
-        _ID_OPS[op](model, [4, bad_id, 5])
+    with pytest.raises(ValidationError, match=f"token id {bad_id} out of vocabulary range"):
+        _ID_OPS[op](model, [4, bad_id, 5, -2])
 
 
 def test_weight_names_cover_model_exactly():

@@ -107,6 +107,8 @@ def test_generate_answers_preserves_questions_and_adds_answers(tiny_backbone, ti
 def test_empty_inputs_rejected(tiny_backbone, tiny_embedder, trained):
     params_by_variant, dataset = trained
     with pytest.raises(ValidationError):
-        generate_questions(tiny_backbone, tiny_embedder, params_by_variant["ss_mc"], [], 4)
+        generate_questions(tiny_backbone, tiny_embedder, params_by_variant["ss_mc"], [], 4,
+                           temperature=1.0, seed=0, max_len=64)
     with pytest.raises(ValidationError):
-        generate_questions(tiny_backbone, tiny_embedder, params_by_variant["ss_mc"], dataset[:2], 0)
+        generate_questions(tiny_backbone, tiny_embedder, params_by_variant["ss_mc"], dataset[:2], 0,
+                           temperature=1.0, seed=0, max_len=64)

@@ -1,15 +1,17 @@
 """Static checks on the package's surface: the root's exports and its imports.
 
-There is no linter in the toolchain, so four of its checks live here: every
+There is no linter in the toolchain, so five of its checks live here: every
 name the package root exports resolves and is listed once, no module under
 src/softsrv imports a name it never uses, no private module-level function,
-class or constant goes unread, and no public module-level function or class
-is read by the tests alone. The one exception to the import check is a name
+class or constant goes unread, no public module-level function or class
+is read by the tests alone, and each token-sequence rule's error is raised
+from one function. The one exception to the import check is a name
 that perfbench/tracing.py wraps in that module: the benchmark times calls by
 replacing the attribute there, so the import must stay.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -145,3 +147,45 @@ def test_every_public_function_and_class_is_read_outside_the_tests():
     readers = [path.read_text(encoding="utf-8")
                for folder in ("demos", "perfbench") for path in sorted((ROOT / folder).rglob("*.py"))]
     assert unread_publics(sources, readers) == []
+
+
+def raisers(sources: dict[str, str], pattern: str) -> list[str]:
+    """The functions, as "module: function", that raise an error whose message's literal text matches pattern."""
+    found = set()
+    for module, source in sources.items():
+        for func in ast.walk(ast.parse(source)):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                call = node.exc if isinstance(node, ast.Raise) else None
+                if not isinstance(call, ast.Call) or not call.args:
+                    continue
+                text = "".join(n.value for n in ast.walk(call.args[0])
+                               if isinstance(n, ast.Constant) and isinstance(n.value, str))
+                if re.search(pattern, text):
+                    found.add(f"{module}: {func.name}")
+    return sorted(found)
+
+
+def test_raisers_finds_what_it_should():
+    source = (
+        "def f(i):\n    raise ValueError(f'token id {i} out of vocabulary range')\n"
+        "def g(t):\n    if t:\n        raise ValueError('prompt width ' + str(t))\n"
+        "def h():\n    raise ValueError\n"
+    )
+    assert raisers({"m": source}, "vocabulary range") == ["m: f"]
+    assert raisers({"m": source}, "width") == ["m: g"]
+    assert raisers({"m": source}, "anything") == []
+
+
+# each token-sequence rule's message, with the wordings of the copies it replaced
+TOKEN_SEQUENCE_RULES = {
+    "backbone.py: check_ids": r"out of vocabulary range",
+    "backbone.py: check_prompt": r"\bwidth\b|does not fit the backbone|does not match backbone|backbone capacity",
+}
+
+
+def test_each_token_sequence_rule_is_raised_from_one_function():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    for owner, pattern in TOKEN_SEQUENCE_RULES.items():
+        assert raisers(sources, pattern) == [owner]

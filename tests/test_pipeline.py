@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from softsrv import pipeline
+from softsrv import pipeline, templates
 from softsrv.backbone import BackboneModel, checksum
 from softsrv.config import preset_config
 from softsrv.errors import StageError
@@ -446,6 +446,56 @@ def test_stage_builds_read_only_the_config_their_rows_declare(tmp_path):
     everything = {f"{section.name}.{f.name}" for section in fields(cfg) if section.name != "preset"
                   for f in fields(getattr(cfg, section.name))}
     assert everything - read_anywhere == {"paths.out_dir"}
+
+
+def test_stage_builds_ask_only_for_the_stages_their_rows_declare(tmp_path, monkeypatch):
+    # an undeclared upstream read would leave a stage's fingerprint current
+    # after the stage it read changed; a read made while an upstream stage
+    # builds is charged to that stage, and summary, which reads every stage
+    # it reports on, is exempt
+    building: list[str] = []
+    asked = {key: set() for key in STAGE_TABLE}
+    get = Pipeline._get
+
+    def spy_get(self, key):
+        if building:
+            asked[building[-1]].add(key)
+        return get(self, key)
+
+    def spy_build(key, build):
+        def shim(self, *paths):
+            building.append(key)
+            try:
+                return build(self, *paths)
+            finally:
+                building.pop()
+        return shim
+
+    monkeypatch.setattr(Pipeline, "_get", spy_get)
+    for key in STAGE_TABLE:
+        monkeypatch.setattr(Pipeline, "_build_" + key, spy_build(key, getattr(Pipeline, "_build_" + key)))
+    for method in ("ss_np", "ss_mp", "ss_mc", "pt", "ptsr"):
+        run_experiment(mini_config(method), str(tmp_path / method))
+    undeclared = {key: sorted(asked[key] - set(stage.upstream.split()))
+                  for key, stage in STAGE_TABLE.items() if key != "summary"}
+    assert not any(undeclared.values()), undeclared
+    assert asked["params"] == {"corpus", "backbone", "embedder"}  # the spy saw the builds' reads
+
+
+def test_undiversified_pt_template_renders_its_own_question_template(tmp_path, monkeypatch):
+    rendered = []
+    render = templates.render
+
+    def spy(template, text):
+        rendered.append(template.body)
+        return render(template, text)
+
+    monkeypatch.setattr(templates, "render", spy)
+    cfg = mini_config("pt")
+    cfg.generation.pt_template = "undiversified"
+    Pipeline(cfg, tmp_path / "pt").ensure_questions()
+    builtin = templates.load_builtin_templates(cfg.corpus.grammar)
+    assert rendered and set(rendered) == {builtin["question_undiversified"].body}
 
 
 def test_trace_files_carry_the_pre_clip_gradient_norm(finished_run):

@@ -77,23 +77,23 @@ def test_pt_generate_counts_and_tags(tiny_backbone):
 def test_pt_generate_is_deterministic(tiny_backbone):
     templates = load_builtin_templates("arithmetic")
     seeds = ["Ben has 2 apples and buys 3 more. How many apples does Ben have now?"]
-    a = pt_generate(tiny_backbone, templates, seeds, 4, seed=5, max_new=16)
-    b = pt_generate(tiny_backbone, templates, seeds, 4, seed=5, max_new=16)
+    a = pt_generate(tiny_backbone, templates, seeds, 4, temperature=2.0, seed=5, max_new=16)
+    b = pt_generate(tiny_backbone, templates, seeds, 4, temperature=2.0, seed=5, max_new=16)
     assert [r.question for r in a] == [r.question for r in b]
 
 
 def test_pt_and_ptsr_draw_different_streams(tiny_backbone):
     templates = load_builtin_templates("arithmetic")
     seeds = ["Ben has 2 apples and buys 3 more. How many apples does Ben have now?"]
-    pt = pt_generate(tiny_backbone, templates, seeds, 4, seed=5, max_new=16)
-    sr = ptsr_generate(tiny_backbone, templates, seeds, 4, seed=5, max_new=16)
+    pt = pt_generate(tiny_backbone, templates, seeds, 4, temperature=2.0, seed=5, max_new=16)
+    sr = ptsr_generate(tiny_backbone, templates, seeds, 4, temperature=2.0, seed=5, max_new=16)
     assert [r.question for r in pt] != [r.question for r in sr]
 
 
 def test_ptsr_rejects_no_rounds(tiny_backbone):
     templates = load_builtin_templates("arithmetic")
     with pytest.raises(ValidationError, match="max_rounds"):
-        ptsr_generate(tiny_backbone, templates, ["seed q"], 1, max_rounds=0)
+        ptsr_generate(tiny_backbone, templates, ["seed q"], 1, temperature=2.0, seed=0, max_new=96, max_rounds=0)
 
 
 @pytest.mark.parametrize("domain", ["arithmetic", "truefalse"])
@@ -107,7 +107,7 @@ def test_every_refine_template_asks_for_the_stop_word(domain):
 def test_ptsr_tags_and_round_accounting(tiny_backbone):
     templates = load_builtin_templates("arithmetic")
     seeds = ["Mara picked 4 pears and Ben picked 5. How many pears did they pick together?"]
-    records = ptsr_generate(tiny_backbone, templates, seeds, 5, seed=7, max_new=16, max_rounds=2)
+    records = ptsr_generate(tiny_backbone, templates, seeds, 5, temperature=2.0, seed=7, max_new=16, max_rounds=2)
     assert len(records) == 5
     for r in records:
         assert r.method_tag == "PT_SR"
@@ -124,7 +124,8 @@ def test_ptsr_accepts_immediately_on_stop(tiny_backbone, monkeypatch):
 
     monkeypatch.setattr(mod, "_continuation_text", fake_continuation)
     templates = load_builtin_templates("arithmetic")
-    records = ptsr_generate(tiny_backbone, templates, ["seed q"], 2, seed=1, max_rounds=3)
+    records = ptsr_generate(tiny_backbone, templates, ["seed q"], 2, temperature=2.0, seed=1, max_new=96,
+                            max_rounds=3)
     for r in records:
         assert r.provenance["rounds"] == 1
         assert r.provenance["accepted"] is True
@@ -143,7 +144,8 @@ def test_ptsr_never_stop_runs_all_rounds_and_keeps_last_rewrite(tiny_backbone, m
 
     monkeypatch.setattr(mod, "_continuation_text", fake_continuation)
     templates = load_builtin_templates("arithmetic")
-    records = ptsr_generate(tiny_backbone, templates, ["seed q"], 1, seed=1, max_rounds=3)
+    records = ptsr_generate(tiny_backbone, templates, ["seed q"], 1, temperature=2.0, seed=1, max_new=96,
+                            max_rounds=3)
     assert records[0].provenance["rounds"] == 3
     assert records[0].provenance["accepted"] is False
     # per round one critique and one refine call; the PT phase is real sampling
@@ -153,8 +155,8 @@ def test_ptsr_never_stop_runs_all_rounds_and_keeps_last_rewrite(tiny_backbone, m
 def test_pt_generate_answers_attaches_text(tiny_backbone):
     templates = load_builtin_templates("arithmetic")
     seeds = ["Ben has 2 apples and buys 3 more. How many apples does Ben have now?"]
-    questions = pt_generate(tiny_backbone, templates, seeds, 3, seed=9, max_new=12)
-    answered = pt_generate_answers(tiny_backbone, templates, questions, seed=10, max_new=12)
+    questions = pt_generate(tiny_backbone, templates, seeds, 3, temperature=2.0, seed=9, max_new=12)
+    answered = pt_generate_answers(tiny_backbone, templates, questions, temperature=2.0, seed=10, max_new=12)
     assert len(answered) == 3
     for q, a in zip(questions, answered):
         assert a.question == q.question

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import softsrv.backbone
+import softsrv.training
 from softsrv.backbone import (
-    BackboneConfig, batch_loss_and_grads, checksum, clone_unfrozen, freeze, init_backbone, train_full_weights,
+    BackboneConfig, batch_loss_and_grads, checksum, clone_unfrozen, forward_logits, freeze, init_backbone,
+    train_full_weights,
 )
 from softsrv.checkpoint import read_checkpoint, write_checkpoint
 from softsrv.errors import CheckpointFormatError, ValidationError
@@ -39,12 +41,63 @@ def test_unfrozen_backbone_rejected(setup):
 
 
 def test_contextual_variant_requires_distinct_frozen_embedder(setup):
-    backbone, _, dataset = setup
+    backbone, embedder, dataset = setup
     params = init_params("ss_mp", backbone, t=2, d_e=4, seed=0)
     with pytest.raises(ValidationError):
         train(backbone, None, dataset, params, steps=1, lr=1e-3, seed=0)
     with pytest.raises(ValidationError):
         train(backbone, backbone, dataset, params, steps=1, lr=1e-3, seed=0)
+    with pytest.raises(ValidationError, match="embedder must be frozen"):
+        train(backbone, clone_unfrozen(embedder), dataset, params, steps=1, lr=1e-3, seed=0)
+
+
+def _count_steps(monkeypatch, module) -> list:
+    """Replace module.batch_loss_and_grads by a counting shim; the list grows by one per call."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return batch_loss_and_grads(*args, **kwargs)
+
+    monkeypatch.setattr(module, "batch_loss_and_grads", counting)
+    return calls
+
+
+@pytest.mark.parametrize("bad", [-1, 10**3, 2**70], ids=["-1", "1000", "2**70"])
+def test_both_training_loops_check_every_sequence_before_the_first_step(setup, monkeypatch, bad):
+    # the bad sequence is one that the one-step, one-example schedule never samples
+    backbone, _, dataset = setup
+    data = dataset + [[4, bad, 5]]
+    seed = next(s for s in range(100) if len(data) - 1 not in batch_schedule(len(data), 1, 1, s)[0])
+    for module, run in (
+        (softsrv.training, lambda: train(backbone, None, data, init_params("ss_np", backbone, t=2, d_e=6, seed=0),
+                                         steps=1, lr=1e-3, seed=seed, batch_size=1)),
+        (softsrv.backbone, lambda: train_full_weights(clone_unfrozen(backbone), data, steps=1, lr=1e-3,
+                                                      seed=seed, batch_size=1)),
+    ):
+        steps = _count_steps(monkeypatch, module)
+        with pytest.raises(ValidationError, match=f"token id {bad} out of vocabulary range"):
+            run()
+        assert steps == []
+
+
+def test_every_entry_point_holds_a_prompt_to_the_backbone_by_one_rule(setup, tmp_path):
+    backbone, _, dataset = setup
+    max_seq = backbone.config.max_seq
+    narrow = init_params("ss_np", backbone, t=2, d_e=6, seed=0)
+    save_params(tmp_path / "p.ckpt", narrow)
+    other = freeze(init_backbone(BackboneConfig(d=4, n_layers=1, n_heads=1, ffn_dim=8, max_seq=max_seq),
+                                 backbone.vocab, 1))
+    for run in (
+        lambda: init_params("ss_np", backbone, t=max_seq, d_e=6, seed=0),
+        lambda: init_params("ss_np", backbone, t=0, d_e=6, seed=0),
+        lambda: train(other, None, dataset, narrow, steps=1, lr=1e-3, seed=0),
+        lambda: load_params(tmp_path / "p.ckpt", other),
+        lambda: forward_logits(backbone, np.zeros((backbone.d + 1, 2)), [4]),
+        lambda: forward_logits(backbone, np.zeros((backbone.d, max_seq)), [4]),
+    ):
+        with pytest.raises(ValidationError, match="does not fit the backbone"):
+            run()
 
 
 def test_zero_steps_returns_bit_identical_copy(setup):
