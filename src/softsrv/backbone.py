@@ -36,9 +36,9 @@ is the largest slice of a desk run; ROADMAP item 1 plans the batched,
 KV-cached engine that replaces _decode.
 
 Each token-sequence rule has one implementation, which every module
-calls: check_ids holds ids to [0, V), check_prompt a (d, t) prompt to the
-model's d and 0 < t < max_seq. Every batch enters the core through
-_build_streams, which checks its longest stream against max_seq
+calls: vocab.check_ids holds ids to ints in [0, V), check_prompt a (d, t)
+prompt to the model's d and 0 < t < max_seq. Every batch enters the core
+through _build_streams, which checks its longest stream against max_seq
 (CapacityError) and its ids. The single-sequence ops also check their
 prefix and ids up front, decode checks its whole length before the first
 token, and both training loops, train_full_weights and training.train,
@@ -217,24 +217,7 @@ def load_backbone(path) -> BackboneModel:
 
 
 # ---------------------------------------------------------------------------
-# validation helpers: each token-sequence rule has one implementation here
-
-def check_ids(model: BackboneModel, ids) -> np.ndarray:
-    """ids as an intp array; ValidationError naming the first id outside [0, V).
-
-    An int too large for intp (2**70) is caught before it can raise OverflowError.
-    Emptiness is each caller's rule: sample's first step packs an empty token row.
-    """
-    ids = list(ids)
-    try:
-        arr = np.array(ids, dtype=np.intp)
-    except OverflowError:
-        arr = None
-    if arr is None or (arr.size and (arr.min() < 0 or arr.max() >= model.vocab_size)):
-        bad = next(i for i in ids if not 0 <= i < model.vocab_size)
-        raise ValidationError(f"token id {bad} out of vocabulary range")
-    return arr
-
+# validation helpers: the prompt rule has its one implementation here, the id rule in vocab
 
 def check_prompt(model: BackboneModel, d: int, t: int) -> None:
     """ValidationError unless a (d, t) prompt fits the model: d equal, 0 < t < max_seq."""
@@ -254,7 +237,7 @@ def _check_prefix(model: BackboneModel, prefix: np.ndarray) -> np.ndarray:
 
 
 def _nonempty_ids(model: BackboneModel, ids) -> list[int]:
-    ids = check_ids(model, ids).tolist()
+    ids = V.check_ids(ids, model.vocab_size).tolist()
     if not ids:
         raise ValidationError("empty token sequence")
     return ids
@@ -476,7 +459,7 @@ def _build_streams(model: BackboneModel, prefixes, token_rows):
     holds the flat indices of the real rows (every prefix row and every
     token row) in the padded (B, T) grid. Raises CapacityError when the
     longest stream exceeds max_seq and ValidationError when a token id
-    lies outside [0, V): a negative id would silently index from the end.
+    is not an int in [0, V): a negative id would silently index from the end.
     """
     cfg = model.config
     w = model.weights
@@ -496,7 +479,7 @@ def _build_streams(model: BackboneModel, prefixes, token_rows):
     pos = ramp - np.repeat(tok_starts, lens)
     layout = _Layout(B, T, t, lens, starts, real, tok_rows, pos)
 
-    ids = check_ids(model, chain.from_iterable(token_rows))
+    ids = V.check_ids(chain.from_iterable(token_rows), model.vocab_size)
     x0 = np.empty((n_real, cfg.d), dtype=np.dtype(cfg.dtype))
     if t:
         x0[_prefix_rows(layout)] = np.reshape(prefixes, (B * t, cfg.d))

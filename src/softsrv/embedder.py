@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .backbone import BackboneModel, check_ids
+from .backbone import BackboneModel
 from .errors import ValidationError
+from .vocab import check_ids
 
 
 def embed_sequence(embedder: BackboneModel, ids, d_e: int) -> np.ndarray:
     """Mean-pooled token embedding of a sequence, shape (d_e,)."""
     if not embedder.frozen:
         raise ValidationError("embedder must be frozen")
-    ids = check_ids(embedder, ids)
+    ids = check_ids(ids, embedder.vocab_size)
     if not len(ids):
         raise ValidationError("cannot embed an empty sequence")
     if not 0 < d_e <= embedder.d:

@@ -56,7 +56,6 @@ def perplexity(model: BackboneModel, fold: list[list[int]]) -> float:
     total_nll = 0.0
     total_tokens = 0
     for ids in fold:
-        ids = [int(i) for i in ids]
         if len(ids) < 2:
             continue
         _, per_example, _, _ = batch_loss_and_grads(model, None, [ids])

@@ -33,7 +33,7 @@ import copy
 import numpy as np
 
 from . import vocab as V
-from .backbone import BackboneModel, batch_loss_and_grads, check_ids, check_prompt
+from .backbone import BackboneModel, batch_loss_and_grads, check_prompt
 from .checkpoint import CheckpointReader, check_tensors, write_checkpoint
 from .checkpoint import read_checkpoint  # noqa: F401  perfbench/tracing.py wraps it under this module
 from .embedder import embed_sequence
@@ -76,7 +76,7 @@ def train(
         raise ValidationError("empty dataset")
     check_prompt(backbone, params.d, params.t)
 
-    targets = [check_ids(backbone, ids).tolist() + [V.EOS] for ids in dataset]
+    targets = [V.check_ids(ids, backbone.vocab_size).tolist() + [V.EOS] for ids in dataset]
     if min(map(len, targets)) == 1:
         raise ValidationError("empty sequence in dataset")
     if contextual:  # embed_sequence rejects an embedder that is not frozen

@@ -4,12 +4,18 @@ Text splits into word tokens (alphanumeric runs) and single punctuation
 characters. Four reserved surfaces occupy fixed low ids and tokenize
 atomically, so detokenize followed by tokenize reproduces the exact id
 sequence for any vocabulary surface form.
+
+check_ids is the one token-id rule of the package: ids are ints in [0, V).
+decode applies it, and so does every backbone op, the embedder and prompt
+training, each with its model's vocabulary size.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -26,6 +32,33 @@ _TIGHT = {".", ",", "!", "?", ";", ":"}
 def split_text(text: str) -> list[str]:
     """Split text into surface tokens without consulting any vocabulary."""
     return _TOKEN_RE.findall(text)
+
+
+def _is_int_type(kind: type) -> bool:
+    return kind is int or issubclass(kind, np.integer)  # bool is a subclass of int
+
+
+def check_ids(ids, size: int) -> np.ndarray:
+    """ids as an intp array; ValidationError naming the first id that is not an int in [0, size).
+
+    Python ints and NumPy integers pass; a bool, float or string does not,
+    and an int too large for intp (2**70) is caught before it can raise
+    OverflowError. Emptiness is each caller's rule: the backbone's sample
+    packs an empty token row at its first step.
+    """
+    ids = list(ids)
+    # one C-level pass over the ids; the per-id scans run only on failure
+    if not all(map(_is_int_type, set(map(type, ids)))):
+        bad = next(i for i in ids if not _is_int_type(type(i)))
+        raise ValidationError(f"token id {bad!r} is not an int")
+    try:
+        arr = np.array(ids, dtype=np.intp)
+    except OverflowError:
+        arr = None
+    if arr is None or (arr.size and (arr.min() < 0 or arr.max() >= size)):
+        bad = next(i for i in ids if not 0 <= i < size)
+        raise ValidationError(f"token id {bad} out of vocabulary range")
+    return arr
 
 
 @dataclass
@@ -47,11 +80,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    def token_for(self, token_id: int) -> str:
-        if not 0 <= token_id < len(self.tokens):
-            raise ValidationError(f"token id {token_id} out of range")
-        return self.tokens[token_id]
-
     def encode(self, text: str) -> list[int]:
         """Tokenize text to ids; unknown surfaces map to UNK."""
         return [self._index.get(tok, UNK) for tok in split_text(text)]
@@ -59,8 +87,8 @@ class Vocabulary:
     def decode(self, ids: list[int]) -> str:
         """Render ids as text. PAD/BOS/EOS are dropped; UNK keeps its marker."""
         parts = []
-        for i in ids:
-            tok = self.token_for(int(i))
+        for i in check_ids(ids, len(self.tokens)).tolist():
+            tok = self.tokens[i]
             if tok in ("<pad>", "<bos>", "<eos>"):
                 continue
             if parts and tok in _TIGHT:

@@ -1,164 +1,137 @@
-"""Shared fixtures.
+"""Shared fixtures: the stage values of two Pipelines.
 
-Two tiers: "tiny" fixtures (second-scale, for mechanical unit tests) and
-"desk" fixtures (minute-scale, built lazily and reused across the whole
-session by the acceptance tests). Desk fixtures record their build wall
-time so the acceptance budget checks measure real training cost.
+Every model, fold and vocabulary here is what Pipeline builds for its
+config, so each verdict is about the models `softsrv run` builds. Two
+tiers: "tiny" (second-scale, for mechanical unit tests) runs the desk
+preset shrunk by tiny_config, and "desk" (minute-scale, the acceptance
+scale) runs the desk preset itself. Stages are built lazily, once per
+session. desk_trained records the wall time of each train() call so the
+acceptance budget checks measure real training cost.
 """
 
 from __future__ import annotations
 
 import time
 
-import numpy as np
 import pytest
 
-from softsrv.backbone import BackboneConfig, checksum, pretrain_backbone
-from softsrv.config import preset_config
-from softsrv.templates import load_builtin_templates
-from softsrv.toygrammar import builtin_grammar, generic_corpus, make_toy_corpus
-from softsrv.training import train
+from softsrv.config import VARIANTS, ExperimentConfig, preset_config
+from softsrv.pipeline import Pipeline
 from softsrv.prompts import init_params
-from softsrv.vocab import build_vocab
+from softsrv.training import train
 
 
-def corpus_texts(train_fold, test_fold, aux_fold, generic):
-    texts = []
-    for fold in (train_fold, test_fold, aux_fold):
-        for ex in fold:
-            texts.append(ex.question)
-            texts.append(ex.answer)
-    texts.extend(generic)
-    for domain in ("arithmetic", "truefalse"):
-        for tpl in load_builtin_templates(domain).values():
-            texts.append(tpl.body)
-    return texts
+def tiny_config() -> ExperimentConfig:
+    """The desk preset with a small corpus, a small float64 backbone and a smaller embedder."""
+    cfg = preset_config("desk")
+    cfg.corpus.n_examples = 60
+    cfg.corpus.n_aux = 30
+    cfg.corpus.n_generic = 40
+    cfg.backbone.d = 16
+    cfg.backbone.n_layers = 2
+    cfg.backbone.n_heads = 2
+    cfg.backbone.ffn_dim = 32
+    cfg.backbone.max_seq = 96
+    cfg.backbone.dtype = "float64"
+    cfg.backbone.pretrain_steps = 300
+    cfg.embedder.d = 8
+    cfg.embedder.n_layers = 1
+    cfg.embedder.n_heads = 1
+    cfg.embedder.ffn_dim = 16
+    cfg.embedder.d_e = 8
+    cfg.embedder.pretrain_steps = 40
+    cfg.seeds.corpus = 11
+    cfg.seeds.backbone = 21
+    cfg.seeds.embedder = 22
+    return cfg
 
 
-def pretrain_sequences(vocab, train_fold, aux_fold, generic):
-    seqs = [vocab.encode(ex.question + " " + ex.answer) for ex in train_fold]
-    seqs += [vocab.encode(ex.question) for ex in train_fold]
-    seqs += [vocab.encode(ex.question + " " + ex.answer) for ex in aux_fold]
-    seqs += [vocab.encode(s) for s in generic]
-    return seqs
+def _folds(pipeline: Pipeline):
+    data = pipeline.ensure_corpus()
+    return data["train"], data["test"], data["aux"], data["generic"]
 
 
 # ---------------------------------------------------------------------------
 # tiny tier
 
 @pytest.fixture(scope="session")
-def tiny_folds():
-    train_fold, test_fold = make_toy_corpus(builtin_grammar("arithmetic"), 60, 11)
-    aux_fold, _ = make_toy_corpus(builtin_grammar("truefalse"), 30, 12)
-    return train_fold, test_fold, aux_fold, generic_corpus(40, 13)
+def tiny_pipeline(tmp_path_factory):
+    return Pipeline(tiny_config(), tmp_path_factory.mktemp("tiny"))
 
 
 @pytest.fixture(scope="session")
-def tiny_vocab(tiny_folds):
-    return build_vocab(corpus_texts(*tiny_folds))
+def tiny_folds(tiny_pipeline):
+    return _folds(tiny_pipeline)
 
 
 @pytest.fixture(scope="session")
-def tiny_backbone(tiny_folds, tiny_vocab):
-    train_fold, _, aux_fold, generic = tiny_folds
-    seqs = pretrain_sequences(tiny_vocab, train_fold, aux_fold, generic)
-    cfg = BackboneConfig(d=16, n_layers=2, n_heads=2, ffn_dim=32, max_seq=96)
-    model, _ = pretrain_backbone(seqs, tiny_vocab, cfg, steps=300, lr=1e-3, seed=21)
-    return model
+def tiny_vocab(tiny_pipeline):
+    return tiny_pipeline.vocabulary()
 
 
 @pytest.fixture(scope="session")
-def tiny_embedder(tiny_folds, tiny_vocab):
-    train_fold, _, aux_fold, generic = tiny_folds
-    seqs = pretrain_sequences(tiny_vocab, train_fold, aux_fold, generic)
-    cfg = BackboneConfig(d=8, n_layers=1, n_heads=1, ffn_dim=16, max_seq=96)
-    model, _ = pretrain_backbone(seqs, tiny_vocab, cfg, steps=40, lr=1e-3, seed=22)
-    return model
+def tiny_backbone(tiny_pipeline):
+    return tiny_pipeline.ensure_backbone()
+
+
+@pytest.fixture(scope="session")
+def tiny_embedder(tiny_pipeline):
+    return tiny_pipeline.ensure_embedder()
 
 
 # ---------------------------------------------------------------------------
 # desk tier (acceptance scale)
 
-DESK_SEEDS = {
-    "corpus": 101, "backbone": 102, "embedder": 103, "train": 104,
-    "generate": 105, "answers": 106, "postprocess": 107, "mauve": 108,
-    "student": 109,
-}
+@pytest.fixture(scope="session")
+def desk_pipeline(tmp_path_factory):
+    return Pipeline(preset_config("desk"), tmp_path_factory.mktemp("desk"))
 
 
 @pytest.fixture(scope="session")
-def desk_folds():
-    train_fold, test_fold = make_toy_corpus(builtin_grammar("arithmetic"), 400, DESK_SEEDS["corpus"])
-    aux_fold, _ = make_toy_corpus(builtin_grammar("truefalse"), 200, DESK_SEEDS["corpus"] + 1)
-    return train_fold, test_fold, aux_fold, generic_corpus(300, DESK_SEEDS["corpus"] + 2)
+def desk_folds(desk_pipeline):
+    return _folds(desk_pipeline)
 
 
 @pytest.fixture(scope="session")
-def desk_vocab(desk_folds):
-    return build_vocab(corpus_texts(*desk_folds))
-
-
-# checksums taken the moment each frozen model finishes pretraining, so the
-# frozen-weights invariant can compare against the true build-time state no
-# matter which test runs first
-BUILD_CHECKSUMS: dict[str, str] = {}
+def desk_vocab(desk_pipeline):
+    return desk_pipeline.vocabulary()
 
 
 @pytest.fixture(scope="session")
-def desk_backbone(desk_folds, desk_vocab):
-    train_fold, _, aux_fold, generic = desk_folds
-    seqs = pretrain_sequences(desk_vocab, train_fold, aux_fold, generic)
-    # the shipped [backbone] model, dtype included, so the gate measures what runs
-    model, trace = pretrain_backbone(
-        seqs, desk_vocab, preset_config("desk").model_config("backbone"), steps=2000, lr=1e-3,
-        seed=DESK_SEEDS["backbone"],
-    )
-    BUILD_CHECKSUMS["backbone"] = checksum(model)
-    return model
+def desk_backbone(desk_pipeline):
+    return desk_pipeline.ensure_backbone()
 
 
 @pytest.fixture(scope="session")
-def desk_embedder(desk_folds, desk_vocab):
-    train_fold, _, aux_fold, generic = desk_folds
-    seqs = pretrain_sequences(desk_vocab, train_fold, aux_fold, generic)
-    cfg = BackboneConfig(d=32, n_layers=2, n_heads=2, ffn_dim=128)
-    model, _ = pretrain_backbone(
-        seqs, desk_vocab, cfg, steps=800, lr=1e-3, seed=DESK_SEEDS["embedder"],
-    )
-    BUILD_CHECKSUMS["embedder"] = checksum(model)
-    return model
+def desk_embedder(desk_pipeline):
+    return desk_pipeline.ensure_embedder()
 
 
 @pytest.fixture(scope="session")
-def desk_student_base(desk_folds, desk_vocab):
-    _, _, _, generic = desk_folds
-    cfg = BackboneConfig(d=32, n_layers=2, n_heads=2, ffn_dim=128)
-    model, _ = pretrain_backbone(
-        [desk_vocab.encode(t) for t in generic], desk_vocab, cfg,
-        steps=800, lr=1e-3, seed=DESK_SEEDS["student"],
-    )
-    return model
+def desk_student_base(desk_pipeline):
+    return desk_pipeline.ensure_student_base()
 
 
 @pytest.fixture(scope="session")
 def desk_question_ids(desk_folds, desk_vocab):
-    train_fold = desk_folds[0]
-    return [desk_vocab.encode(ex.question) for ex in train_fold]
+    return [desk_vocab.encode(ex.question) for ex in desk_folds[0]]
 
 
 @pytest.fixture(scope="session")
-def desk_trained(desk_backbone, desk_embedder, desk_question_ids):
-    """All three variants trained at the desk preset.
+def desk_trained(desk_pipeline, desk_backbone, desk_embedder, desk_question_ids):
+    """All three variants trained under the desk config, as its train stage trains one.
 
     Returns {variant: (params, trace, elapsed_seconds)}; the elapsed time
     covers exactly the train() call so budget checks see the real cost.
     """
+    cfg = desk_pipeline.cfg
+    s, tr, seed = cfg.softsrv, cfg.trainer, cfg.seeds.train
     out = {}
-    for variant in ("ss_np", "ss_mp", "ss_mc"):
-        p0 = init_params(variant, desk_backbone, t=16, d_e=32, seed=DESK_SEEDS["train"])
+    for variant in VARIANTS:
+        p0 = init_params(variant, desk_backbone, t=s.t, d_e=cfg.embedder.d_e, seed=seed,
+                         k=s.k, mlp_hidden=s.mlp_hidden, mlp_layers=s.mlp_layers)
         embedder = None if variant == "ss_np" else desk_embedder
         t0 = time.time()
-        params, trace = train(desk_backbone, embedder, desk_question_ids, p0,
-                              steps=2000, lr=1e-3, seed=DESK_SEEDS["train"], batch_size=8)
+        params, trace = train(desk_backbone, embedder, desk_question_ids, p0, tr.steps, tr.lr, seed, tr.batch_size)
         out[variant] = (params, trace, time.time() - t0)
     return out

@@ -2,8 +2,10 @@
 
 One test per criterion, numbered, so `pytest -v` prints exactly one
 PASS/FAIL line for each. Bodies also print the measured numbers (shown
-with -s or on failure). The desk-scale fixtures in conftest.py are built
-once per session and shared; budget checks read the wall time recorded
+with -s or on failure). The desk-scale fixtures in conftest.py are the
+stages of one desk Pipeline, built once per session and shared; seeds,
+decode length, temperatures, MAUVE's k and the student's fine-tuning come
+from that pipeline's config. Budget checks read the wall time recorded
 at build.
 """
 
@@ -13,7 +15,6 @@ import time
 import numpy as np
 import pytest
 
-from conftest import BUILD_CHECKSUMS, DESK_SEEDS
 from test_pipeline import mini_config
 
 from softsrv.backbone import BackboneConfig, batch_loss_and_grads, checksum, init_backbone
@@ -22,6 +23,7 @@ from softsrv.config import preset_config, save_config
 from softsrv.embedder import embed_sequence
 from softsrv.generation import generate_answers, generate_questions
 from softsrv.mauve import QuantizedPair, divergence_curve, mauve_score
+from softsrv.pipeline import Pipeline
 from softsrv.postprocess import ClusterAssignment, decontaminate, dedup_exact, round_robin_subsample
 from softsrv.prompts import init_params, materialize, param_arrays, param_grad
 from softsrv.student import evaluate_student
@@ -86,10 +88,12 @@ def test_criterion_01_gradient_suite_matches_finite_differences():
 
 
 def test_criterion_02_frozen_weights_unchanged_by_training(
-    desk_backbone, desk_embedder, desk_trained
+    desk_pipeline, desk_backbone, desk_embedder, desk_trained
 ):
-    backbone_ok = checksum(desk_backbone) == BUILD_CHECKSUMS["backbone"]
-    embedder_ok = checksum(desk_embedder) == BUILD_CHECKSUMS["embedder"]
+    # a fresh Pipeline on the same directory reads the models back as built
+    built = Pipeline(desk_pipeline.cfg, desk_pipeline.out)
+    backbone_ok = checksum(desk_backbone) == checksum(built.ensure_backbone())
+    embedder_ok = checksum(desk_embedder) == checksum(built.ensure_embedder())
     report(2, backbone_ok and embedder_ok,
            f"backbone {'==' if backbone_ok else '!='} build checksum, "
            f"embedder {'==' if embedder_ok else '!='} build checksum")
@@ -102,8 +106,7 @@ def test_criterion_02_frozen_weights_unchanged_by_training(
 def test_criterion_03_training_descends_within_budget(desk_trained):
     parts = []
     ok = True
-    for variant in ("ss_np", "ss_mp", "ss_mc"):
-        _, trace, elapsed = desk_trained[variant]
+    for variant, (_, trace, elapsed) in desk_trained.items():
         head = float(np.mean(trace.losses[:100]))
         tail = float(np.mean(trace.losses[-100:]))
         drop = 1.0 - tail / head
@@ -117,8 +120,9 @@ def test_criterion_03_training_descends_within_budget(desk_trained):
 
 
 def test_criterion_04_context_sensitivity_ordering(
-    desk_backbone, desk_embedder, desk_trained, desk_question_ids
+    desk_pipeline, desk_backbone, desk_embedder, desk_trained, desk_question_ids
 ):
+    cfg = desk_pipeline.cfg
     seeds = desk_question_ids[:80]
 
     def distinct(variant):
@@ -126,7 +130,7 @@ def test_criterion_04_context_sensitivity_ordering(
         embedder = None if variant == "ss_np" else desk_embedder
         records = generate_questions(
             desk_backbone, embedder, params, seeds,
-            n_raw=80, temperature=0.0, seed=DESK_SEEDS["generate"], max_len=48,
+            n_raw=80, temperature=0.0, seed=cfg.seeds.generate, max_len=cfg.generation.max_new_tokens,
         )
         return len({r.question for r in records})
 
@@ -175,19 +179,21 @@ def test_criterion_05_mauve_properties():
 
 
 def test_criterion_06_mauve_beats_random_baseline(
-    desk_backbone, desk_embedder, desk_trained, desk_folds, desk_vocab, desk_question_ids
+    desk_pipeline, desk_backbone, desk_embedder, desk_trained, desk_folds, desk_vocab, desk_question_ids
 ):
+    cfg = desk_pipeline.cfg
     test_fold = desk_folds[1]
-    d_e = 32
+    d_e = cfg.embedder.d_e
     params = desk_trained["ss_mc"][0]
     ref_cloud = np.stack(
         [embed_sequence(desk_embedder, desk_vocab.encode(ex.question), d_e) for ex in test_fold]
     )
     gaps = []
-    for gen_seed in (DESK_SEEDS["generate"], DESK_SEEDS["generate"] + 100, DESK_SEEDS["generate"] + 200):
+    for gen_seed in (cfg.seeds.generate, cfg.seeds.generate + 100, cfg.seeds.generate + 200):
         records = generate_questions(
             desk_backbone, desk_embedder, params, desk_question_ids,
-            n_raw=100, temperature=1.0, seed=gen_seed, max_len=48,
+            n_raw=100, temperature=cfg.generation.question_temperature, seed=gen_seed,
+            max_len=cfg.generation.max_new_tokens,
         )
         gen_cloud = np.stack(
             [embed_sequence(desk_embedder, desk_vocab.encode(r.question), d_e) for r in records]
@@ -201,8 +207,8 @@ def test_criterion_06_mauve_beats_random_baseline(
             )
             for _ in range(100)
         ])
-        synth = mauve_score(gen_cloud, ref_cloud, k=32, seed=DESK_SEEDS["mauve"]).score
-        noise = mauve_score(noise_cloud, ref_cloud, k=32, seed=DESK_SEEDS["mauve"]).score
+        synth = mauve_score(gen_cloud, ref_cloud, k=cfg.mauve.k, seed=cfg.seeds.mauve).score
+        noise = mauve_score(noise_cloud, ref_cloud, k=cfg.mauve.k, seed=cfg.seeds.mauve).score
         gaps.append(synth - noise)
     passes = sum(g >= 0.2 for g in gaps)
     report(6, passes >= 2, "gaps " + ", ".join(f"{g:+.3f}" for g in gaps)
@@ -280,25 +286,28 @@ def test_criterion_07_postprocess_oracles():
 
 
 def test_criterion_08_student_improves_on_synthetic_data(
-    desk_backbone, desk_embedder, desk_trained, desk_folds, desk_vocab,
+    desk_pipeline, desk_backbone, desk_embedder, desk_trained, desk_folds, desk_vocab,
     desk_student_base, desk_question_ids,
 ):
     started = time.perf_counter()
+    cfg = desk_pipeline.cfg
+    g, s = cfg.generation, cfg.student
     test_fold = desk_folds[1]
     params = desk_trained["ss_mc"][0]
     questions = generate_questions(
         desk_backbone, desk_embedder, params, desk_question_ids,
-        n_raw=100, temperature=1.0, seed=DESK_SEEDS["generate"], max_len=48,
+        n_raw=100, temperature=g.question_temperature, seed=cfg.seeds.generate, max_len=g.max_new_tokens,
     )
     records = generate_answers(
-        desk_backbone, questions, temperature=1.0, seed=DESK_SEEDS["answers"], max_new=48,
+        desk_backbone, questions, temperature=g.answer_temperature, seed=cfg.seeds.answers,
+        max_new=g.max_new_tokens,
     )
     eval_ids = [desk_vocab.encode(ex.question + " " + ex.answer) for ex in test_fold]
     ratios = []
-    for ft_seed in (DESK_SEEDS["student"], DESK_SEEDS["student"] + 100, DESK_SEEDS["student"] + 200):
+    for ft_seed in (cfg.seeds.student, cfg.seeds.student + 100, cfg.seeds.student + 200):
         result = evaluate_student(
-            desk_student_base, records, eval_ids, desk_vocab,
-            dataset_tag="ss_mc", steps=500, lr=1e-3, batch_size=8, seed=ft_seed,
+            desk_student_base, records, eval_ids, desk_vocab, dataset_tag="ss_mc",
+            steps=s.finetune_steps, lr=s.finetune_lr, batch_size=s.finetune_batch, seed=ft_seed,
         )
         ratios.append(result.ratio)
     elapsed = time.perf_counter() - started

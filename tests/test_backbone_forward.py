@@ -5,6 +5,8 @@ per-position loops and head slicing, sharing no code with the vectorized
 forward. Agreement is required to near machine precision.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from softsrv.backbone import (
     freeze,
     init_backbone,
 )
+from softsrv.embedder import embed_sequence
 from softsrv.errors import CapacityError, ValidationError
 from softsrv.prompts import init_params
 from softsrv.student import perplexity
@@ -182,6 +185,24 @@ def test_token_ids_outside_the_vocabulary_rejected(op, bad):
     _ID_OPS[op](model, [4, 5])  # the same call with ids in range runs
     with pytest.raises(ValidationError, match=f"token id {bad_id} out of vocabulary range"):
         _ID_OPS[op](model, [4, bad_id, 5, -2])
+
+
+_NOT_INTS = {"3.7": 3.7, "float64 4.0": np.float64(4.0), "'5'": "5", "True": True, "bool_": np.bool_(True)}
+
+
+@pytest.mark.parametrize("bad", sorted(_NOT_INTS))
+@pytest.mark.parametrize("op", sorted(_ID_OPS) + ["forward_logits", "embed_sequence"])
+def test_token_ids_that_are_not_ints_rejected(op, bad):
+    # int(i) would truncate a float id and read a string or bool as an id
+    model = freeze(small_model())
+    run = {
+        "forward_logits": lambda ids: forward_logits(model, np.zeros((8, 2)), ids),
+        "embed_sequence": lambda ids: embed_sequence(model, ids, d_e=4),
+        **{name: (lambda ids, f=f: f(model, ids)) for name, f in _ID_OPS.items()},
+    }[op]
+    run([4, np.int32(5), np.int64(6)])  # Python ints and NumPy integers run
+    with pytest.raises(ValidationError, match=re.escape(f"token id {_NOT_INTS[bad]!r} is not an int")):
+        run([4, _NOT_INTS[bad], 5, 2**70])
 
 
 def test_weight_names_cover_model_exactly():

@@ -180,7 +180,7 @@ def test_raisers_finds_what_it_should():
 
 # each token-sequence rule's message, with the wordings of the copies it replaced
 TOKEN_SEQUENCE_RULES = {
-    "backbone.py: check_ids": r"out of vocabulary range",
+    "vocab.py: check_ids": r"out of vocabulary range|out of range|\bnot an int\b",
     "backbone.py: check_prompt": r"\bwidth\b|does not fit the backbone|does not match backbone|backbone capacity",
 }
 

@@ -1,5 +1,6 @@
 """Tokenizer and vocabulary behavior."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +11,7 @@ from softsrv.vocab import BOS, EOS, PAD, RESERVED, UNK, Vocabulary, build_vocab,
 def test_reserved_ids_are_pinned():
     assert (PAD, BOS, EOS, UNK) == (0, 1, 2, 3)
     v = build_vocab(["a b c"])
-    assert [v.token_for(i) for i in range(4)] == list(RESERVED)
+    assert v.tokens[:4] == list(RESERVED)
 
 
 def test_split_keeps_words_and_punctuation():
@@ -24,9 +25,7 @@ def test_split_treats_marker_tokens_atomically():
 def test_build_vocab_ranks_by_frequency_then_alphabetically():
     v = build_vocab(["b b b a a c", "a c"])
     # a and b both appear 3 times; alphabetical order breaks the tie
-    assert v.token_for(4) == "a"
-    assert v.token_for(5) == "b"
-    assert v.token_for(6) == "c"
+    assert v.tokens[4:] == ["a", "b", "c"]
 
 
 def test_build_vocab_respects_max_size():
@@ -60,6 +59,20 @@ def test_decode_attaches_tight_punctuation():
     v = build_vocab(["a , b . c ?"])
     ids = v.encode("a, b. c?")
     assert v.decode(ids) == "a, b. c?"
+
+
+def test_decode_holds_ids_to_the_one_id_rule():
+    v = build_vocab(["a b"])
+    assert v.decode([np.int64(4), np.int32(5)]) == "a b"
+    for bad, message in (
+        (4.9, "token id 4.9 is not an int"),
+        ("4", "token id '4' is not an int"),
+        (True, "token id True is not an int"),
+        (len(v), f"token id {len(v)} out of vocabulary range"),
+        (-1, "token id -1 out of vocabulary range"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            v.decode([4, bad])
 
 
 def test_duplicate_surfaces_rejected():
