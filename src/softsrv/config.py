@@ -5,11 +5,12 @@ config always starts from a named preset and applies overrides on top;
 every seed is explicit, and the fully resolved config serializes into
 reports for provenance. A training section sets only steps, learning rate
 and batch size; optim declares the rest of the recipe and templates the
-PT-SR stop word. Unknown sections, unknown keys, and unparsable values
-raise ConfigError, as do a non-positive learning rate, negative steps, an
-empty batch, a count below what its stage accepts, any model section that
-BackboneConfig rejects and any soft-prompt layout that prompts.zero_params
-rejects, so they fail before any stage.
+PT-SR stop word. Unknown sections, unknown keys ([meta] knows only
+preset), unparsable values and an int field that holds anything but a
+plain int raise ConfigError, as do a non-positive learning rate, negative
+steps, an empty batch, a count below what its stage accepts, any model
+section that BackboneConfig rejects and any soft-prompt layout that
+prompts.zero_params rejects, so they fail before any stage.
 """
 
 from __future__ import annotations
@@ -152,6 +153,12 @@ class ExperimentConfig:
     paths: PathsSection = field(default_factory=PathsSection)
 
     def validate(self) -> "ExperimentConfig":
+        for section in _SECTION_ORDER:  # a field declared as an int holds a plain int, not a bool or float
+            target = getattr(self, section)
+            for f in fields(target):
+                value = getattr(target, f.name)
+                if type(f.default) is int and type(value) is not int:
+                    raise ConfigError(f"{section}.{f.name} must be an int, got {value!r}")
         if self.generation.method not in METHODS:
             raise ConfigError(f"generation.method must be one of {METHODS}")
         if self.corpus.grammar not in ("arithmetic", "truefalse"):
@@ -162,9 +169,6 @@ class ExperimentConfig:
             raise ConfigError("paths.out_dir is required")
         if self.softsrv.t >= self.backbone.max_seq:
             raise ConfigError("softsrv.t must be smaller than backbone.max_seq")
-        for name, value in vars(self.seeds).items():
-            if not isinstance(value, int):
-                raise ConfigError(f"seeds.{name} must be an integer")
         for key in ("backbone.pretrain_lr", "embedder.pretrain_lr", "student.pretrain_lr",
                     "student.finetune_lr", "trainer.lr", "mauve.c"):
             if not self._value(key) > 0:
@@ -249,6 +253,9 @@ def _coerce(section: str, key: str, raw: str, current):
 def apply_overrides(cfg: ExperimentConfig, parser: configparser.ConfigParser) -> ExperimentConfig:
     for section in parser.sections():
         if section == "meta":
+            for key in parser.options(section):
+                if key != "preset":
+                    raise ConfigError(f"unknown key meta.{key}")
             continue
         if section not in _SECTION_ORDER:
             raise ConfigError(f"unknown section [{section}]")

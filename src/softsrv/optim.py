@@ -8,8 +8,9 @@ parameters and moments in place, in two scratch rows that init_adam
 allocates in the moments' dtype, so no step allocates anything
 parameter-sized. A key larger than BLOCK elements is updated one flat
 BLOCK-element slice at a time, so one pass stays in cache; the update is
-elementwise, so the slicing does not change its bits. LossTrace holds each
-step's loss and pre-clip gradient norm, no wall-clock time.
+elementwise, so the slicing does not change its bits. clip_global_norm
+sums the squares of such a key one slice at a time too. LossTrace holds
+each step's loss and pre-clip gradient norm, no wall-clock time.
 """
 
 from __future__ import annotations
@@ -132,8 +133,9 @@ def batch_schedule(n: int, steps: int, batch_size: int, seed) -> list[list[int]]
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients in place so their joint L2 norm is <= max_norm."""
     total = 0.0
-    for g in grads.values():
-        total += float(np.sum(np.square(g, dtype=np.float64)))  # float64 sum, no float64 copy of g
+    for g in grads.values():  # float64 squares of at most BLOCK elements at once
+        parts = [g] if g.size <= BLOCK else np.split(g.reshape(-1), range(BLOCK, g.size, BLOCK))
+        total += sum(float(np.sum(np.square(part, dtype=np.float64))) for part in parts)
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm

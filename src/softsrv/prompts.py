@@ -6,19 +6,18 @@ Three ways to produce a (d, t) prompt matrix for the frozen backbone:
   gets the same prompt.
 - mixture: k basis matrices combined by softmax weights from a learned
   affine map of the context vector. The bases are stored as one (k, d, t)
-  stack, which materialize and param_grad use as one (k, d*t) matrix;
-  param_arrays names its (d, t) slices basis_{i} (the checkpoint layout).
+  stack, which materialize and param_grad use as one (k, d*t) matrix.
 - per-column MLPs: t independent small ReLU MLPs, each mapping the context
   vector to one prompt column. Layer li of all t MLPs is stored as one
   (t, out, in) weight stack and one (t, out) bias stack, and runs as one
   stacked matmul; each column's slice of a stack is its own MLP's layer,
   computed with the same BLAS call, so the bits match a loop over columns.
-  param_arrays names those slices per column (the checkpoint layout) and
-  param_stacks names the stacks (what the optimizer steps).
 
-zero_params declares and checks each variant's layout once, from the
-fields that params_meta derives and a checkpoint's meta stores: init_params
-draws into its arrays, load_params fills them through param_arrays, and
+param_stacks names every trainable array once, as stored: what the
+optimizer steps, the gradient clip sums and a checkpoint holds. zero_params
+declares and checks each variant's layout once, from the fields that
+params_meta derives and a checkpoint's meta stores: init_params draws into
+its arrays, load_params fills them through param_stacks, and
 zeros_like_params rebuilds them as a gradient container.
 
 param_grad chains an upstream dL/dP into gradients over each variant's own
@@ -246,38 +245,21 @@ def zeros_like_params(params: SoftSRVParams) -> SoftSRVParams:
     return zero_params(**params_meta(params))
 
 
-def param_arrays(params: SoftSRVParams) -> list[tuple[str, np.ndarray]]:
-    """Named, ordered views of every trainable array in the variant.
+def param_stacks(params: SoftSRVParams) -> list[tuple[str, np.ndarray]]:
+    """Named arrays that hold every trainable value once, as stored.
 
-    The per-column MLPs give one view per column and layer (col{j}_w{li},
-    col{j}_b{li}), column by column: the checkpoint's tensors.
+    The prompt matrix; the mixture's (k, d, t) bases and its gate; the
+    per-column MLPs' (t, ...) layer stacks w{li}, b{li}, layer by layer.
     """
     if isinstance(params, NonContextualParams):
         return [("prompt", params.prompt)]
     if isinstance(params, MixtureParams):
-        out = [(f"basis_{i}", b) for i, b in enumerate(params.bases)]
-        return out + [("gate_w", params.gate_w), ("gate_b", params.gate_b)]
+        return [("bases", params.bases), ("gate_w", params.gate_w), ("gate_b", params.gate_b)]
     return [
-        (f"col{j}_{kind}{li}", stack[j])
-        for j in range(params.t)
+        (f"{kind}{li}", stack)
         for li in range(len(params.weights))
         for kind, stack in (("w", params.weights[li]), ("b", params.biases[li]))
     ]
-
-
-def param_stacks(params: SoftSRVParams) -> list[tuple[str, np.ndarray]]:
-    """Named arrays that hold every trainable value once, as stored.
-
-    The per-column MLPs give their (t, ...) layer stacks (w{li}, b{li});
-    the other variants give what param_arrays gives.
-    """
-    if isinstance(params, MlpConcatParams):
-        return [
-            (f"{kind}{li}", stack)
-            for li in range(len(params.weights))
-            for kind, stack in (("w", params.weights[li]), ("b", params.biases[li]))
-        ]
-    return param_arrays(params)
 
 
 def param_grad(params: SoftSRVParams, z, upstream: np.ndarray, acts: list | None = None) -> SoftSRVParams:

@@ -6,9 +6,11 @@ NLL of each sequence (EOS appended so generation learns to stop), backprop
 through the frozen body to dL/dP, chain the batch-averaged dL/dP into the
 variant's parameters in one call, reusing the hidden activations that
 materialize kept, and apply one in-place Adam update to the stacked
-parameters. Nothing a step allocates outlives it, so no two steps' gradients
-are alive at once. Only the prompt parameters move; the backbone and
-embedder are frozen and their checksums must not change.
+parameters. The step's one gradient dict, named by param_stacks, is what
+clip_global_norm scales and adam_step reads. Nothing a step allocates
+outlives it, so no two steps' gradients are alive at once. Only the prompt
+parameters move; the backbone and embedder are frozen and their checksums
+must not change.
 
 train works on a copy and drops its reference to the input as soon as the
 copy exists. A caller that passes init_params(...) inline keeps no
@@ -19,9 +21,10 @@ check_schedule, batch_schedule, Adam at its defaults and clipping to
 CLIP_NORM. Each step records its loss and pre-clip gradient norm. Both
 loops check every sequence before the first step, sampled or not.
 
-A checkpoint's meta is prompts.params_meta. load_params reads the header
-alone first, rebuilds the layout from the meta through zero_params, which
-checks it, and holds the header's tensors to that layout's names, shapes
+A checkpoint's meta is prompts.params_meta and its tensors are the arrays
+that prompts.param_stacks names, each prefixed param.: the same arrays the
+optimizer steps. load_params reads the header alone first, rebuilds the
+layout from the meta through zero_params, which checks it, and holds the header's tensors to that layout's names, shapes
 and dtype; only then does it read each payload straight into its place, so
 a load holds one copy of the parameters.
 """
@@ -43,7 +46,6 @@ from .prompts import (
     NonContextualParams,
     SoftSRVParams,
     materialize,
-    param_arrays,
     param_grad,
     param_stacks,
     params_meta,
@@ -105,10 +107,9 @@ def train(
         if not np.isfinite(loss):
             raise TrainingDivergedError(step, loss)
 
-        grads = param_grad(work, z, prefix_grads.transpose(0, 2, 1) / len(batch), acts)
-        # summed per column and layer, in the checkpoint's order
-        norm = clip_global_norm(dict(param_arrays(grads)), CLIP_NORM)
-        adam_step(adam, stacks, dict(param_stacks(grads)), lr)
+        grads = dict(param_stacks(param_grad(work, z, prefix_grads.transpose(0, 2, 1) / len(batch), acts)))
+        norm = clip_global_norm(grads, CLIP_NORM)  # scales grads in place for adam_step
+        adam_step(adam, stacks, grads, lr)
         trace.record(loss, norm)
         # one gradient generation: none of this step's arrays outlive it
         del prompts, acts, prefix_grads, grads
@@ -119,7 +120,7 @@ def train(
 # parameter checkpoints
 
 def save_params(path, params: SoftSRVParams) -> None:
-    tensors = {f"param.{name}": arr for name, arr in param_arrays(params)}
+    tensors = {f"param.{name}": arr for name, arr in param_stacks(params)}
     write_checkpoint(path, "softsrv_params", params_meta(params), tensors)
 
 
@@ -136,7 +137,7 @@ def load_params(path, backbone: BackboneModel | None = None) -> SoftSRVParams:
             raise CheckpointFormatError(f"bad params meta: {exc}") from exc
         if backbone is not None:
             check_prompt(backbone, params.d, params.t)
-        views = {f"param.{name}": view for name, view in param_arrays(params)}
+        views = {f"param.{name}": view for name, view in param_stacks(params)}
         check_tensors(ckpt.entries, {name: view.shape for name, view in views.items()}, "float64")
         for name, view in views.items():
             ckpt.read_into(name, view)

@@ -25,7 +25,7 @@ from softsrv.generation import generate_answers, generate_questions
 from softsrv.mauve import QuantizedPair, divergence_curve, mauve_score
 from softsrv.pipeline import Pipeline
 from softsrv.postprocess import ClusterAssignment, decontaminate, dedup_exact, round_robin_subsample
-from softsrv.prompts import init_params, materialize, param_arrays, param_grad
+from softsrv.prompts import init_params, materialize, param_grad, param_stacks
 from softsrv.student import evaluate_student
 from softsrv.vocab import build_vocab
 
@@ -62,8 +62,8 @@ def test_criterion_01_gradient_suite_matches_finite_differences():
         _, _, prefix_grads, _ = batch_loss_and_grads(model, [materialize(params, z).T], [target],
                                                      want_prefix_grads=True)
         upstream = prefix_grads[0].T
-        analytic = dict(param_arrays(param_grad(params, z, upstream)))
-        for name, arr in param_arrays(params):
+        analytic = dict(param_stacks(param_grad(params, z, upstream)))
+        for name, arr in param_stacks(params):
             flat = arr.ravel()
             for i in range(flat.size):
                 keep = flat[i]

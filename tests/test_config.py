@@ -100,6 +100,16 @@ def test_unknown_section_and_key_rejected(tmp_path):
         load_config(str(bad_key))
 
 
+
+@pytest.mark.parametrize("text", ["[meta]\nprest = paper\n", "[meta]\npreset = paper\nseed = 3\n"],
+                         ids=["prest", "seed"])
+def test_unknown_meta_key_rejected(tmp_path, text):
+    # [meta] knows only preset: a misspelt one must not load the desk preset quietly
+    path = tmp_path / "m.ini"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match="unknown key meta."):
+        load_config(str(path))
+
 def test_bad_value_coercion_reports_the_field(tmp_path):
     path = tmp_path / "c.ini"
     path.write_text("[trainer]\nsteps = soon\n", encoding="utf-8")
@@ -143,6 +153,23 @@ def test_validate_rejects_bad_combinations():
     with pytest.raises(ConfigError):
         cfg.validate()
 
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("seeds", "train", True),
+    ("generation", "n_raw", 2.5),
+    ("postprocess", "kmeans_k", 3.0),
+    ("generation", "max_new_tokens", True),
+    ("trainer", "steps", 10.0),
+    ("softsrv", "t", "8"),
+])
+def test_int_fields_hold_plain_ints(section, key, value):
+    # a bool or float would pass the bounds, then fail mid-stage (range(2.5))
+    # or fingerprint differently from the int it stands for
+    cfg = ExperimentConfig()
+    setattr(getattr(cfg, section), key, value)
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be an int"):
+        cfg.validate()
 
 @pytest.mark.parametrize("section, key, value", [
     # optim declares the clip norm, Adam's betas and its eps, so the trainer

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from softsrv.backbone import BackboneConfig, BackboneModel, batch_loss_and_grads, forward_logits, init_backbone
-from softsrv.prompts import init_params, materialize, param_arrays, param_grad
+from softsrv.prompts import init_params, materialize, param_grad, param_stacks
 from softsrv.vocab import build_vocab
 
 FD_STEP = 1e-5
@@ -150,8 +150,8 @@ def test_full_chain_parameter_gradients_match_fd(variant):
         return prefix_loss(model, materialize(params, z), target)
 
     upstream = prefix_grad(model, materialize(params, z), target)
-    grads = dict(param_arrays(param_grad(params, z, upstream)))
-    for name, arr in param_arrays(params):
+    grads = dict(param_stacks(param_grad(params, z, upstream)))
+    for name, arr in param_stacks(params):
         idx, numeric = fd_sampled(loss, arr, rng)
         analytic = grads[name].ravel()[idx]
         keep = np.maximum(np.abs(analytic), np.abs(numeric)) > FLOOR

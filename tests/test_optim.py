@@ -64,6 +64,21 @@ def test_clip_leaves_small_gradients_alone():
     np.testing.assert_allclose(grads["a"], [0.3, 0.4])
 
 
+def test_clip_of_a_stack_allocates_nothing_stack_sized():
+    # a (t, out, in) prompt stack is summed one BLOCK slice at a time; the
+    # float64 squares of the whole stack were a stack-sized temporary
+    rng = np.random.default_rng(2)
+    grads = {"w1": rng.standard_normal((16, 128, 128)), "b1": rng.standard_normal((16, 128))}
+    want = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+    tracemalloc.start()
+    try:
+        norm = clip_global_norm(grads, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert norm == pytest.approx(want, rel=1e-14)
+    assert peak < 0.2 * grads["w1"].nbytes, peak
+
 def _reference_step(m, v, g, t, lr, b1, b2, eps):
     """Advance m and v in place and return the update, as the plain expression."""
     m *= b1

@@ -13,7 +13,7 @@ from softsrv.backbone import BackboneModel, checksum
 from softsrv.config import preset_config
 from softsrv.errors import StageError
 from softsrv.pipeline import STAGE_EXIT_CODES, STAGE_TABLE, STAGES, Pipeline, run_experiment
-from softsrv.prompts import param_arrays
+from softsrv.prompts import param_stacks
 from softsrv.records import read_records
 from softsrv.training import load_params
 
@@ -352,7 +352,7 @@ def _comparable(value):
     if isinstance(value, BackboneModel):
         return value.config, value.vocab.tokens, value.frozen, checksum(value)
     if hasattr(value, "variant"):
-        return value.variant, value.d, value.t, value.d_e, [(n, a.tobytes()) for n, a in param_arrays(value)]
+        return value.variant, value.d, value.t, value.d_e, [(n, a.tobytes()) for n, a in param_stacks(value)]
     return value
 
 

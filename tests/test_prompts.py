@@ -13,7 +13,6 @@ from softsrv.prompts import (
     NonContextualParams,
     init_params,
     materialize,
-    param_arrays,
     param_grad,
     param_stacks,
     zeros_like_params,
@@ -122,13 +121,15 @@ def test_mlp_layer_sizing(model):
         assert shapes == [(6, 4), (6, 6), (8, 6)]
 
 
-def test_param_arrays_and_zeros_cover_every_parameter(model):
-    for variant in ("ss_np", "ss_mp", "ss_mc"):
+def test_param_stacks_and_zeros_cover_every_parameter(model):
+    # the names are the checkpoint's tensor names, so they are pinned here
+    expected = {"ss_np": ["prompt"], "ss_mp": ["bases", "gate_w", "gate_b"],
+                "ss_mc": ["w0", "b0", "w1", "b1", "w2", "b2"]}
+    for variant, want in expected.items():
         params = init_params(variant, model, t=2, d_e=4, seed=6, k=3, mlp_hidden=5)
-        names = [n for n, _ in param_arrays(params)]
-        assert len(names) == len(set(names))
+        assert [n for n, _ in param_stacks(params)] == want
         zeros = zeros_like_params(params)
-        for (na, a), (nz, z) in zip(param_arrays(params), param_arrays(zeros)):
+        for (na, a), (nz, z) in zip(param_stacks(params), param_stacks(zeros)):
             assert na == nz
             assert a.shape == z.shape
             assert not np.any(z)
@@ -146,7 +147,7 @@ def test_batched_calls_match_stacked_and_summed_per_example_calls(model, variant
     # B single-context calls, stacked (prompts) or summed (gradients)
     rng = np.random.default_rng(12)
     params = init_params(variant, model, t=3, d_e=4, seed=8, k=3, mlp_hidden=6)
-    for _, arr in param_arrays(params):
+    for _, arr in param_stacks(params):
         arr[...] = rng.standard_normal(arr.shape)
     z = rng.standard_normal((5, 4))
     upstream = rng.standard_normal((5, model.d, 3))
@@ -156,8 +157,8 @@ def test_batched_calls_match_stacked_and_summed_per_example_calls(model, variant
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     close(materialize(params, z), np.stack([materialize(params, zi) for zi in z]))
-    batched = param_arrays(param_grad(params, z, upstream))
-    singles = [param_arrays(param_grad(params, zi, ui)) for zi, ui in zip(z, upstream)]
+    batched = param_stacks(param_grad(params, z, upstream))
+    singles = [param_stacks(param_grad(params, zi, ui)) for zi, ui in zip(z, upstream)]
     for i, (name, got) in enumerate(batched):
         assert [g[i][0] for g in singles] == [name] * len(z)
         close(got, sum(g[i][1] for g in singles))
@@ -204,7 +205,7 @@ def test_stacked_mlp_layers_equal_the_column_loop_exactly(model, layers, batch):
     # activations kept by materialize and without them
     rng = np.random.default_rng(layers * 10 + batch)
     params = init_params("ss_mc", model, t=5, d_e=4, seed=14, mlp_hidden=6, mlp_layers=layers)
-    for _, arr in param_arrays(params):
+    for _, arr in param_stacks(params):
         arr[...] = rng.standard_normal(arr.shape)
     z = rng.standard_normal((batch, 4))
     acts = []
@@ -213,22 +214,9 @@ def test_stacked_mlp_layers_equal_the_column_loop_exactly(model, layers, batch):
     # a contiguous upstream, and the transposed one training passes
     for upstream in (rng.standard_normal((batch, model.d, 5)),
                      rng.standard_normal((batch, 5, model.d)).transpose(0, 2, 1) / batch):
-        want = param_arrays(_column_loop_param_grad(params, z, upstream))
+        want = param_stacks(_column_loop_param_grad(params, z, upstream))
         for kept in (acts, None):
-            got = param_arrays(param_grad(params, z, upstream, kept))
+            got = param_stacks(param_grad(params, z, upstream, kept))
             assert [n for n, _ in got] == [n for n, _ in want]
             for (_, g), (_, w) in zip(got, want):
                 np.testing.assert_array_equal(g, w)
-
-
-def test_param_arrays_are_per_column_views_of_the_stacks(model):
-    params = init_params("ss_mc", model, t=3, d_e=4, seed=15, mlp_hidden=5, mlp_layers=3)
-    names = [n for n, _ in param_arrays(params)]
-    assert names[:6] == ["col0_w0", "col0_b0", "col0_w1", "col0_b1", "col0_w2", "col0_b2"]
-    assert len(names) == 3 * 6
-    stacks = dict(param_stacks(params))
-    assert list(stacks) == ["w0", "b0", "w1", "b1", "w2", "b2"]
-    for name, arr in param_arrays(params):
-        col, kind = name.split("_")
-        assert np.shares_memory(arr, stacks[kind])
-        np.testing.assert_array_equal(arr, stacks[kind][int(col[3:])])

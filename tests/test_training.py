@@ -14,8 +14,8 @@ from softsrv.backbone import (
 )
 from softsrv.checkpoint import read_checkpoint, write_checkpoint
 from softsrv.errors import CheckpointFormatError, ValidationError
-from softsrv.optim import CLIP_NORM, batch_schedule, clip_global_norm, init_adam
-from softsrv.prompts import init_params, materialize, param_arrays, param_grad
+from softsrv.optim import CLIP_NORM, adam_step, batch_schedule, clip_global_norm, init_adam
+from softsrv.prompts import init_params, materialize, param_grad, param_stacks, params_meta
 from softsrv.training import load_params, save_params, train
 from softsrv.vocab import EOS, build_vocab
 
@@ -105,7 +105,7 @@ def test_zero_steps_returns_bit_identical_copy(setup):
     params = init_params("ss_mc", backbone, t=3, d_e=6, seed=1, mlp_hidden=4)
     out, trace = train(backbone, embedder, dataset, params, steps=0, lr=1e-3, seed=0)
     assert out is not params
-    for (_, a), (_, b) in zip(param_arrays(params), param_arrays(out)):
+    for (_, a), (_, b) in zip(param_stacks(params), param_stacks(out)):
         np.testing.assert_array_equal(a, b)
     assert trace.losses == []
 
@@ -120,7 +120,6 @@ def test_input_params_never_mutated(setup):
 
 def test_first_step_is_exactly_one_adam_update(setup):
     backbone, embedder, dataset = setup
-    from softsrv.optim import adam_step, clip_global_norm
     from softsrv.prompts import param_grad, zeros_like_params
 
     params = init_params("ss_np", backbone, t=2, d_e=6, seed=4)
@@ -133,7 +132,7 @@ def test_first_step_is_exactly_one_adam_update(setup):
     prefixes = [materialize(params).T for _ in batch]
     _, _, pg, _ = batch_loss_and_grads(backbone, prefixes, targets, want_prefix_grads=True)
     acc = zeros_like_params(params)
-    acc_arrays = dict(param_arrays(acc))
+    acc_arrays = dict(param_stacks(acc))
     for bi in range(2):
         g = param_grad(params, None, pg[bi].T)
         acc_arrays["prompt"] += g.prompt / 2
@@ -152,7 +151,7 @@ def test_training_is_deterministic(setup):
         out, trace = train(backbone, embedder, dataset, params, steps=20, lr=1e-3, seed=6)
         runs.append((out, trace.losses))
     assert runs[0][1] == runs[1][1]
-    for (_, a), (_, b) in zip(param_arrays(runs[0][0]), param_arrays(runs[1][0])):
+    for (_, a), (_, b) in zip(param_stacks(runs[0][0]), param_stacks(runs[1][0])):
         np.testing.assert_array_equal(a, b)
 
 
@@ -296,7 +295,32 @@ def test_trace_records_each_steps_loss_and_pre_clip_gradient_norm(setup):
         backbone, prompts.transpose(0, 2, 1), [dataset[i] + [EOS] for i in batch], want_prefix_grads=True)
     grads = param_grad(params, z, prefix_grads.transpose(0, 2, 1) / len(batch))
     assert trace.losses == [loss]
-    assert trace.grad_norms == [clip_global_norm(dict(param_arrays(grads)), CLIP_NORM)]
+    assert trace.grad_norms == [clip_global_norm(dict(param_stacks(grads)), CLIP_NORM)]
+
+
+@pytest.mark.parametrize("variant", ["ss_mp", "ss_mc"])
+def test_one_stack_gradient_dict_feeds_the_clip_and_adam(setup, monkeypatch, variant):
+    # each step clips one dict, named by param_stacks, hands that same dict
+    # to Adam and records the norm the clip returned
+    backbone, embedder, dataset = setup
+    params = init_params(variant, backbone, t=2, d_e=6, seed=7, k=2, mlp_hidden=4)
+    clipped, norms, stepped = [], [], []
+
+    def clip_spy(grads, max_norm):
+        clipped.append(grads)
+        norms.append(clip_global_norm(grads, max_norm))
+        return norms[-1]
+
+    def adam_spy(state, stacks, grads, lr):
+        stepped.append(grads)
+        adam_step(state, stacks, grads, lr)
+
+    monkeypatch.setattr(softsrv.training, "clip_global_norm", clip_spy)
+    monkeypatch.setattr(softsrv.training, "adam_step", adam_spy)
+    _, trace = train(backbone, embedder, dataset, params, steps=3, lr=1e-3, seed=3, batch_size=2)
+    assert len(stepped) == 3 and trace.grad_norms == norms
+    assert all(c is s for c, s in zip(clipped, stepped))
+    assert all(list(grads) == [name for name, _ in param_stacks(params)] for grads in stepped)
 
 
 def test_full_weight_trace_records_a_norm_per_step(setup):
@@ -349,10 +373,10 @@ def test_params_load_holds_one_copy_of_the_parameters(tiny_vocab, tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    tensor_bytes = sum(arr.nbytes for _, arr in param_arrays(loaded))
+    tensor_bytes = sum(arr.nbytes for _, arr in param_stacks(loaded))
     assert tensor_bytes > 3e6
     assert peak < 1.2 * tensor_bytes, (peak, tensor_bytes)
-    for (_, a), (_, b) in zip(param_arrays(saved), param_arrays(loaded)):
+    for (_, a), (_, b) in zip(param_stacks(saved), param_stacks(loaded)):
         np.testing.assert_array_equal(a, b)
 
 
@@ -365,10 +389,36 @@ def test_params_round_trip_through_checkpoint(setup, tmp_path, variant):
     loaded = load_params(path, backbone)
     assert loaded.variant == params.variant
     assert (loaded.d, loaded.t, loaded.d_e) == (params.d, params.t, params.d_e)
-    for (na, a), (nb, b) in zip(param_arrays(params), param_arrays(loaded)):
+    for (na, a), (nb, b) in zip(param_stacks(params), param_stacks(loaded)):
         assert na == nb
         np.testing.assert_array_equal(a, b)
 
+
+
+@pytest.mark.parametrize("variant", ["ss_np", "ss_mp", "ss_mc"])
+def test_checkpoint_tensors_are_the_param_stacks(setup, tmp_path, variant):
+    backbone, _, _ = setup
+    params = init_params(variant, backbone, t=3, d_e=6, seed=11, k=3, mlp_hidden=4)
+    path = tmp_path / f"{variant}.ckpt"
+    save_params(path, params)
+    _, _, tensors = read_checkpoint(path)
+    stacks = param_stacks(params)
+    assert sorted(tensors) == sorted(f"param.{name}" for name, _ in stacks)
+    for name, arr in stacks:
+        np.testing.assert_array_equal(tensors[f"param.{name}"], arr)
+
+
+def test_per_column_checkpoint_rejected(setup, tmp_path):
+    # the layout that named each MLP column's layers (col{j}_w{li}, col{j}_b{li});
+    # load_params reads only the stacks, so a run directory written in it
+    # fails its train stage until params.ckpt is rebuilt
+    backbone, _, _ = setup
+    params = init_params("ss_mc", backbone, t=2, d_e=6, seed=14, mlp_hidden=4)
+    columns = {f"param.col{j}_{name}": stack[j] for name, stack in param_stacks(params) for j in range(params.t)}
+    path = tmp_path / "p.ckpt"
+    write_checkpoint(path, "softsrv_params", params_meta(params), columns)
+    with pytest.raises(CheckpointFormatError, match="checkpoint tensor set mismatch"):
+        load_params(path, backbone)
 
 _DROP = object()
 
@@ -400,8 +450,7 @@ _DROP = object()
     ("ss_np", {"param.extra": np.zeros(2)}),
     ("ss_np", {"param.prompt": _DROP}),
     # the first layer does not take d_e=6 inputs, and its tensors agree with the meta
-    ("ss_mc", {"layer_sizes": [[4, 5], [4, 4], [8, 4]],
-               "param.col0_w0": np.zeros((4, 5)), "param.col1_w0": np.zeros((4, 5))}),
+    ("ss_mc", {"layer_sizes": [[4, 5], [4, 4], [8, 4]], "param.w0": np.zeros((2, 4, 5))}),
 ])
 def test_malformed_params_meta_rejected(setup, tmp_path, variant, patch):
     backbone, _, _ = setup
