@@ -3,14 +3,16 @@
 The file format is key-value-with-sections text (configparser syntax). A
 config always starts from a named preset and applies overrides on top;
 every seed is explicit, and the fully resolved config serializes into
-reports for provenance. A training section sets only steps, learning rate
-and batch size; optim declares the rest of the recipe and templates the
+reports for provenance. Only [trainer] sets a learning rate and batch
+size; optim declares the rest of the recipe (the helper models' lr and
+batch size among it), mauve.DEFAULT_C is MAUVE's c and templates holds the
 PT-SR stop word. Unknown sections, unknown keys ([meta] knows only
-preset), unparsable values and an int field that holds anything but a
-plain int raise ConfigError, as do a non-positive learning rate, negative
-steps, an empty batch, a count below what its stage accepts, any model
-section that BackboneConfig rejects and any soft-prompt layout that
-prompts.zero_params rejects, so they fail before any stage.
+preset), unparsable values and an int or float field holding another type
+raise ConfigError, as do a non-positive learning rate, negative steps,
+seeds or temperatures, an empty batch, a count below what its stage
+accepts, any model section that BackboneConfig rejects and any
+soft-prompt layout that prompts.zero_params rejects, so they fail before
+any stage.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field, fields
 from .backbone import BackboneConfig
 from .errors import ConfigError, ValidationError
 from .prompts import mlp_layer_sizes, zero_params
+from .vocab import RESERVED
 
 VARIANTS = ("ss_np", "ss_mp", "ss_mc")
 METHODS = VARIANTS + ("pt", "ptsr")
@@ -45,8 +48,6 @@ class BackboneSection:
     vocab_size: int = 512
     dtype: str = "float32"  # the frozen generator's compute; see the backbone module docstring
     pretrain_steps: int = 2000
-    pretrain_lr: float = 1e-3
-    pretrain_batch: int = 8
 
 
 @dataclass
@@ -57,8 +58,6 @@ class EmbedderSection:
     ffn_dim: int = 128
     d_e: int = 32
     pretrain_steps: int = 800
-    pretrain_lr: float = 1e-3
-    pretrain_batch: int = 8
 
 
 @dataclass
@@ -101,7 +100,6 @@ class PostprocessSection:
 @dataclass
 class MauveSection:
     k: int = 32
-    c: float = 5.0
     grid_size: int = 101
 
 
@@ -112,11 +110,7 @@ class StudentSection:
     n_heads: int = 2
     ffn_dim: int = 128
     pretrain_steps: int = 800
-    pretrain_lr: float = 1e-3
-    pretrain_batch: int = 8
     finetune_steps: int = 500
-    finetune_lr: float = 1e-3
-    finetune_batch: int = 8
 
 
 @dataclass
@@ -153,12 +147,13 @@ class ExperimentConfig:
     paths: PathsSection = field(default_factory=PathsSection)
 
     def validate(self) -> "ExperimentConfig":
-        for section in _SECTION_ORDER:  # a field declared as an int holds a plain int, not a bool or float
+        for section in _SECTION_ORDER:  # an int field holds a plain int, a float field a plain float
             target = getattr(self, section)
             for f in fields(target):
-                value = getattr(target, f.name)
-                if type(f.default) is int and type(value) is not int:
-                    raise ConfigError(f"{section}.{f.name} must be an int, got {value!r}")
+                value, kind = getattr(target, f.name), type(f.default)
+                if kind in (int, float) and type(value) is not kind:
+                    raise ConfigError(f"{section}.{f.name} must be {'an int' if kind is int else 'a float'}, "
+                                      f"got {value!r}")
         if self.generation.method not in METHODS:
             raise ConfigError(f"generation.method must be one of {METHODS}")
         if self.corpus.grammar not in ("arithmetic", "truefalse"):
@@ -169,16 +164,15 @@ class ExperimentConfig:
             raise ConfigError("paths.out_dir is required")
         if self.softsrv.t >= self.backbone.max_seq:
             raise ConfigError("softsrv.t must be smaller than backbone.max_seq")
-        for key in ("backbone.pretrain_lr", "embedder.pretrain_lr", "student.pretrain_lr",
-                    "student.finetune_lr", "trainer.lr", "mauve.c"):
-            if not self._value(key) > 0:
-                raise ConfigError(f"{key} must be positive, got {self._value(key)}")
-        # zero steps train nothing, which is legal; an empty batch or count is not, and a
-        # train/test split needs two examples, a divergence curve two grid points
+        if not self.trainer.lr > 0:
+            raise ConfigError(f"trainer.lr must be positive, got {self.trainer.lr}")
+        # zero steps train nothing, which is legal; an empty batch or count is not, a train/test
+        # split needs two examples, a divergence curve two grid points, a vocabulary one real token
         for key, lo in (("backbone.pretrain_steps", 0), ("embedder.pretrain_steps", 0),
                         ("student.pretrain_steps", 0), ("student.finetune_steps", 0), ("trainer.steps", 0),
-                        ("backbone.pretrain_batch", 1), ("embedder.pretrain_batch", 1),
-                        ("student.pretrain_batch", 1), ("student.finetune_batch", 1), ("trainer.batch_size", 1),
+                        ("trainer.batch_size", 1), ("backbone.vocab_size", len(RESERVED) + 1),
+                        *((f"seeds.{f.name}", 0) for f in fields(SeedsSection)),
+                        *((f"generation.{use}_temperature", 0) for use in ("question", "answer", "pt")),
                         ("corpus.n_examples", 2), ("corpus.n_aux", 2), ("corpus.n_generic", 1),
                         ("generation.n_raw", 1), ("generation.max_new_tokens", 1),
                         ("generation.ptsr_max_rounds", 1), ("postprocess.n_select", 1),

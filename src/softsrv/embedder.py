@@ -4,7 +4,8 @@ A sequence's context vector is the mean of the embedder's token-embedding
 rows over the sequence, truncated to the first d_e coordinates. Deliberately
 lossy: token order never enters, and truncation discards tail dimensions.
 The embedder is a separate tiny backbone, pretrained then frozen; only its
-embedding table participates here.
+embedding table participates here. Its layers are pretrained all the
+same: tok_emb gets its shape from next-token gradients sent through them.
 """
 
 from __future__ import annotations

@@ -3,14 +3,17 @@
 Every training loop (backbone pretraining, soft-prompt training, student
 fine-tuning) runs Adam at adam_step's default betas and eps, clips to a
 global norm of CLIP_NORM and draws batch_schedule's batches; its steps,
-lr, seed and batch size are its only settings. adam_step updates the
-parameters and moments in place, in two scratch rows that init_adam
-allocates in the moments' dtype, so no step allocates anything
-parameter-sized. A key larger than BLOCK elements is updated one flat
-BLOCK-element slice at a time, so one pass stays in cache; the update is
-elementwise, so the slicing does not change its bits. clip_global_norm
-sums the squares of such a key one slice at a time too. LossTrace holds
-each step's loss and pre-clip gradient norm, no wall-clock time.
+lr, seed and batch size are its only settings. Only the soft prompt's lr
+and batch size are configured: the helper models that train_full_weights
+trains (backbone, embedder, student) run at HELPER_LR and HELPER_BATCH.
+adam_step updates the parameters and moments in place, in two scratch
+rows that init_adam allocates in the moments' dtype, so no step
+allocates anything parameter-sized. A key larger than BLOCK elements is
+updated one flat BLOCK-element slice at a time, so one pass stays in
+cache; the update is elementwise, so the slicing does not change its
+bits. clip_global_norm sums the squares of such a key one slice at a
+time too. LossTrace holds each step's loss and pre-clip gradient norm,
+no wall-clock time.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from .errors import ValidationError
 
 BLOCK = 32768  # elements of one key that adam_step updates per pass
 CLIP_NORM = 1.0  # the global gradient norm every training loop clips to
+HELPER_LR = 1e-3  # the frozen backbone's, the embedder's and the student's Adam step size
+HELPER_BATCH = 8  # and their batch size
 
 
 @dataclass

@@ -36,7 +36,7 @@ from .embedder import embed_sequence
 from .errors import StageError, ValidationError
 from .generation import generate_answers, generate_questions
 from .mauve import MauveReport, mauve_score
-from .optim import LossTrace
+from .optim import HELPER_BATCH, HELPER_LR, LossTrace
 from .postprocess import decontaminate_report, diverse_subsample
 from .prompts import init_params
 from .records import SyntheticRecord, read_records, write_records
@@ -78,10 +78,10 @@ STAGE_TABLE = {
                          "postprocess seeds.postprocess", "corpus answers"),
     "mauve": Stage("mauve", "mauve_report.txt", "mauve embedder.d_e seeds.mauve", "corpus embedder postprocess"),
     "student_base": Stage("student", "student_base.ckpt student_base_trace.tsv",
-                          "student.d,n_layers,n_heads,ffn_dim,pretrain_steps,pretrain_lr,pretrain_batch "
+                          "student.d,n_layers,n_heads,ffn_dim,pretrain_steps "
                           "backbone.max_seq,vocab_size seeds.student", "corpus"),
     "student": Stage("student", "student_report.txt",
-                     "student.finetune_steps,finetune_lr,finetune_batch seeds.student",
+                     "student.finetune_steps seeds.student",
                      "corpus student_base postprocess"),
     "summary": Stage("summary", "summary.txt", "*", "corpus params questions answers postprocess mauve student"),
 }
@@ -277,7 +277,7 @@ class Pipeline:
         s = getattr(self.cfg, section)
         model, losses = pretrain_backbone(
             seqs, self.vocabulary(), self.cfg.model_config(section), steps=s.pretrain_steps,
-            lr=s.pretrain_lr, seed=getattr(self.cfg.seeds, section), batch_size=s.pretrain_batch,
+            lr=HELPER_LR, seed=getattr(self.cfg.seeds, section), batch_size=HELPER_BATCH,
         )
         save_backbone(ckpt, model)
         _write_text(trace, _trace_text(losses))
@@ -425,7 +425,7 @@ class Pipeline:
 
         return mauve_score(
             cloud(gen_texts), cloud(ref_texts),
-            k=m.k, c=m.c, grid_size=m.grid_size, seed=self.cfg.seeds.mauve,
+            k=m.k, grid_size=m.grid_size, seed=self.cfg.seeds.mauve,
         )
 
     def _build_mauve(self, path: Path) -> None:
@@ -439,7 +439,6 @@ class Pipeline:
         return {key: float(report[key]) for key in ("base_ppl", "tuned_ppl", "ratio")}
 
     def _build_student(self, path: Path) -> None:
-        s = self.cfg.student
         base = self.ensure_student_base()
         final = self.ensure_postprocess()
         if not final:
@@ -450,8 +449,8 @@ class Pipeline:
         report = evaluate_student(
             base, final, test_fold, vocabulary,
             dataset_tag=data["grammar"],
-            steps=s.finetune_steps, lr=s.finetune_lr,
-            batch_size=s.finetune_batch, seed=self.cfg.seeds.student,
+            steps=self.cfg.student.finetune_steps, lr=HELPER_LR,
+            batch_size=HELPER_BATCH, seed=self.cfg.seeds.student,
         )
         _write_text(path, report.to_text())
 

@@ -4,9 +4,10 @@ One test per criterion, numbered, so `pytest -v` prints exactly one
 PASS/FAIL line for each. Bodies also print the measured numbers (shown
 with -s or on failure). The desk-scale fixtures in conftest.py are the
 stages of one desk Pipeline, built once per session and shared; seeds,
-decode length, temperatures, MAUVE's k and the student's fine-tuning come
-from that pipeline's config. Budget checks read the wall time recorded
-at build.
+decode length, temperatures, MAUVE's k and the student's fine-tuning
+steps come from that pipeline's config, and the student's lr and batch
+size from optim, as the pipeline takes them. Budget checks read the wall
+time recorded at build.
 """
 
 import shutil
@@ -23,6 +24,7 @@ from softsrv.config import preset_config, save_config
 from softsrv.embedder import embed_sequence
 from softsrv.generation import generate_answers, generate_questions
 from softsrv.mauve import QuantizedPair, divergence_curve, mauve_score
+from softsrv.optim import HELPER_BATCH, HELPER_LR
 from softsrv.pipeline import Pipeline
 from softsrv.postprocess import ClusterAssignment, decontaminate, dedup_exact, round_robin_subsample
 from softsrv.prompts import init_params, materialize, param_grad, param_stacks
@@ -307,7 +309,7 @@ def test_criterion_08_student_improves_on_synthetic_data(
     for ft_seed in (cfg.seeds.student, cfg.seeds.student + 100, cfg.seeds.student + 200):
         result = evaluate_student(
             desk_student_base, records, eval_ids, desk_vocab, dataset_tag="ss_mc",
-            steps=s.finetune_steps, lr=s.finetune_lr, batch_size=s.finetune_batch, seed=ft_seed,
+            steps=s.finetune_steps, lr=HELPER_LR, batch_size=HELPER_BATCH, seed=ft_seed,
         )
         ratios.append(result.ratio)
     elapsed = time.perf_counter() - started

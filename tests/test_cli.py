@@ -46,10 +46,11 @@ def test_model_config_error_exits_two_before_any_stage_runs(tmp_path, capsys):
 
 @pytest.mark.parametrize("method, section, key, value", [
     ("ss_mp", "softsrv", "k", 0), ("ss_mc", "softsrv", "mlp_layers", 1), ("ss_np", "postprocess", "n_select", 0),
+    ("ss_np", "generation", "question_temperature", -1.0), ("ss_np", "backbone", "vocab_size", 4),
 ])
 def test_settings_a_stage_would_reject_exit_two_before_any_stage_runs(tmp_path, capsys, method, section, key,
                                                                        value):
-    # these used to exit 13 or 16 after the backbone and embedder pretrains
+    # these used to load, then exit 11, 13, 14 or 16 in the stage that read them
     cfg = mini_config(method)
     setattr(getattr(cfg, section), key, value)
     path = tmp_path / "bad.ini"
@@ -63,10 +64,15 @@ def test_settings_a_stage_would_reject_exit_two_before_any_stage_runs(tmp_path, 
 
 @pytest.mark.parametrize("section, line", [
     ("trainer", "grad_clip = 1.0"), ("generation", "ptsr_stop_text = Stop"),
+    ("backbone", "pretrain_lr = 0.001"), ("backbone", "pretrain_batch = 8"),
+    ("embedder", "pretrain_lr = 0.001"), ("embedder", "pretrain_batch = 8"),
+    ("student", "pretrain_lr = 0.001"), ("student", "pretrain_batch = 8"),
+    ("student", "finetune_lr = 0.001"), ("student", "finetune_batch = 8"), ("mauve", "c = 5.0"),
 ])
 def test_a_removed_key_exits_two_before_any_stage_runs(tmp_path, capsys, section, line):
-    # optim declares the clip norm and templates the stop word; a file that
-    # still sets either, even to the value the code uses, names an unknown key
+    # optim declares the clip norm and the helper models' lr and batch size,
+    # templates the stop word, and mauve.DEFAULT_C is MAUVE's c; a file that
+    # still sets one, even to the value the code uses, names an unknown key
     text = to_ini_text(mini_config("ptsr")).replace(f"[{section}]\n", f"[{section}]\n{line}\n")
     path = tmp_path / "old.ini"
     path.write_text(text, encoding="utf-8")
@@ -180,6 +186,15 @@ def test_standalone_mauve_rejects_an_empty_file(mini_ini, tmp_path, capsys, empt
                  "--gen", str(paths["gen"]), "--ref", str(paths["ref"])])
     assert code == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_negative_master_seed_exits_two_before_any_stage_runs(mini_ini, tmp_path, capsys):
+    # it used to reach the corpus stage and exit 10 there
+    out = tmp_path / "o"
+    code = main(["pretrain", "--config", mini_ini, "--out", str(out), "--seed", "-20"])
+    assert code == 2
+    assert "seeds.corpus must be >= 0" in capsys.readouterr().err
+    assert not (out / "backbone.ckpt").exists()
 
 
 def test_seed_flag_rewrites_stage_seeds(tmp_path):
