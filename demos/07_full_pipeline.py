@@ -43,7 +43,6 @@ cfg.postprocess.n_select = 6
 cfg.postprocess.svd_dims = 3
 cfg.postprocess.kmeans_k = 3
 cfg.mauve.k = 4
-cfg.mauve.grid_size = 21
 cfg.student.d = 16
 cfg.student.n_layers = 1
 cfg.student.n_heads = 2

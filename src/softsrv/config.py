@@ -5,14 +5,15 @@ config always starts from a named preset and applies overrides on top;
 every seed is explicit, and the fully resolved config serializes into
 reports for provenance. Only [trainer] sets a learning rate and batch
 size; optim declares the rest of the recipe (the helper models' lr and
-batch size among it), mauve.DEFAULT_C is MAUVE's c and templates holds the
-PT-SR stop word. Unknown sections, unknown keys ([meta] knows only
+batch size among it), generation and templates the sampling temperatures,
+mauve.DEFAULT_C and DEFAULT_GRID MAUVE's c and lambda grid, and templates
+the PT-SR stop word. Unknown sections, unknown keys ([meta] knows only
 preset), unparsable values and an int or float field holding another type
-raise ConfigError, as do a non-positive learning rate, negative steps,
-seeds or temperatures, an empty batch, a count below what its stage
-accepts, any model section that BackboneConfig rejects and any
-soft-prompt layout that prompts.zero_params rejects, so they fail before
-any stage.
+raise ConfigError, as do a learning rate that is not finite and positive,
+negative steps or seeds, an empty batch, a count below what its stage
+accepts, any model section that BackboneConfig rejects, any soft-prompt
+layout that prompts.zero_params rejects and a soft-prompt question decode
+longer than backbone.max_seq, so they fail before any stage.
 """
 
 from __future__ import annotations
@@ -79,9 +80,6 @@ class TrainerSection:
 class GenerationSection:
     method: str = "ss_mc"
     n_raw: int = 2000
-    question_temperature: float = 1.0
-    answer_temperature: float = 1.0
-    pt_temperature: float = 2.0
     max_new_tokens: int = 48
     pt_template: str = "diversified"  # or "undiversified"
     ptsr_max_rounds: int = 3
@@ -100,7 +98,6 @@ class PostprocessSection:
 @dataclass
 class MauveSection:
     k: int = 32
-    grid_size: int = 101
 
 
 @dataclass
@@ -164,20 +161,19 @@ class ExperimentConfig:
             raise ConfigError("paths.out_dir is required")
         if self.softsrv.t >= self.backbone.max_seq:
             raise ConfigError("softsrv.t must be smaller than backbone.max_seq")
-        if not self.trainer.lr > 0:
-            raise ConfigError(f"trainer.lr must be positive, got {self.trainer.lr}")
+        if not 0 < self.trainer.lr < float("inf"):
+            raise ConfigError(f"trainer.lr must be finite and positive, got {self.trainer.lr}")
         # zero steps train nothing, which is legal; an empty batch or count is not, a train/test
-        # split needs two examples, a divergence curve two grid points, a vocabulary one real token
+        # split needs two examples, a vocabulary one real token
         for key, lo in (("backbone.pretrain_steps", 0), ("embedder.pretrain_steps", 0),
                         ("student.pretrain_steps", 0), ("student.finetune_steps", 0), ("trainer.steps", 0),
                         ("trainer.batch_size", 1), ("backbone.vocab_size", len(RESERVED) + 1),
                         *((f"seeds.{f.name}", 0) for f in fields(SeedsSection)),
-                        *((f"generation.{use}_temperature", 0) for use in ("question", "answer", "pt")),
                         ("corpus.n_examples", 2), ("corpus.n_aux", 2), ("corpus.n_generic", 1),
                         ("generation.n_raw", 1), ("generation.max_new_tokens", 1),
                         ("generation.ptsr_max_rounds", 1), ("postprocess.n_select", 1),
                         ("postprocess.svd_dims", 1), ("postprocess.kmeans_k", 1), ("postprocess.decontam_n", 1),
-                        ("mauve.k", 1), ("mauve.grid_size", 2)):
+                        ("mauve.k", 1)):
             if not self._value(key) >= lo:
                 raise ConfigError(f"{key} must be >= {lo}, got {self._value(key)}")
         e = self.embedder
@@ -189,8 +185,11 @@ class ExperimentConfig:
             except ValidationError as exc:
                 raise ConfigError(f"[{section}]: {exc}") from exc
         method, s = self.generation.method, self.softsrv
-        if method in VARIANTS:  # the layout init_params will build, checked by its one check
-            try:
+        if method in VARIANTS:  # a question decodes max_new_tokens after the t-wide prompt
+            if s.t + self.generation.max_new_tokens > self.backbone.max_seq:
+                raise ConfigError(f"softsrv.t + generation.max_new_tokens must be <= backbone.max_seq, got "
+                                  f"{s.t} + {self.generation.max_new_tokens} > {self.backbone.max_seq}")
+            try:  # the layout init_params will build, checked by its one check
                 zero_params(method, self.backbone.d, s.t, e.d_e, s.k,
                             mlp_layer_sizes(e.d_e, self.backbone.d, s.mlp_hidden, s.mlp_layers))
             except ValidationError as exc:

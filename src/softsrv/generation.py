@@ -8,7 +8,10 @@ soft-prompt methods (stream phase 97) and the rendered answer template for
 the template methods (phase 98, see templates.pt_generate_answers). Every
 record draws from its own RNG stream derived by hashing (master seed,
 method, record index, phase), so the full record list is a pure function
-of its inputs and is insensitive to generation order.
+of its inputs and is insensitive to generation order. The functions take
+their temperature from the caller; the pipeline samples soft-prompt
+questions at QUESTION_TEMPERATURE and every method's answers at
+ANSWER_TEMPERATURE.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from .records import METHOD_TAGS, SyntheticRecord
 # Distinct stream codes 1..5, in METHOD_TAGS' order, keep provenance streams disjoint.
 _METHOD_CODE = {tag: code for code, tag in enumerate(METHOD_TAGS, start=1)}
 _ANSWER_PHASE, _TEMPLATE_ANSWER_PHASE = 97, 98
+QUESTION_TEMPERATURE = 1.0
+ANSWER_TEMPERATURE = 1.0
 
 # VARIANTS and the first METHOD_TAGS name the soft-prompt methods in one order
 _VARIANT_TO_TAG = dict(zip(VARIANTS, METHOD_TAGS))

@@ -129,16 +129,11 @@ def mauve_score(
     ref_vecs,
     k: int = DEFAULT_K,
     c: float = DEFAULT_C,
-    grid_size: int = DEFAULT_GRID,
     seed: int = 0,
 ) -> MauveReport:
-    """Quantize, trace the curve, integrate. Higher is more similar."""
-    if grid_size < 2:
-        raise ValidationError("grid_size must be >= 2")
+    """Quantize, trace the curve over the DEFAULT_GRID lambdas, integrate. Higher is more similar."""
     pair = quantize(gen_vecs, ref_vecs, k=k, seed=seed)
-    grid = np.linspace(_LAM_EDGE, 1.0 - _LAM_EDGE, grid_size)
-    pts = divergence_curve(pair, c=c, lambda_grid=grid)
-    pts = pts + [(0.0, 1.0), (1.0, 0.0)]
+    pts = divergence_curve(pair, c=c) + [(0.0, 1.0), (1.0, 0.0)]
     # ascending x; at ties the higher y comes first so degenerate point
     # stacks (identical distributions) integrate to area 1
     pts.sort(key=lambda xy: (xy[0], -xy[1]))

@@ -113,9 +113,9 @@ def _blocks(key: str, param, m, v, grad) -> list:
 
 
 def check_schedule(steps: int, lr: float, batch_size: int) -> None:
-    """Raise ValidationError unless steps >= 0, batch_size >= 1 and lr > 0."""
-    if steps < 0 or batch_size < 1 or not lr > 0:
-        raise ValidationError(f"steps >= 0, batch_size >= 1 and lr > 0 required, "
+    """Raise ValidationError unless steps >= 0, batch_size >= 1 and lr is finite and positive."""
+    if steps < 0 or batch_size < 1 or not 0 < lr < float("inf"):
+        raise ValidationError(f"steps >= 0, batch_size >= 1 and lr > 0 and finite required, "
                               f"got steps={steps}, batch_size={batch_size}, lr={lr}")
 
 

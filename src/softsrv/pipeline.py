@@ -34,14 +34,14 @@ from .backbone import BackboneModel, load_backbone, pretrain_backbone, save_back
 from .config import ExperimentConfig, VARIANTS, save_config, to_ini_text
 from .embedder import embed_sequence
 from .errors import StageError, ValidationError
-from .generation import generate_answers, generate_questions
+from .generation import ANSWER_TEMPERATURE, QUESTION_TEMPERATURE, generate_answers, generate_questions
 from .mauve import MauveReport, mauve_score
 from .optim import HELPER_BATCH, HELPER_LR, LossTrace
 from .postprocess import decontaminate_report, diverse_subsample
 from .prompts import init_params
 from .records import SyntheticRecord, read_records, write_records
 from .student import evaluate_student
-from .templates import load_builtin_templates, pt_generate, pt_generate_answers, ptsr_generate
+from .templates import PT_TEMPERATURE, load_builtin_templates, pt_generate, pt_generate_answers, ptsr_generate
 from .toygrammar import CorpusExample, builtin_grammar, generic_corpus, make_toy_corpus
 from .training import load_params, save_params, train
 from .vocab import Vocabulary, build_vocab
@@ -68,11 +68,10 @@ STAGE_TABLE = {
     "params": Stage("train", "params.ckpt train_trace.tsv",
                     "generation.method softsrv trainer embedder.d_e seeds.train", "corpus backbone embedder"),
     "questions": Stage("generate", "questions.jsonl",
-                       "generation.method,n_raw,question_temperature,pt_temperature,max_new_tokens,"
-                       "pt_template,ptsr_max_rounds seeds.generate",
+                       "generation.method,n_raw,max_new_tokens,pt_template,ptsr_max_rounds seeds.generate",
                        "corpus backbone embedder params"),
     "answers": Stage("answers", "answered.jsonl",
-                     "generation.method,answer_temperature,max_new_tokens seeds.answers",
+                     "generation.method,max_new_tokens seeds.answers",
                      "corpus backbone questions"),
     "postprocess": Stage("postprocess", "final.jsonl selected.jsonl contaminated.jsonl",
                          "postprocess seeds.postprocess", "corpus answers"),
@@ -344,7 +343,7 @@ class Pipeline:
             seeds = [vocabulary.encode(ex.question) for ex in data["train"]]
             records = generate_questions(
                 backbone, embedder, params, seeds, g.n_raw,
-                temperature=g.question_temperature,
+                temperature=QUESTION_TEMPERATURE,
                 seed=self.cfg.seeds.generate, max_len=g.max_new_tokens,
             )
         else:
@@ -354,13 +353,13 @@ class Pipeline:
             if g.method == "pt":
                 records = pt_generate(
                     backbone, templates, seeds, g.n_raw,
-                    temperature=g.pt_temperature, seed=self.cfg.seeds.generate,
+                    temperature=PT_TEMPERATURE, seed=self.cfg.seeds.generate,
                     max_new=g.max_new_tokens, template_key=key,
                 )
             else:
                 records = ptsr_generate(
                     backbone, templates, seeds, g.n_raw,
-                    temperature=g.pt_temperature, seed=self.cfg.seeds.generate,
+                    temperature=PT_TEMPERATURE, seed=self.cfg.seeds.generate,
                     max_new=g.max_new_tokens, max_rounds=g.ptsr_max_rounds,
                 )
         write_records(path, records)
@@ -369,7 +368,7 @@ class Pipeline:
         g = self.cfg.generation
         backbone = self.ensure_backbone()
         questions = self.ensure_questions()
-        sampling = (g.answer_temperature, self.cfg.seeds.answers, g.max_new_tokens)
+        sampling = (ANSWER_TEMPERATURE, self.cfg.seeds.answers, g.max_new_tokens)
         if g.method in VARIANTS:
             records = generate_answers(backbone, questions, *sampling)
         else:
@@ -412,10 +411,9 @@ class Pipeline:
         return float(first.split("\t")[1])
 
     def mauve_report(self, gen_texts: list[str], ref_texts: list[str]) -> MauveReport:
-        """MAUVE of two text lists, embedded by the run's embedder, under its [mauve] settings."""
+        """MAUVE of two text lists, embedded by the run's embedder, at its mauve.k and seeds.mauve."""
         if not gen_texts or not ref_texts:
             raise ValidationError("MAUVE needs at least one generated and one reference text")
-        m = self.cfg.mauve
         embedder = self.ensure_embedder()
         vocabulary = self.vocabulary()
         d_e = self.cfg.embedder.d_e
@@ -423,10 +421,7 @@ class Pipeline:
         def cloud(texts: list[str]) -> np.ndarray:
             return np.stack([embed_sequence(embedder, vocabulary.encode(t), d_e) for t in texts])
 
-        return mauve_score(
-            cloud(gen_texts), cloud(ref_texts),
-            k=m.k, grid_size=m.grid_size, seed=self.cfg.seeds.mauve,
-        )
+        return mauve_score(cloud(gen_texts), cloud(ref_texts), k=self.cfg.mauve.k, seed=self.cfg.seeds.mauve)
 
     def _build_mauve(self, path: Path) -> None:
         final = self.ensure_postprocess()

@@ -9,8 +9,9 @@ to max_rounds of them, accepting as soon as a refine output begins with
 STOP_TEXT after whitespace trimming. Answers for both render the answer
 template around each question and continue it through
 generation.generate_answers, the loop the soft-prompt methods use. The
-caller sets temperature, seed and length; the pipeline passes its
-[generation] values.
+caller sets temperature, seed and length; the pipeline samples questions,
+critiques and refinements at PT_TEMPERATURE and passes its [generation]
+seed and length.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .records import SyntheticRecord
 
 PLACEHOLDER = "[[EXAMPLE]]"
 STOP_TEXT = "Stop"  # what every refine template tells the model to say; declared nowhere else
+PT_TEMPERATURE = 2.0
 
 _MARKER_RE = re.compile(r"(?:Passage and )?Question\s*\d+\s*:")
 _MAX_SPLIT = 10

@@ -4,9 +4,9 @@ One test per criterion, numbered, so `pytest -v` prints exactly one
 PASS/FAIL line for each. Bodies also print the measured numbers (shown
 with -s or on failure). The desk-scale fixtures in conftest.py are the
 stages of one desk Pipeline, built once per session and shared; seeds,
-decode length, temperatures, MAUVE's k and the student's fine-tuning
-steps come from that pipeline's config, and the student's lr and batch
-size from optim, as the pipeline takes them. Budget checks read the wall
+decode length, MAUVE's k and the student's fine-tuning steps come from
+that pipeline's config, the sampling temperatures from generation and
+the student's lr and batch size from optim, as the pipeline takes them. Budget checks read the wall
 time recorded at build.
 """
 
@@ -22,7 +22,7 @@ from softsrv.backbone import BackboneConfig, batch_loss_and_grads, checksum, ini
 from softsrv.cli import main as cli_main
 from softsrv.config import preset_config, save_config
 from softsrv.embedder import embed_sequence
-from softsrv.generation import generate_answers, generate_questions
+from softsrv.generation import ANSWER_TEMPERATURE, QUESTION_TEMPERATURE, generate_answers, generate_questions
 from softsrv.mauve import QuantizedPair, divergence_curve, mauve_score
 from softsrv.optim import HELPER_BATCH, HELPER_LR
 from softsrv.pipeline import Pipeline
@@ -194,7 +194,7 @@ def test_criterion_06_mauve_beats_random_baseline(
     for gen_seed in (cfg.seeds.generate, cfg.seeds.generate + 100, cfg.seeds.generate + 200):
         records = generate_questions(
             desk_backbone, desk_embedder, params, desk_question_ids,
-            n_raw=100, temperature=cfg.generation.question_temperature, seed=gen_seed,
+            n_raw=100, temperature=QUESTION_TEMPERATURE, seed=gen_seed,
             max_len=cfg.generation.max_new_tokens,
         )
         gen_cloud = np.stack(
@@ -298,10 +298,10 @@ def test_criterion_08_student_improves_on_synthetic_data(
     params = desk_trained["ss_mc"][0]
     questions = generate_questions(
         desk_backbone, desk_embedder, params, desk_question_ids,
-        n_raw=100, temperature=g.question_temperature, seed=cfg.seeds.generate, max_len=g.max_new_tokens,
+        n_raw=100, temperature=QUESTION_TEMPERATURE, seed=cfg.seeds.generate, max_len=g.max_new_tokens,
     )
     records = generate_answers(
-        desk_backbone, questions, temperature=g.answer_temperature, seed=cfg.seeds.answers,
+        desk_backbone, questions, temperature=ANSWER_TEMPERATURE, seed=cfg.seeds.answers,
         max_new=g.max_new_tokens,
     )
     eval_ids = [desk_vocab.encode(ex.question + " " + ex.answer) for ex in test_fold]

@@ -46,11 +46,13 @@ def test_model_config_error_exits_two_before_any_stage_runs(tmp_path, capsys):
 
 @pytest.mark.parametrize("method, section, key, value", [
     ("ss_mp", "softsrv", "k", 0), ("ss_mc", "softsrv", "mlp_layers", 1), ("ss_np", "postprocess", "n_select", 0),
-    ("ss_np", "generation", "question_temperature", -1.0), ("ss_np", "backbone", "vocab_size", 4),
+    ("ss_np", "backbone", "vocab_size", 4), ("ss_np", "generation", "max_new_tokens", 96 - 4 + 1),
+    ("ss_np", "trainer", "lr", float("inf")),
 ])
 def test_settings_a_stage_would_reject_exit_two_before_any_stage_runs(tmp_path, capsys, method, section, key,
                                                                        value):
-    # these used to load, then exit 11, 13, 14 or 16 in the stage that read them
+    # these used to load, then exit 11, 13, 14 or 16 in the stage that read them; an infinite
+    # lr and a question decode past max_seq failed only after both pretrains
     cfg = mini_config(method)
     setattr(getattr(cfg, section), key, value)
     path = tmp_path / "bad.ini"
@@ -68,11 +70,15 @@ def test_settings_a_stage_would_reject_exit_two_before_any_stage_runs(tmp_path, 
     ("embedder", "pretrain_lr = 0.001"), ("embedder", "pretrain_batch = 8"),
     ("student", "pretrain_lr = 0.001"), ("student", "pretrain_batch = 8"),
     ("student", "finetune_lr = 0.001"), ("student", "finetune_batch = 8"), ("mauve", "c = 5.0"),
+    ("trainer", "beta1 = 0.9"), ("trainer", "beta2 = 0.999"), ("trainer", "eps = 1e-08"),
+    ("generation", "question_temperature = 1.0"), ("generation", "answer_temperature = 1.0"),
+    ("generation", "pt_temperature = 2.0"), ("mauve", "grid_size = 101"),
 ])
 def test_a_removed_key_exits_two_before_any_stage_runs(tmp_path, capsys, section, line):
-    # optim declares the clip norm and the helper models' lr and batch size,
-    # templates the stop word, and mauve.DEFAULT_C is MAUVE's c; a file that
-    # still sets one, even to the value the code uses, names an unknown key
+    # optim declares Adam, the clip norm and the helper models' lr and batch
+    # size, generation and templates the sampling temperatures, templates the
+    # stop word, and mauve MAUVE's c and lambda grid; a file that still sets
+    # one, even to the value the code uses, names an unknown key
     text = to_ini_text(mini_config("ptsr")).replace(f"[{section}]\n", f"[{section}]\n{line}\n")
     path = tmp_path / "old.ini"
     path.write_text(text, encoding="utf-8")

@@ -1,5 +1,6 @@
 """Config resolution: presets, INI round trips, overrides, validation."""
 
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from softsrv.backbone import BackboneConfig
 from softsrv.config import (
+    VARIANTS,
     ExperimentConfig,
     load_config,
     override_master_seed,
@@ -179,8 +181,8 @@ def test_int_fields_hold_plain_ints(section, key, value):
     ("trainer", "lr", 1),
     ("trainer", "lr", True),
     ("trainer", "lr", np.float64(1e-3)),
-    ("generation", "pt_temperature", 2),
-    ("generation", "question_temperature", "1.0"),
+    ("trainer", "lr", 0),
+    ("trainer", "lr", "1e-3"),
 ])
 def test_float_fields_hold_plain_floats(section, key, value):
     # lr = 1 would save as "lr = 1" and reload as 1.0, so the config and its
@@ -204,28 +206,17 @@ def test_an_accepted_config_reloads_to_its_own_text(tmp_path):
 
 
 @pytest.mark.parametrize("section, key, value", [
-    # optim declares the clip norm, Adam's betas and eps, and the helper
-    # models' lr, so the keys that once set them are unknown keys now,
-    # rejected whatever the value
-    ("trainer", "grad_clip", "-1"),
-    ("trainer", "grad_clip", "0"),
+    # trainer.lr is the one optimizer setting; inf passed a positivity test,
+    # ran both pretrains and then gave a nan loss at the second train step
     ("trainer", "lr", "0"),
-    ("backbone", "pretrain_lr", "0"),
-    ("backbone", "pretrain_lr", "-1e-3"),
-    ("embedder", "pretrain_lr", "-1e-3"),
-    ("student", "pretrain_lr", "0"),
-    ("student", "finetune_lr", "-1e-3"),
-    ("student", "finetune_lr", "nan"),
-    ("trainer", "beta1", "1"),
-    ("trainer", "beta1", "-0.1"),
-    ("trainer", "beta2", "1.5"),
-    ("trainer", "eps", "0"),
-    ("trainer", "eps", "-1e-8"),
+    ("trainer", "lr", "-1e-3"),
+    ("trainer", "lr", "nan"),
+    ("trainer", "lr", "inf"),
 ])
 def test_optimizer_settings_that_train_the_wrong_way_rejected(tmp_path, section, key, value):
     path = tmp_path / "opt.ini"
     path.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match=f"{section}.{key}"):
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be finite and positive"):
         load_config(str(path))
 
 
@@ -262,10 +253,8 @@ def test_zero_step_counts_load(tmp_path):
     ("corpus", "n_examples", 2), ("corpus", "n_aux", 2), ("corpus", "n_generic", 1),
     ("generation", "n_raw", 1), ("generation", "max_new_tokens", 1), ("generation", "ptsr_max_rounds", 1),
     ("postprocess", "n_select", 1), ("postprocess", "svd_dims", 1), ("postprocess", "kmeans_k", 1),
-    ("postprocess", "decontam_n", 1), ("mauve", "k", 1), ("mauve", "grid_size", 2),
+    ("postprocess", "decontam_n", 1), ("mauve", "k", 1),
     ("backbone", "vocab_size", 5), ("seeds", "corpus", 0), ("seeds", "student", 0),
-    ("generation", "question_temperature", 0), ("generation", "answer_temperature", 0),
-    ("generation", "pt_temperature", 0),
 ])
 def test_counts_below_what_their_stage_accepts_rejected(tmp_path, section, key, lo):
     # each of these used to load and fail only once its stage ran
@@ -300,6 +289,22 @@ def test_soft_prompt_layout_is_checked_only_for_the_variant_that_reads_it(tmp_pa
         path.write_text(f"[generation]\nmethod = {method}\n[softsrv]\nk = 0\nmlp_layers = 1\n",
                         encoding="utf-8")
         assert load_config(str(path)).generation.method == method
+
+
+@pytest.mark.parametrize("method", ["ss_np", "ss_mp", "ss_mc", "pt", "ptsr"])
+def test_a_question_decode_must_fit_the_backbone_when_the_config_loads(tmp_path, method):
+    # an ss_* question decodes max_new_tokens after the t-wide prompt, so one
+    # token more used to pass both pretrains and the train stage, then fail in
+    # generate; the template methods read no t, and their decodes depend on text length
+    path = tmp_path / "fit.ini"
+    for max_new, fits in ((256 - 16, True), (256 - 16 + 1, method not in VARIANTS)):
+        path.write_text(f"[generation]\nmethod = {method}\nmax_new_tokens = {max_new}\n", encoding="utf-8")
+        if fits:
+            assert load_config(str(path)).generation.max_new_tokens == max_new
+        else:
+            with pytest.raises(ConfigError, match=re.escape("softsrv.t + generation.max_new_tokens must be "
+                                                            "<= backbone.max_seq, got 16 + 241 > 256")):
+                load_config(str(path))
 
 
 @pytest.mark.parametrize("preset", ["desk", "paper"])

@@ -48,7 +48,6 @@ def mini_config(method="ss_np"):
     cfg.postprocess.kmeans_k = 3
     cfg.postprocess.kmeans_iterations = 10
     cfg.mauve.k = 4
-    cfg.mauve.grid_size = 21
     cfg.student.d = 16
     cfg.student.n_layers = 1
     cfg.student.n_heads = 2
@@ -274,10 +273,10 @@ CONFIG_CHANGES = [
     ("embedder", "pretrain_steps", 8),
     ("student", "pretrain_steps", 15),
     ("trainer", "steps", 8),
-    ("generation", "question_temperature", 0.8),
-    ("generation", "answer_temperature", 0.8),
+    ("seeds", "generate", 205),
+    ("seeds", "answers", 206),
     ("postprocess", "n_select", 5),
-    ("mauve", "grid_size", 11),
+    ("mauve", "k", 3),
     ("student", "finetune_steps", 6),
     ("paths", "out_dir", "runs/elsewhere"),
     ("generation", "method", "ss_mc"),
@@ -410,6 +409,12 @@ class _ReadLog:
         return _ReadLog(value, self._reads, name)
 
 
+def _settable_fields() -> set[str]:
+    cfg = preset_config("desk")
+    return {f"{section.name}.{f.name}" for section in fields(cfg) if section.name != "preset"
+            for f in fields(getattr(cfg, section.name))}
+
+
 def _declared_fields(keys: str) -> set[str]:
     declared = set()
     for key in keys.split():
@@ -443,9 +448,15 @@ def test_stage_builds_read_only_the_config_their_rows_declare(tmp_path):
             assert reads <= _declared_fields(stage.keys), (method, key, sorted(reads - _declared_fields(stage.keys)))
             read_anywhere |= reads
             pipe._get(key)  # the rebuilt artifacts are current: this only loads them
-    everything = {f"{section.name}.{f.name}" for section in fields(cfg) if section.name != "preset"
-                  for f in fields(getattr(cfg, section.name))}
-    assert everything - read_anywhere == {"paths.out_dir"}
+    assert _settable_fields() - read_anywhere == {"paths.out_dir"}
+
+
+def test_every_setting_is_declared_by_a_stage_row():
+    # the resume rule's other half: with the test above, a new key can neither
+    # sit in no row nor change results without rebuilding the stage that reads
+    # it; summary's "*" only embeds the config text
+    declared = set().union(*(_declared_fields(stage.keys) for stage in STAGE_TABLE.values() if stage.keys != "*"))
+    assert _settable_fields() - declared == {"paths.out_dir"}
 
 
 def test_stage_builds_ask_only_for_the_stages_their_rows_declare(tmp_path, monkeypatch):

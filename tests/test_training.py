@@ -230,10 +230,12 @@ def test_full_weight_training_rejects_a_non_positive_lr(setup):
             train_full_weights(model, dataset, steps=1, lr=lr, seed=1)
 
 
-@pytest.mark.parametrize("steps, batch_size, lr", [(-3, 8, 1e-3), (1, 0, 1e-3), (1, 8, 0.0)])
+@pytest.mark.parametrize("steps, batch_size, lr", [(-3, 8, 1e-3), (1, 0, 1e-3), (1, 8, 0.0),
+                                                    (1, 8, float("inf")), (1, 8, float("nan"))])
 def test_both_training_loops_reject_a_bad_schedule(setup, steps, batch_size, lr):
-    # a zero batch used to fail mid-step on an empty reduction, and negative
-    # steps trained nothing and returned as if done
+    # a zero batch used to fail mid-step on an empty reduction, negative
+    # steps trained nothing and returned as if done, and an infinite lr left
+    # non-finite parameters after the first step
     backbone, embedder, dataset = setup
     schedule = {"steps": steps, "lr": lr, "seed": 1, "batch_size": batch_size}
     with pytest.raises(ValidationError, match="steps >= 0, batch_size >= 1 and lr > 0"):
