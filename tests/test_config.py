@@ -212,11 +212,29 @@ def test_an_accepted_config_reloads_to_its_own_text(tmp_path):
     ("trainer", "lr", "-1e-3"),
     ("trainer", "lr", "nan"),
     ("trainer", "lr", "inf"),
+    # optim declares the clip norm, Adam's betas and eps, and the helper
+    # models' lr, so the keys that once set them are unknown keys now,
+    # rejected whatever the value
+    ("trainer", "grad_clip", "-1"),
+    ("trainer", "grad_clip", "0"),
+    ("backbone", "pretrain_lr", "0"),
+    ("backbone", "pretrain_lr", "-1e-3"),
+    ("embedder", "pretrain_lr", "-1e-3"),
+    ("student", "pretrain_lr", "0"),
+    ("student", "finetune_lr", "-1e-3"),
+    ("student", "finetune_lr", "nan"),
+    ("trainer", "beta1", "1"),
+    ("trainer", "beta1", "-0.1"),
+    ("trainer", "beta2", "1.5"),
+    ("trainer", "eps", "0"),
+    ("trainer", "eps", "-1e-8"),
 ])
 def test_optimizer_settings_that_train_the_wrong_way_rejected(tmp_path, section, key, value):
     path = tmp_path / "opt.ini"
     path.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match=f"{section}.{key} must be finite and positive"):
+    live = hasattr(getattr(ExperimentConfig(), section), key)
+    match = f"{section}.{key} must be finite and positive" if live else f"unknown key {section}.{key}"
+    with pytest.raises(ConfigError, match=match):
         load_config(str(path))
 
 
