@@ -135,18 +135,12 @@ def _weight_shapes(config: BackboneConfig, vs: int) -> dict[str, tuple[int, ...]
     return shapes
 
 
-def init_backbone(
-    config: BackboneConfig,
-    vocabulary: Vocabulary,
-    seed: int,
-    zero_residual: bool = True,
-) -> BackboneModel:
+def init_backbone(config: BackboneConfig, vocabulary: Vocabulary, seed: int) -> BackboneModel:
     """Seeded initialization, drawn weight by weight in _weight_shapes order.
 
-    Norm gains start at one, the head bias at zero and every other weight at
-    0.02 * N(0, 1). Residual-branch output projections (wo, w2) start at
-    zero by default so the initial model is near uniform; gradient-check
-    fixtures pass zero_residual=False to keep every path active.
+    Norm gains start at one, the head bias and the residual-branch output
+    projections (wo, w2) at zero, so the initial model is near uniform,
+    and every other weight at 0.02 * N(0, 1).
     """
     rng = np.random.default_rng(seed)
     dt = np.dtype(config.dtype)
@@ -154,7 +148,7 @@ def init_backbone(
     for name, shape in _weight_shapes(config, len(vocabulary)).items():
         if name.endswith("_g"):
             w[name] = np.ones(shape, dtype=dt)
-        elif name == "head_b" or (zero_residual and name.endswith((".wo", ".w2"))):
+        elif name == "head_b" or name.endswith((".wo", ".w2")):
             w[name] = np.zeros(shape, dtype=dt)
         else:
             w[name] = (0.02 * rng.standard_normal(shape)).astype(dt)

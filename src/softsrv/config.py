@@ -12,8 +12,10 @@ preset), unparsable values and an int or float field holding another type
 raise ConfigError, as do a learning rate that is not finite and positive,
 negative steps or seeds, an empty batch, a count below what its stage
 accepts, any model section that BackboneConfig rejects, any soft-prompt
-layout that prompts.zero_params rejects and a soft-prompt question decode
-longer than backbone.max_seq, so they fail before any stage.
+layout that prompts.zero_params rejects, a soft-prompt question decode
+longer than backbone.max_seq and a student example (BOS, question, answer
+and EOS: 2 * generation.max_new_tokens + 2 tokens) longer than it, so they
+fail before any stage.
 """
 
 from __future__ import annotations
@@ -172,8 +174,8 @@ class ExperimentConfig:
                         ("corpus.n_examples", 2), ("corpus.n_aux", 2), ("corpus.n_generic", 1),
                         ("generation.n_raw", 1), ("generation.max_new_tokens", 1),
                         ("generation.ptsr_max_rounds", 1), ("postprocess.n_select", 1),
-                        ("postprocess.svd_dims", 1), ("postprocess.kmeans_k", 1), ("postprocess.decontam_n", 1),
-                        ("mauve.k", 1)):
+                        ("postprocess.svd_dims", 1), ("postprocess.kmeans_k", 1), ("postprocess.kmeans_batch", 1),
+                        ("postprocess.kmeans_iterations", 0), ("postprocess.decontam_n", 1), ("mauve.k", 1)):
             if not self._value(key) >= lo:
                 raise ConfigError(f"{key} must be >= {lo}, got {self._value(key)}")
         e = self.embedder
@@ -184,6 +186,12 @@ class ExperimentConfig:
                 self.model_config(section)
             except ValidationError as exc:
                 raise ConfigError(f"[{section}]: {exc}") from exc
+        # every method's student fine-tunes on BOS + question + answer + EOS, each text up to
+        # max_new_tokens long (an ss_* answer also decodes after its question)
+        m = self.generation.max_new_tokens
+        if 2 * m + 2 > self.backbone.max_seq:
+            raise ConfigError(f"2 * generation.max_new_tokens + 2 must be <= backbone.max_seq, got "
+                              f"2 * {m} + 2 > {self.backbone.max_seq}")
         method, s = self.generation.method, self.softsrv
         if method in VARIANTS:  # a question decodes max_new_tokens after the t-wide prompt
             if s.t + self.generation.max_new_tokens > self.backbone.max_seq:

@@ -7,11 +7,12 @@ curve is traced over mixtures r = lam*p + (1-lam)*q:
 
     x(lam) = exp(-c * KL(q || r)),   y(lam) = exp(-c * KL(p || r))
 
-with natural logs and the 0*ln(0/.) = 0 convention. The score is the
-trapezoidal area under the curve over a 101-point lambda grid augmented
-with the endpoints (0,1) and (1,0), clamped to [0, 1]. The union is put in
-canonical row order before clustering so swapping the two sides yields the
-identical score.
+with natural logs and the 0*ln(0/.) = 0 convention. c is DEFAULT_C and
+the curve has one point for each of DEFAULT_GRID lambdas spaced evenly
+over [_LAM_EDGE, 1 - _LAM_EDGE]: the score has this one definition. It is
+the trapezoidal area under the curve augmented with the endpoints (0,1)
+and (1,0), clamped to [0, 1]. The union is put in canonical row order
+before clustering so swapping the two sides yields the identical score.
 """
 
 from __future__ import annotations
@@ -102,18 +103,12 @@ def _kl(a: np.ndarray, r: np.ndarray) -> float:
     return float(np.sum(a[mask] * np.log(a[mask] / r[mask])))
 
 
-def divergence_curve(pair: QuantizedPair, c: float = DEFAULT_C, lambda_grid=None) -> list[tuple[float, float]]:
-    """Curve points for each lambda strictly inside (0, 1)."""
-    if lambda_grid is None:
-        lambda_grid = np.linspace(_LAM_EDGE, 1.0 - _LAM_EDGE, DEFAULT_GRID)
-    if c <= 0:
-        raise ValidationError("c must be positive")
+def divergence_curve(pair: QuantizedPair) -> list[tuple[float, float]]:
+    """The curve's (x, y) point at each lambda of the grid, in ascending lambda."""
     pts = []
-    for lam in np.asarray(lambda_grid, dtype=np.float64):
-        if not 0.0 < lam < 1.0:
-            raise ValidationError(f"lambda {lam} outside the open interval (0, 1)")
+    for lam in np.linspace(_LAM_EDGE, 1.0 - _LAM_EDGE, DEFAULT_GRID):
         r = lam * pair.p + (1.0 - lam) * pair.q
-        pts.append((float(np.exp(-c * _kl(pair.q, r))), float(np.exp(-c * _kl(pair.p, r)))))
+        pts.append((float(np.exp(-DEFAULT_C * _kl(pair.q, r))), float(np.exp(-DEFAULT_C * _kl(pair.p, r)))))
     return pts
 
 
@@ -124,18 +119,12 @@ def _trapezoid_area(points: list[tuple[float, float]]) -> float:
     return area
 
 
-def mauve_score(
-    gen_vecs,
-    ref_vecs,
-    k: int = DEFAULT_K,
-    c: float = DEFAULT_C,
-    seed: int = 0,
-) -> MauveReport:
-    """Quantize, trace the curve over the DEFAULT_GRID lambdas, integrate. Higher is more similar."""
+def mauve_score(gen_vecs, ref_vecs, k: int = DEFAULT_K, seed: int = 0) -> MauveReport:
+    """Quantize, trace the curve, integrate. Higher is more similar."""
     pair = quantize(gen_vecs, ref_vecs, k=k, seed=seed)
-    pts = divergence_curve(pair, c=c) + [(0.0, 1.0), (1.0, 0.0)]
+    pts = divergence_curve(pair) + [(0.0, 1.0), (1.0, 0.0)]
     # ascending x; at ties the higher y comes first so degenerate point
     # stacks (identical distributions) integrate to area 1
     pts.sort(key=lambda xy: (xy[0], -xy[1]))
     score = min(1.0, max(0.0, _trapezoid_area(pts)))
-    return MauveReport(score=score, curve=pts, c=c, k=k)
+    return MauveReport(score=score, curve=pts, c=DEFAULT_C, k=k)

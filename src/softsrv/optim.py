@@ -1,9 +1,9 @@
 """The one training recipe, declared nowhere else: Adam, clipping, batches.
 
 Every training loop (backbone pretraining, soft-prompt training, student
-fine-tuning) runs Adam at adam_step's default betas and eps, clips to a
-global norm of CLIP_NORM and draws batch_schedule's batches; its steps,
-lr, seed and batch size are its only settings. Only the soft prompt's lr
+fine-tuning) runs Adam at ADAM_BETAS and ADAM_EPS, clips to a global
+norm of CLIP_NORM and draws batch_schedule's batches; its steps, lr,
+seed and batch size are its only settings. Only the soft prompt's lr
 and batch size are configured: the helper models that train_full_weights
 trains (backbone, embedder, student) run at HELPER_LR and HELPER_BATCH.
 adam_step updates the parameters and moments in place, in two scratch
@@ -25,6 +25,8 @@ import numpy as np
 from .errors import ValidationError
 
 BLOCK = 32768  # elements of one key that adam_step updates per pass
+ADAM_BETAS = (0.9, 0.999)  # every training loop's Adam moment decay rates
+ADAM_EPS = 1e-8  # and the constant in its update's denominator
 CLIP_NORM = 1.0  # the global gradient norm every training loop clips to
 HELPER_LR = 1e-3  # the frozen backbone's, the embedder's and the student's Adam step size
 HELPER_BATCH = 8  # and their batch size
@@ -57,30 +59,23 @@ def init_adam(arrays: dict[str, np.ndarray]) -> AdamState:
     )
 
 
-def adam_step(
-    state: AdamState,
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    lr: float,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
-) -> None:
+def adam_step(state: AdamState, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float) -> None:
     """Advance one step, adding each key's update to params[key] in place.
 
-    The update is -lr * m_hat / (sqrt(v_hat) + eps) with the bias-corrected
-    moments, built by in-place ops in the order that expression evaluates
-    in the two scratch rows: the scaled moments in one, and the denominator
-    and then the update in the other. Every gradient must have its moments'
-    dtype, so the update rounds exactly as the plain expression does. A
-    parameter larger than BLOCK must be C-contiguous, as the moments are,
-    so that its flat slices are views.
+    The update is -lr * m_hat / (sqrt(v_hat) + ADAM_EPS) with the moments
+    bias-corrected at ADAM_BETAS, built by in-place ops in the order that
+    expression evaluates in the two scratch rows: the scaled moments in
+    one, and the denominator and then the update in the other. Every
+    gradient must have its moments' dtype, so the update rounds exactly as
+    the plain expression does. A parameter larger than BLOCK must be
+    C-contiguous, as the moments are, so that its flat slices are views.
     """
     if set(grads) != set(state.m):
         raise ValidationError("gradient keys do not match optimizer state")
     for key, grad in grads.items():
         if grad.dtype != state.m[key].dtype:
             raise ValidationError(f"gradient {key!r} is {grad.dtype}, its moments {state.m[key].dtype}")
-    b1, b2 = betas
+    b1, b2 = ADAM_BETAS
     state.step += 1
     t = state.step
     for key, grad in grads.items():
@@ -97,7 +92,7 @@ def adam_step(
             scratch *= -lr
             np.divide(v, 1.0 - b2**t, out=delta)
             np.sqrt(delta, out=delta)
-            delta += eps
+            delta += ADAM_EPS
             np.divide(scratch, delta, out=delta)
             p += delta
 

@@ -6,19 +6,24 @@ tiers: "tiny" (second-scale, for mechanical unit tests) runs the desk
 preset shrunk by tiny_config, and "desk" (minute-scale, the acceptance
 scale) runs the desk preset itself. Stages are built lazily, once per
 session. desk_trained records the wall time of each train() call so the
-acceptance budget checks measure real training cost.
+acceptance budget checks measure real training cost. live_backbone is
+the one model here that no Pipeline builds: a backbone whose residual
+branches start live, for the tests that need every path active.
 """
 
 from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
+from softsrv.backbone import BackboneConfig, BackboneModel, _weight_shapes, init_backbone
 from softsrv.config import VARIANTS, ExperimentConfig, preset_config
 from softsrv.pipeline import Pipeline
 from softsrv.prompts import init_params
 from softsrv.training import train
+from softsrv.vocab import Vocabulary
 
 
 def tiny_config() -> ExperimentConfig:
@@ -34,6 +39,7 @@ def tiny_config() -> ExperimentConfig:
     cfg.backbone.max_seq = 96
     cfg.backbone.dtype = "float64"
     cfg.backbone.pretrain_steps = 300
+    cfg.generation.max_new_tokens = 47  # a student example, 2 * 47 + 2 tokens, fits max_seq
     cfg.embedder.d = 8
     cfg.embedder.n_layers = 1
     cfg.embedder.n_heads = 1
@@ -44,6 +50,22 @@ def tiny_config() -> ExperimentConfig:
     cfg.seeds.backbone = 21
     cfg.seeds.embedder = 22
     return cfg
+
+
+def live_backbone(config: BackboneConfig, vocabulary: Vocabulary, seed: int) -> BackboneModel:
+    """init_backbone's model with wo and w2 drawn too, so no residual branch is dead.
+
+    A fresh rng of the same seed redraws, in _weight_shapes order, every
+    weight that is neither a norm gain nor head_b, so the finite-difference,
+    sampling and training fixtures that need every path active keep the
+    exact weights they were written against.
+    """
+    model = init_backbone(config, vocabulary, seed)
+    rng = np.random.default_rng(seed)
+    for name, shape in _weight_shapes(config, len(vocabulary)).items():
+        if not name.endswith("_g") and name != "head_b":
+            model.weights[name] = (0.02 * rng.standard_normal(shape)).astype(config.dtype)
+    return model
 
 
 def _folds(pipeline: Pipeline):

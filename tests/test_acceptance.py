@@ -16,14 +16,15 @@ import time
 import numpy as np
 import pytest
 
+from conftest import live_backbone
 from test_pipeline import mini_config
 
-from softsrv.backbone import BackboneConfig, batch_loss_and_grads, checksum, init_backbone
+from softsrv.backbone import BackboneConfig, batch_loss_and_grads, checksum
 from softsrv.cli import main as cli_main
 from softsrv.config import preset_config, save_config
 from softsrv.embedder import embed_sequence
 from softsrv.generation import ANSWER_TEMPERATURE, QUESTION_TEMPERATURE, generate_answers, generate_questions
-from softsrv.mauve import QuantizedPair, divergence_curve, mauve_score
+from softsrv.mauve import DEFAULT_GRID, QuantizedPair, _LAM_EDGE, divergence_curve, mauve_score
 from softsrv.optim import HELPER_BATCH, HELPER_LR
 from softsrv.pipeline import Pipeline
 from softsrv.postprocess import ClusterAssignment, decontaminate, dedup_exact, round_robin_subsample
@@ -49,7 +50,7 @@ def test_criterion_01_gradient_suite_matches_finite_differences():
     started = time.perf_counter()
     vocab = build_vocab(["alpha beta gamma delta epsilon zeta"])
     cfg = BackboneConfig(d=8, n_layers=2, n_heads=2, ffn_dim=12, max_seq=24)
-    model = init_backbone(cfg, vocab, seed=41, zero_residual=False)
+    model = live_backbone(cfg, vocab, 41)
     assert model.weights["tok_emb"].dtype == np.float64
     rng = np.random.default_rng(42)
     target = [4, 5, 6, 7]
@@ -154,7 +155,7 @@ def test_criterion_05_mauve_properties():
 
     far_a = rng.standard_normal((40, 4))
     far_b = rng.standard_normal((40, 4)) + 500.0
-    far_score = mauve_score(far_a, far_b, k=8, c=5.0, seed=53).score
+    far_score = mauve_score(far_a, far_b, k=8, seed=53).score
 
     ref = rng.standard_normal((60, 4))
     base = rng.standard_normal((60, 4))
@@ -165,10 +166,10 @@ def test_criterion_05_mauve_properties():
     monotone = all(b <= a + 0.02 for a, b in zip(scores, scores[1:]))
 
     pair = QuantizedPair(p=np.array([1.0, 0.0]), q=np.array([0.0, 1.0]))
-    grid = np.linspace(0.05, 0.95, 19)
+    grid = np.linspace(_LAM_EDGE, 1 - _LAM_EDGE, DEFAULT_GRID)
     closed_form = max(
         max(abs(x - (1 - lam) ** 5), abs(y - lam**5))
-        for lam, (x, y) in zip(grid, divergence_curve(pair, c=5.0, lambda_grid=grid))
+        for lam, (x, y) in zip(grid, divergence_curve(pair))
     )
 
     ok = self_score >= 0.99 and far_score <= 0.05 and monotone and closed_form < 1e-10

@@ -10,6 +10,8 @@ import re
 import numpy as np
 import pytest
 
+from conftest import live_backbone
+
 from softsrv.backbone import (
     BackboneConfig,
     _weight_shapes,
@@ -29,10 +31,10 @@ from softsrv.vocab import build_vocab
 RMS_EPS = 1e-5
 
 
-def small_model(zero_residual=False, seed=3, dtype="float64"):
+def small_model(seed=3, dtype="float64", live=True):
     vocab = build_vocab(["alpha beta gamma delta epsilon zeta"])
     cfg = BackboneConfig(d=8, n_layers=2, n_heads=2, ffn_dim=12, max_seq=32, dtype=dtype)
-    return init_backbone(cfg, vocab, seed, zero_residual=zero_residual)
+    return (live_backbone if live else init_backbone)(cfg, vocab, seed)
 
 
 def _rms(x, g):
@@ -114,7 +116,7 @@ def test_causal_loss_matches_manual_cross_entropy():
 def test_zero_residual_init_reduces_to_direct_readout():
     # with wo = w2 = 0 the stream never mixes, so every row's logits are a
     # direct readout of its own input embedding
-    model = small_model(zero_residual=True, seed=7)
+    model = small_model(seed=7, live=False)
     ids = [4, 5, 6]
     x0 = build_x0(model, np.zeros((8, 0)), ids)
     w = model.weights

@@ -47,12 +47,14 @@ def test_model_config_error_exits_two_before_any_stage_runs(tmp_path, capsys):
 @pytest.mark.parametrize("method, section, key, value", [
     ("ss_mp", "softsrv", "k", 0), ("ss_mc", "softsrv", "mlp_layers", 1), ("ss_np", "postprocess", "n_select", 0),
     ("ss_np", "backbone", "vocab_size", 4), ("ss_np", "generation", "max_new_tokens", 96 - 4 + 1),
-    ("ss_np", "trainer", "lr", float("inf")),
+    ("ss_np", "trainer", "lr", float("inf")), ("ss_np", "generation", "max_new_tokens", 48),
+    ("ss_np", "postprocess", "kmeans_batch", -1),
 ])
 def test_settings_a_stage_would_reject_exit_two_before_any_stage_runs(tmp_path, capsys, method, section, key,
                                                                        value):
     # these used to load, then exit 11, 13, 14 or 16 in the stage that read them; an infinite
-    # lr and a question decode past max_seq failed only after both pretrains
+    # lr and a question decode past max_seq failed only after both pretrains, a student
+    # example past max_seq (2 * 48 + 2 > 96) in the last stage
     cfg = mini_config(method)
     setattr(getattr(cfg, section), key, value)
     path = tmp_path / "bad.ini"

@@ -271,6 +271,7 @@ def test_zero_step_counts_load(tmp_path):
     ("corpus", "n_examples", 2), ("corpus", "n_aux", 2), ("corpus", "n_generic", 1),
     ("generation", "n_raw", 1), ("generation", "max_new_tokens", 1), ("generation", "ptsr_max_rounds", 1),
     ("postprocess", "n_select", 1), ("postprocess", "svd_dims", 1), ("postprocess", "kmeans_k", 1),
+    ("postprocess", "kmeans_batch", 1), ("postprocess", "kmeans_iterations", 0),
     ("postprocess", "decontam_n", 1), ("mauve", "k", 1),
     ("backbone", "vocab_size", 5), ("seeds", "corpus", 0), ("seeds", "student", 0),
 ])
@@ -315,14 +316,29 @@ def test_a_question_decode_must_fit_the_backbone_when_the_config_loads(tmp_path,
     # token more used to pass both pretrains and the train stage, then fail in
     # generate; the template methods read no t, and their decodes depend on text length
     path = tmp_path / "fit.ini"
-    for max_new, fits in ((256 - 16, True), (256 - 16 + 1, method not in VARIANTS)):
-        path.write_text(f"[generation]\nmethod = {method}\nmax_new_tokens = {max_new}\n", encoding="utf-8")
+    for max_new, fits in ((256 - 200, True), (256 - 200 + 1, method not in VARIANTS)):
+        path.write_text(f"[generation]\nmethod = {method}\nmax_new_tokens = {max_new}\n[softsrv]\nt = 200\n",
+                        encoding="utf-8")
         if fits:
             assert load_config(str(path)).generation.max_new_tokens == max_new
         else:
             with pytest.raises(ConfigError, match=re.escape("softsrv.t + generation.max_new_tokens must be "
-                                                            "<= backbone.max_seq, got 16 + 241 > 256")):
+                                                            "<= backbone.max_seq, got 200 + 57 > 256")):
                 load_config(str(path))
+
+
+@pytest.mark.parametrize("method", ["ss_np", "ss_mp", "ss_mc", "pt", "ptsr"])
+def test_a_student_example_must_fit_the_backbone_when_the_config_loads(tmp_path, method):
+    # the student fine-tunes on BOS + question + answer + EOS, each text up to
+    # max_new_tokens long; one token more used to run every stage and fail in
+    # the last, or in answers once an answer decode outgrew max_seq
+    path = tmp_path / "fit.ini"
+    path.write_text(f"[generation]\nmethod = {method}\nmax_new_tokens = 127\n", encoding="utf-8")
+    assert load_config(str(path)).generation.max_new_tokens == 127
+    path.write_text(f"[generation]\nmethod = {method}\nmax_new_tokens = 128\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=re.escape("2 * generation.max_new_tokens + 2 must be <= "
+                                                    "backbone.max_seq, got 2 * 128 + 2 > 256")):
+        load_config(str(path))
 
 
 @pytest.mark.parametrize("preset", ["desk", "paper"])

@@ -2,8 +2,8 @@
 
 Central differences in float64; analytic and numeric must agree to 1e-4
 relative on coordinates of meaningful size (smaller ones drown in FD
-round-off). Models are initialized with zero_residual=False so no branch
-is dead.
+round-off). Models come from conftest.live_backbone, whose wo and w2 are
+drawn, so no branch is dead.
 """
 
 from dataclasses import replace
@@ -11,7 +11,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from softsrv.backbone import BackboneConfig, BackboneModel, batch_loss_and_grads, forward_logits, init_backbone
+from conftest import live_backbone
+
+from softsrv.backbone import BackboneConfig, BackboneModel, batch_loss_and_grads, forward_logits
 from softsrv.prompts import init_params, materialize, param_grad, param_stacks
 from softsrv.vocab import build_vocab
 
@@ -23,7 +25,7 @@ FLOOR = 1e-6  # coordinates below this are skipped (relative error unstable)
 def tiny_model(seed=3):
     vocab = build_vocab(["alpha beta gamma delta epsilon"])
     cfg = BackboneConfig(d=8, n_layers=2, n_heads=2, ffn_dim=10, max_seq=24)
-    return init_backbone(cfg, vocab, seed, zero_residual=False)
+    return live_backbone(cfg, vocab, seed)
 
 
 def prefix_loss(model, prefix, target):
@@ -236,7 +238,7 @@ def test_lean_cache_gives_the_same_bits_as_the_full_one(t, rows):
 def test_float32_model_gives_float32_gradients():
     vocab = build_vocab(["alpha beta gamma delta epsilon"])
     cfg = BackboneConfig(d=8, n_layers=2, n_heads=2, ffn_dim=10, max_seq=24, dtype="float32")
-    model = init_backbone(cfg, vocab, 3, zero_residual=False)
+    model = live_backbone(cfg, vocab, 3)
     rng = np.random.default_rng(5)
     prefixes = [rng.standard_normal((3, 8)).astype(np.float32) for _ in range(2)]
     _, _, prefix_grads, weight_grads = batch_loss_and_grads(
@@ -262,7 +264,7 @@ def test_float32_model_matches_float64_on_the_same_weights(t, rows):
     # float32 model's weights, exactly, and fed the same float32 prefixes
     vocab = build_vocab(["alpha beta gamma delta epsilon"])
     cfg = BackboneConfig(d=64, n_layers=4, n_heads=4, ffn_dim=256, max_seq=24, dtype="float32")
-    fast = init_backbone(cfg, vocab, 23, zero_residual=False)
+    fast = live_backbone(cfg, vocab, 23)
     exact = BackboneModel(replace(cfg, dtype="float64"), vocab,
                           {k: w.astype(np.float64) for k, w in fast.weights.items()})
     rng = np.random.default_rng(29)

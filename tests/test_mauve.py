@@ -17,6 +17,7 @@ from softsrv.mauve import (
     DEFAULT_K,
     MauveReport,
     QuantizedPair,
+    _LAM_EDGE,
     _lloyd,
     divergence_curve,
     mauve_score,
@@ -40,8 +41,9 @@ def test_defaults_are_pinned():
 
 def test_point_mass_curve_matches_closed_form():
     pair = QuantizedPair(p=np.array([1.0, 0.0]), q=np.array([0.0, 1.0]))
-    grid = np.linspace(0.05, 0.95, 19)
-    pts = divergence_curve(pair, c=5.0, lambda_grid=grid)
+    grid = np.linspace(_LAM_EDGE, 1 - _LAM_EDGE, DEFAULT_GRID)  # the lambdas divergence_curve traces
+    pts = divergence_curve(pair)
+    assert len(pts) == DEFAULT_GRID
     for lam, (x, y) in zip(grid, pts):
         assert x == pytest.approx((1.0 - lam) ** 5, abs=1e-10)
         assert y == pytest.approx(lam**5, abs=1e-10)
@@ -50,7 +52,7 @@ def test_point_mass_curve_matches_closed_form():
 def test_identical_histograms_give_flat_curve_at_one():
     p = np.array([0.25, 0.5, 0.25])
     pair = QuantizedPair(p=p, q=p.copy())
-    for x, y in divergence_curve(pair, c=5.0, lambda_grid=[0.2, 0.5, 0.8]):
+    for x, y in divergence_curve(pair):
         assert x == pytest.approx(1.0, abs=1e-12)
         assert y == pytest.approx(1.0, abs=1e-12)
 
@@ -116,7 +118,7 @@ def test_score_decreases_as_clouds_translate_apart():
 def test_score_matches_independent_trapezoid_integration():
     gen = gaussian_cloud(35, 3, 0.0, seed=15)
     ref = gaussian_cloud(35, 3, 0.7, seed=16)
-    report = mauve_score(gen, ref, k=6, c=5.0, seed=17)
+    report = mauve_score(gen, ref, k=6, seed=17)
     pts = sorted(report.curve, key=lambda xy: (xy[0], -xy[1]))
     xs = np.array([x for x, _ in pts])
     ys = np.array([y for _, y in pts])
@@ -157,14 +159,6 @@ def test_validation_rejects_bad_inputs():
     bad[0, 0] = np.nan
     with pytest.raises(ValidationError):
         quantize(bad, good, k=2)
-
-
-def test_curve_validation():
-    pair = QuantizedPair(p=np.array([1.0]), q=np.array([1.0]))
-    with pytest.raises(ValidationError):
-        divergence_curve(pair, c=0.0)
-    with pytest.raises(ValidationError):
-        divergence_curve(pair, c=5.0, lambda_grid=[0.0, 0.5])
 
 
 def loop_lloyd(X, k, rng):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from softsrv.errors import ValidationError
-from softsrv.optim import BLOCK, adam_step, batch_schedule, clip_global_norm, init_adam
+from softsrv.optim import ADAM_BETAS, ADAM_EPS, BLOCK, adam_step, batch_schedule, clip_global_norm, init_adam
 
 
 def test_first_adam_step_matches_hand_formula():
@@ -17,7 +17,7 @@ def test_first_adam_step_matches_hand_formula():
     state = init_adam(params)
     g = np.array([0.5, -2.0, 1e-3])
     lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
-    assert adam_step(state, params, {"w": g}, lr, (b1, b2), eps) is None
+    assert adam_step(state, params, {"w": g}, lr) is None
     m_hat = g * (1 - b1) / (1 - b1)
     v_hat = g * g * (1 - b2) / (1 - b2)
     expected = -lr * m_hat / (np.sqrt(v_hat) + eps)
@@ -30,9 +30,9 @@ def test_two_steps_accumulate_moments():
     state = init_adam(params)
     g1, g2 = np.array([1.0]), np.array([-0.5])
     lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
-    adam_step(state, params, {"w": g1}, lr, (b1, b2), eps)
+    adam_step(state, params, {"w": g1}, lr)
     before = params["w"].copy()
-    adam_step(state, params, {"w": g2}, lr, (b1, b2), eps)
+    adam_step(state, params, {"w": g2}, lr)
     m = (1 - b1) * (b1 * g1 + g2)
     v = (1 - b2) * (b2 * g1**2 + g2**2)
     m_hat = m / (1 - b1**2)
@@ -44,7 +44,7 @@ def test_two_steps_accumulate_moments():
 def test_adam_rejects_mismatched_keys():
     state = init_adam({"w": np.zeros(2)})
     with pytest.raises(ValidationError):
-        adam_step(state, {"b": np.zeros(2)}, {"b": np.zeros(2)}, 0.1, (0.9, 0.999), 1e-8)
+        adam_step(state, {"b": np.zeros(2)}, {"b": np.zeros(2)}, 0.1)
 
 
 def test_clip_rescales_exactly_to_bound():
@@ -92,7 +92,7 @@ def _reference_step(m, v, g, t, lr, b1, b2, eps):
 
 def _check_steps_exactly(shapes, dtype):
     rng = np.random.default_rng(0)
-    lr, b1, b2, eps = 3e-3, 0.9, 0.98, 1e-8
+    lr, (b1, b2), eps = 3e-3, ADAM_BETAS, ADAM_EPS
     state = init_adam({k: np.zeros(s, dtype) for k, s in shapes.items()})
     m = {k: np.zeros(s, dtype) for k, s in shapes.items()}
     v = {k: np.zeros(s, dtype) for k, s in shapes.items()}
@@ -105,7 +105,7 @@ def _check_steps_exactly(shapes, dtype):
         # zero parameters, so after the step they hold the update itself
         params = {k: np.zeros(s, dtype) for k, s in shapes.items()}
         grads = draw()
-        adam_step(state, params, grads, lr, (b1, b2), eps)
+        adam_step(state, params, grads, lr)
         for k, g in grads.items():
             update = _reference_step(m[k], v[k], g, t, lr, b1, b2, eps)
             assert params[k].dtype == update.dtype == dtype
@@ -116,7 +116,7 @@ def _check_steps_exactly(shapes, dtype):
     params = {k: rng.standard_normal(s).astype(dtype) for k, s in shapes.items()}
     before = {k: p.copy() for k, p in params.items()}
     grads = draw()
-    adam_step(state, params, grads, lr, (b1, b2), eps)
+    adam_step(state, params, grads, lr)
     for k, g in grads.items():
         update = _reference_step(m[k], v[k], g, 6, lr, b1, b2, eps)
         np.testing.assert_array_equal(params[k], before[k] + update)

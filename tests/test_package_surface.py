@@ -1,18 +1,19 @@
 """Static checks on the package's surface: the root's exports and its imports.
 
-There is no linter in the toolchain, so five of its checks live here: every
+There is no linter in the toolchain, so six of its checks live here: every
 name the package root exports resolves and is listed once, no module under
 src/softsrv imports a name it never uses, no private module-level function,
 class or constant goes unread, no public module-level function or class
-is read by the tests alone, and each token-sequence rule's error is raised
-from one function. The one exception to the import check is a name
-that perfbench/tracing.py wraps in that module: the benchmark times calls by
-replacing the attribute there, so the import must stay.
+is read by the tests alone, no defaulted parameter is passed by the tests
+alone, and each token-sequence rule's error is raised from one function.
+The one exception to the import check is a name that perfbench/tracing.py
+wraps in that module: the benchmark times calls by replacing the attribute
+there, so the import must stay.
 """
 
 import ast
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import softsrv
@@ -147,6 +148,81 @@ def test_every_public_function_and_class_is_read_outside_the_tests():
     readers = [path.read_text(encoding="utf-8")
                for folder in ("demos", "perfbench") for path in sorted((ROOT / folder).rglob("*.py"))]
     assert unread_publics(sources, readers) == []
+
+
+def _callees(trees: list[ast.AST]) -> dict[str, list[ast.Call]]:
+    """Every call in trees, keyed by the name it calls: a bare name or an attribute."""
+    calls = defaultdict(list)
+    for tree in trees:
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call) and isinstance(call.func, (ast.Name, ast.Attribute)):
+                calls[getattr(call.func, "id", None) or call.func.attr].append(call)
+    return calls
+
+
+def _passes(call: ast.Call, param: str, index: int | None) -> bool:
+    """Whether call passes param: by keyword, through **, or at position index or through *."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return index is not None and (index < len(call.args) or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unpassed_defaults(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """Defaulted parameters of the functions and methods of sources that no call in sources or callers passes.
+
+    A call counts for every function of the name it calls (a class's name
+    for its __init__), and a method's positions start after self or cls.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    calls = _callees([*trees.values(), *map(ast.parse, callers)])
+    found = []
+    for module, tree in trees.items():
+        owners = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            owner, a = owners.get(id(func)), func.args
+            positional = a.posonlyargs + a.args
+            if owner and "staticmethod" not in {getattr(d, "id", None) for d in func.decorator_list}:
+                positional = positional[1:]
+            defaulted = positional[len(positional) - len(a.defaults):] if a.defaults else []
+            defaulted += [p for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            name = owner if func.name == "__init__" else func.name
+            for p in defaulted:
+                index = positional.index(p) if p in positional else None
+                if not any(_passes(call, p.arg, index) for call in calls[name]):
+                    found.append(f"{module}: {owner + '.' if owner else ''}{func.name}({p.arg})")
+    return sorted(found)
+
+
+def test_unpassed_defaults_finds_what_it_should():
+    source = (
+        "def f(a, b=1, *, c=2):\n    return a\n"
+        "class K:\n"
+        "    def __init__(self, x=0):\n        pass\n"
+        "    def m(self, y=0, z=0):\n        return y\n"
+        "    @staticmethod\n    def s(w=0):\n        return w\n"
+        "f(0)\nK().m(1)\nK.s()\n"
+    )
+    assert unpassed_defaults({"m": source}, []) == [
+        "m: K.__init__(x)", "m: K.m(z)", "m: K.s(w)", "m: f(b)", "m: f(c)"]
+    callers = ["from m import K, f\nf(0, 1, c=3)\nK(x=1).m(**{})\nK.s(*[])\n"]
+    assert unpassed_defaults({"m": source}, callers) == []
+
+
+# a parameter only its callers outside the repository pass, with the reason
+UNPASSED_DEFAULTS = {
+    "cli.py: main(argv)": "the console entry point calls main() and it reads sys.argv; tests pass argv",
+}
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    # a default that no caller in the package, the demos or the benchmark
+    # overrides is a constant; declare it as one
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    callers = [path.read_text(encoding="utf-8")
+               for folder in ("demos", "perfbench") for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert unpassed_defaults(sources, callers) == sorted(UNPASSED_DEFAULTS)
 
 
 def raisers(sources: dict[str, str], pattern: str) -> list[str]:

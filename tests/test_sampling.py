@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import live_backbone
+
 from softsrv import backbone
 from softsrv.backbone import (
     BackboneConfig,
@@ -35,7 +37,7 @@ def random_model():
     """Every path active; a sharper head makes both EOS stops and full-length decodes occur."""
     vocab = build_vocab(["a b c d e"])
     cfg = BackboneConfig(d=8, n_layers=2, n_heads=2, ffn_dim=16, max_seq=32)
-    model = init_backbone(cfg, vocab, 4, zero_residual=False)
+    model = live_backbone(cfg, vocab, 4)
     model.weights["head_w"] *= 5.0
     return model
 

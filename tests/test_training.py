@@ -6,6 +6,8 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import live_backbone
+
 import softsrv.backbone
 import softsrv.training
 from softsrv.backbone import (
@@ -24,7 +26,7 @@ from softsrv.vocab import EOS, build_vocab
 def setup():
     vocab = build_vocab(["cat dog bird fish goat lion wolf bear"])
     cfg = BackboneConfig(d=8, n_layers=1, n_heads=2, ffn_dim=12, max_seq=48)
-    backbone = freeze(init_backbone(cfg, vocab, 5, zero_residual=False))
+    backbone = freeze(live_backbone(cfg, vocab, 5))
     emb_cfg = BackboneConfig(d=6, n_layers=1, n_heads=1, ffn_dim=8, max_seq=48)
     embedder = freeze(init_backbone(emb_cfg, vocab, 6))
     dataset = [vocab.encode(t) for t in ("cat dog bird", "fish goat", "lion wolf bear cat")]
@@ -139,7 +141,7 @@ def test_first_step_is_exactly_one_adam_update(setup):
     clip_global_norm(acc_arrays, 1.0)
     adam = init_adam(acc_arrays)
     delta = {"prompt": np.zeros_like(params.prompt)}  # the update, added to zeros
-    adam_step(adam, delta, acc_arrays, 0.05, (0.9, 0.999), 1e-8)
+    adam_step(adam, delta, acc_arrays, 0.05)
     np.testing.assert_allclose(trained.prompt, params.prompt + delta["prompt"], rtol=1e-12)
 
 
