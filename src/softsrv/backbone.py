@@ -32,17 +32,17 @@ alive at once.
 
 sample and continue_tokens share one decode loop, _decode. It has no KV
 cache: every sampled token reruns a full forward pass of its stream. Decode
-is the largest slice of a desk run; ROADMAP item 1 plans the batched,
+is the largest slice of a desk run; ROADMAP item 5 plans the batched,
 KV-cached engine that replaces _decode.
 
 Each token-sequence rule has one implementation, which every module
 calls: vocab.check_ids holds ids to ints in [0, V), check_prompt a (d, t)
-prompt to the model's d and 0 < t < max_seq. Every batch enters the core
-through _build_streams, which checks its longest stream against max_seq
-(CapacityError) and its ids. The single-sequence ops also check their
-prefix and ids up front, decode checks its whole length before the first
-token, and both training loops, train_full_weights and training.train,
-check every sequence before the first step. load_backbone checks a
+prompt to the model's d and dtype and 0 < t < max_seq. Every batch enters
+the core through _build_streams, which checks its longest stream against
+max_seq (CapacityError) and its ids. The single-sequence ops also check
+their prefix and ids up front, decode checks its whole length before the
+first token, and both training loops, train_full_weights and
+training.train, check every sequence before the first step. load_backbone checks a
 checkpoint's config and vocabulary, then holds its tensors to the one
 weight table, _weight_shapes, which init_backbone also draws from.
 
@@ -52,11 +52,13 @@ the core mixes in is a Python float so that no float32 op runs through a
 float64 loop. BackboneConfig defaults to float64, which the
 finite-difference fixtures need; the experiment config's [backbone]
 section defaults to float32, so the frozen generator of the desk and paper
-presets computes in float32, while the soft prompt it is steered by, its
-Adam moments, the embedder and the student stay float64. A float64 prompt
-enters the core through _build_streams, which casts it to the model's
-dtype, and its gradient leaves in that dtype for prompts.param_grad to
-chain in float64. _draw's softmax runs in float64 whatever the model's
+presets computes in float32. The soft prompt it is steered by takes its
+dtype: the prompt's parameters, Adam moments and gradients, its context
+batch and the prompts it materializes, since a float64 prompt would be
+rounded to the model's dtype on the way in and its gradient comes back in
+it. check_prompt holds a trained prompt to the model's dtype; a prefix
+passed to the single-sequence ops is cast to it. The embedder and the
+student stay float64. _draw's softmax runs in float64 whatever the model's
 dtype. It is one vocabulary-sized row per token, so it costs nothing next
 to the forward pass, and the cumulative sum it searches adds up the whole
 vocabulary: in float32 that sum carries rounding of up to about 1e-5,
@@ -85,6 +87,7 @@ from .vocab import Vocabulary
 
 _RMS_EPS = 1e-5
 _NEG = -1e30  # additive mask value; finite to stay NaN-free in float32
+DTYPES = ("float64", "float32")  # what a model computes in, and so the soft prompts that steer it
 
 
 @dataclass
@@ -103,7 +106,7 @@ class BackboneConfig:
             raise ValidationError(f"sizes must be ints >= 1: {self}")
         if self.d % self.n_heads != 0:
             raise ValidationError("d must divide evenly into heads")
-        if self.dtype not in ("float64", "float32"):
+        if self.dtype not in DTYPES:
             raise ValidationError(f"unsupported dtype {self.dtype!r}")
 
 
@@ -213,21 +216,22 @@ def load_backbone(path) -> BackboneModel:
 # ---------------------------------------------------------------------------
 # validation helpers: the prompt rule has its one implementation here, the id rule in vocab
 
-def check_prompt(model: BackboneModel, d: int, t: int) -> None:
-    """ValidationError unless a (d, t) prompt fits the model: d equal, 0 < t < max_seq."""
-    if d != model.d or not 0 < t < model.config.max_seq:
-        raise ValidationError(f"a prompt of d={d}, width t={t} does not fit the backbone: "
-                              f"it needs d={model.d} and 0 < t < {model.config.max_seq}")
+def check_prompt(model: BackboneModel, d: int, t: int, dtype) -> None:
+    """ValidationError unless a (d, t) prompt of dtype fits the model: d and dtype equal, 0 < t < max_seq."""
+    if d != model.d or not 0 < t < model.config.max_seq or dtype != model.config.dtype:
+        raise ValidationError(f"a {dtype} prompt of d={d}, width t={t} does not fit the backbone: it needs "
+                              f"{model.config.dtype}, d={model.d} and 0 < t < {model.config.max_seq}")
 
 
 def _check_prefix(model: BackboneModel, prefix: np.ndarray) -> np.ndarray:
-    prefix = np.asarray(prefix)
+    """A prefix of any float dtype, cast to the model's, then held to the prompt rule."""
+    prefix = np.asarray(prefix, dtype=model.config.dtype)
     if prefix.ndim != 2:
         raise ValidationError(f"prefix must be a (d, t) matrix, got shape {prefix.shape}")
-    check_prompt(model, *prefix.shape)
+    check_prompt(model, *prefix.shape, prefix.dtype)
     if not np.all(np.isfinite(prefix)):
         raise ValidationError("prefix contains non-finite entries")
-    return prefix.astype(model.config.dtype, copy=False)
+    return prefix
 
 
 def _nonempty_ids(model: BackboneModel, ids) -> list[int]:

@@ -198,7 +198,7 @@ class ExperimentConfig:
                 raise ConfigError(f"softsrv.t + generation.max_new_tokens must be <= backbone.max_seq, got "
                                   f"{s.t} + {self.generation.max_new_tokens} > {self.backbone.max_seq}")
             try:  # the layout init_params will build, checked by its one check
-                zero_params(method, self.backbone.d, s.t, e.d_e, s.k,
+                zero_params(method, self.backbone.d, s.t, e.d_e, self.backbone.dtype, s.k,
                             mlp_layer_sizes(e.d_e, self.backbone.d, s.mlp_hidden, s.mlp_layers))
             except ValidationError as exc:
                 raise ConfigError(f"[softsrv] {method}: {exc}") from exc

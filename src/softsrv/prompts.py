@@ -20,6 +20,13 @@ params_meta derives and a checkpoint's meta stores: init_params draws into
 its arrays, load_params fills them through param_stacks, and
 zeros_like_params rebuilds them as a gradient container.
 
+Every array of a prompt holds one dtype, that of the backbone it steers
+(see the backbone module's Precision note): init_params reads it from the
+backbone, zero_params allocates in it, params_meta records it and
+params_dtype reads it back. Contexts and upstream gradients are cast to
+it, so materialize and param_grad compute in it, and so do the gradient
+containers and Adam moments built from the arrays.
+
 param_grad chains an upstream dL/dP into gradients over each variant's own
 parameters; like the backbone, all backward math is manual and is checked
 against finite differences in the tests. Both functions also take a whole
@@ -36,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backbone import BackboneModel, check_prompt
+from .backbone import DTYPES, BackboneModel, check_prompt
 from .errors import ValidationError
 
 
@@ -85,7 +92,7 @@ def _check_contexts(params: SoftSRVParams, z) -> tuple[np.ndarray, bool]:
     A single context is the B=1 case of the batch, so every variant has one
     code path.
     """
-    z = np.asarray(z, dtype=np.float64)
+    z = np.asarray(z, dtype=params_dtype(params))
     if z.ndim not in (1, 2) or z.shape[-1] != params.d_e:
         raise ValidationError(
             f"contexts must have shape ({params.d_e},) or (B, {params.d_e}), got {z.shape}"
@@ -102,25 +109,30 @@ def _is_int(value, lo: int) -> bool:
     return type(value) is int and value >= lo  # bool is a subclass of int
 
 
-def zero_params(variant: str, d: int, t: int, d_e: int, k: int | None = None, layer_sizes=None) -> SoftSRVParams:
+def zero_params(variant: str, d: int, t: int, d_e: int, dtype: str, k: int | None = None,
+                layer_sizes=None) -> SoftSRVParams:
     """A variant's parameters, all zero: the one declaration and check of their layout.
 
     The arguments are the checkpoint meta fields that params_meta writes. d
-    and t are ints >= 1 and d_e an int >= 0; the mixture's k counts its
-    bases (>= 1); the per-column MLPs' layer_sizes lists each layer as an
-    [out, in] pair, two layers or more, each taking the last one's outputs,
-    d_e in first and d out last. Raises ValidationError otherwise.
+    and t are ints >= 1 and d_e an int >= 0; dtype names one a backbone
+    computes in, and every array is allocated in it; the mixture's k
+    counts its bases (>= 1); the per-column MLPs' layer_sizes lists each
+    layer as an [out, in] pair, two layers or more, each taking the last
+    one's outputs, d_e in first and d out last. Raises ValidationError
+    otherwise.
     """
     for name, value, lo in (("d", d, 1), ("t", t, 1), ("d_e", d_e, 0)):
         if not _is_int(value, lo):
             raise ValidationError(f"{name} must be an int >= {lo}, got {value!r}")
+    if dtype not in DTYPES:
+        raise ValidationError(f"dtype must be one of {DTYPES}, got {dtype!r}")
     if variant == "ss_np":
-        return NonContextualParams(d=d, t=t, d_e=d_e, prompt=np.zeros((d, t)))
+        return NonContextualParams(d=d, t=t, d_e=d_e, prompt=np.zeros((d, t), dtype))
     if variant == "ss_mp":
         if not _is_int(k, 1):
             raise ValidationError(f"the mixture needs an int k >= 1 of bases, got {k!r}")
-        return MixtureParams(d=d, t=t, d_e=d_e, bases=np.zeros((k, d, t)),
-                             gate_w=np.zeros((k, d_e)), gate_b=np.zeros(k))
+        return MixtureParams(d=d, t=t, d_e=d_e, bases=np.zeros((k, d, t), dtype),
+                             gate_w=np.zeros((k, d_e), dtype), gate_b=np.zeros(k, dtype))
     if variant == "ss_mc":
         pairs = isinstance(layer_sizes, list) and all(isinstance(pair, list) and len(pair) == 2 and
                                                       all(_is_int(n, 1) for n in pair) for pair in layer_sizes)
@@ -129,8 +141,8 @@ def zero_params(variant: str, d: int, t: int, d_e: int, k: int | None = None, la
             raise ValidationError(f"layer_sizes must be two or more [out, in] int pairs chaining "
                                   f"d_e={d_e} to d={d}, got {layer_sizes!r}")
         return MlpConcatParams(d=d, t=t, d_e=d_e,
-                               weights=[np.zeros((t, out, n_in)) for out, n_in in layer_sizes],
-                               biases=[np.zeros((t, out)) for out, _ in layer_sizes])
+                               weights=[np.zeros((t, out, n_in), dtype) for out, n_in in layer_sizes],
+                               biases=[np.zeros((t, out), dtype) for out, _ in layer_sizes])
     raise ValidationError(f"unknown variant {variant!r}")
 
 
@@ -142,12 +154,18 @@ def mlp_layer_sizes(d_e: int, d: int, mlp_hidden: int, mlp_layers: int) -> list[
 
 def params_meta(params: SoftSRVParams) -> dict:
     """The zero_params arguments that declare params' layout; the checkpoint meta."""
-    meta = {"variant": params.variant, "d": params.d, "t": params.t, "d_e": params.d_e}
+    meta = {"variant": params.variant, "d": params.d, "t": params.t, "d_e": params.d_e,
+            "dtype": params_dtype(params)}
     if isinstance(params, MixtureParams):
         meta["k"] = params.k
     if isinstance(params, MlpConcatParams):
         meta["layer_sizes"] = [list(w.shape[1:]) for w in params.weights]
     return meta
+
+
+def params_dtype(params: SoftSRVParams) -> str:
+    """The dtype, by name, that zero_params allocated every array of params in."""
+    return param_stacks(params)[0][1].dtype.name
 
 
 def init_params(
@@ -162,16 +180,18 @@ def init_params(
 ) -> SoftSRVParams:
     """Seeded initialization anchored to the backbone's embedding table.
 
-    Prompt columns (and the MLPs' output biases) start as sampled rows of
-    the token-embedding table, so the initial prompt looks like embedded
-    text. MLP hidden layers get fan-in-scaled uniform noise with zero final
-    weights, making the initial output independent of the context.
-    zero_params checks the layout: k >= 1 bases, two or more MLP layers.
+    The parameters take the backbone's dtype. Prompt columns (and the MLPs'
+    output biases) start as sampled rows of the token-embedding table, so
+    the initial prompt looks like embedded text. MLP hidden layers get
+    fan-in-scaled uniform noise, drawn in float64 and rounded to the
+    dtype, with zero final weights, making the initial output independent
+    of the context. zero_params checks the layout: k >= 1 bases, two or
+    more MLP layers.
     """
-    d = backbone.d
-    check_prompt(backbone, d, t)
+    d, dtype = backbone.d, backbone.config.dtype
+    check_prompt(backbone, d, t, dtype)
     layer_sizes = mlp_layer_sizes(d_e, d, mlp_hidden, mlp_layers)
-    params = zero_params(variant, d, t, d_e, k, layer_sizes)
+    params = zero_params(variant, d, t, d_e, dtype, k, layer_sizes)
     rng = np.random.default_rng(seed)
     table = backbone.weights["tok_emb"]
 
@@ -266,11 +286,12 @@ def param_grad(params: SoftSRVParams, z, upstream: np.ndarray, acts: list | None
     """Chain dL/dP into a same-structure gradient object.
 
     upstream is (d, t) for one context z, or (B, d, t) for a (B, d_e) batch
-    of contexts, in which case the gradient is summed over the batch. acts
-    are the hidden activations that materialize kept for these contexts;
-    without them the per-column MLPs run their forward again.
+    of contexts, in which case the gradient is summed over the batch; both
+    are cast to the params' dtype, which the gradient takes. acts are the
+    hidden activations that materialize kept for these contexts; without
+    them the per-column MLPs run their forward again.
     """
-    upstream = np.asarray(upstream, dtype=np.float64)
+    upstream = np.asarray(upstream, dtype=params_dtype(params))
     if upstream.shape[-2:] != (params.d, params.t) or upstream.ndim not in (2, 3):
         raise ValidationError(
             f"upstream must have shape ({params.d}, {params.t}) or (B, {params.d}, {params.t}), "

@@ -6,27 +6,31 @@ NLL of each sequence (EOS appended so generation learns to stop), backprop
 through the frozen body to dL/dP, chain the batch-averaged dL/dP into the
 variant's parameters in one call, reusing the hidden activations that
 materialize kept, and apply one in-place Adam update to the stacked
-parameters. The step's one gradient dict, named by param_stacks, is what
-clip_global_norm scales and adam_step reads. Nothing a step allocates
-outlives it, so no two steps' gradients are alive at once. Only the prompt
-parameters move; the backbone and embedder are frozen and their checksums
-must not change.
+parameters. The parameters, their Adam moments, the step's gradients and
+prompts all hold the backbone's dtype, which train holds the params to
+through check_prompt. The step's one gradient dict, named by
+param_stacks, is what clip_global_norm scales and adam_step reads.
+Nothing a step allocates outlives it, so no two steps' gradients are
+alive at once. Only the prompt parameters move; the backbone and embedder
+are frozen and their checksums must not change.
 
 train works on a copy and drops its reference to the input as soon as the
 copy exists. A caller that passes init_params(...) inline keeps no
 reference either, so only one copy of the prompt lives through training.
 Its schedule arguments are backbone.train_full_weights' (steps, lr, seed,
 batch_size), and both loops take the rest of the recipe from optim:
-check_schedule, batch_schedule, Adam at its defaults and clipping to
-CLIP_NORM. Each step records its loss and pre-clip gradient norm. Both
+check_schedule, batch_schedule, Adam at ADAM_BETAS and ADAM_EPS and
+clipping to CLIP_NORM. Each step records its loss and pre-clip gradient norm. Both
 loops check every sequence before the first step, sampled or not.
 
-A checkpoint's meta is prompts.params_meta and its tensors are the arrays
-that prompts.param_stacks names, each prefixed param.: the same arrays the
-optimizer steps. load_params reads the header alone first, rebuilds the
-layout from the meta through zero_params, which checks it, and holds the header's tensors to that layout's names, shapes
-and dtype; only then does it read each payload straight into its place, so
-a load holds one copy of the parameters.
+A checkpoint's meta is prompts.params_meta, dtype included, and its
+tensors are the arrays that prompts.param_stacks names, each prefixed
+param.: the same arrays the optimizer steps. load_params reads the header
+alone first, rebuilds the layout from the meta through zero_params, which
+checks it, holds the meta's dtype to the backbone's when given one, and
+holds the header's tensors to that layout's names, shapes and dtype; only
+then does it read each payload straight into its place, so a load holds
+one copy of the parameters.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from .prompts import (
     materialize,
     param_grad,
     param_stacks,
+    params_dtype,
     params_meta,
     zero_params,
     zeros_like_params,  # noqa: F401  perfbench/tracing.py wraps it under this module
@@ -76,7 +81,7 @@ def train(
             raise ValidationError("embedder must be distinct from the backbone")
     if not dataset:
         raise ValidationError("empty dataset")
-    check_prompt(backbone, params.d, params.t)
+    check_prompt(backbone, params.d, params.t, params_dtype(params))
 
     targets = [V.check_ids(ids, backbone.vocab_size).tolist() + [V.EOS] for ids in dataset]
     if min(map(len, targets)) == 1:
@@ -132,13 +137,17 @@ def load_params(path, backbone: BackboneModel | None = None) -> SoftSRVParams:
             raise CheckpointFormatError(f"params meta is a {type(meta).__name__}, not an object")
         try:
             params = zero_params(meta.get("variant"), meta.get("d"), meta.get("t"), meta.get("d_e"),
-                                 meta.get("k"), meta.get("layer_sizes"))
+                                 meta.get("dtype"), meta.get("k"), meta.get("layer_sizes"))
         except ValidationError as exc:
             raise CheckpointFormatError(f"bad params meta: {exc}") from exc
+        dtype = params_dtype(params)
         if backbone is not None:
-            check_prompt(backbone, params.d, params.t)
+            if dtype != backbone.config.dtype:
+                raise CheckpointFormatError(f"the params are {dtype}, but the backbone computes in "
+                                            f"{backbone.config.dtype}")
+            check_prompt(backbone, params.d, params.t, dtype)
         views = {f"param.{name}": view for name, view in param_stacks(params)}
-        check_tensors(ckpt.entries, {name: view.shape for name, view in views.items()}, "float64")
+        check_tensors(ckpt.entries, {name: view.shape for name, view in views.items()}, dtype)
         for name, view in views.items():
             ckpt.read_into(name, view)
     return params

@@ -124,8 +124,9 @@ def _check_steps_exactly(shapes, dtype):
 
 def test_adam_steps_equal_the_plain_expression_exactly():
     # the in-place update must round exactly as the plain expression, in
-    # float64 (prompt parameters) and float32 (the desk generator); "big"
-    # spans two whole BLOCK slices and a partial third
+    # float64 (the fixtures' models and their prompts) and float32 (the desk
+    # generator and its prompt); "big" spans two whole BLOCK slices and a
+    # partial third
     shapes = {"w": (5, 3), "b": (3,), "emb": (7, 2, 2), "big": (3, 2 * BLOCK // 3 + 5)}
     _check_steps_exactly(shapes, np.float64)
     _check_steps_exactly(shapes, np.float32)

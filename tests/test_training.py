@@ -2,6 +2,7 @@
 
 import tracemalloc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,13 +12,14 @@ from conftest import live_backbone
 import softsrv.backbone
 import softsrv.training
 from softsrv.backbone import (
-    BackboneConfig, batch_loss_and_grads, checksum, clone_unfrozen, forward_logits, freeze, init_backbone,
-    train_full_weights,
+    BackboneConfig, BackboneModel, batch_loss_and_grads, checksum, clone_unfrozen, forward_logits, freeze,
+    init_backbone, train_full_weights,
 )
 from softsrv.checkpoint import read_checkpoint, write_checkpoint
 from softsrv.errors import CheckpointFormatError, ValidationError
 from softsrv.optim import CLIP_NORM, adam_step, batch_schedule, clip_global_norm, init_adam
-from softsrv.prompts import init_params, materialize, param_grad, param_stacks, params_meta
+from softsrv.embedder import embed_sequence
+from softsrv.prompts import init_params, materialize, param_grad, param_stacks, params_meta, zero_params
 from softsrv.training import load_params, save_params, train
 from softsrv.vocab import EOS, build_vocab
 
@@ -31,6 +33,16 @@ def setup():
     embedder = freeze(init_backbone(emb_cfg, vocab, 6))
     dataset = [vocab.encode(t) for t in ("cat dog bird", "fish goat", "lion wolf bear cat")]
     return backbone, embedder, dataset
+
+
+@pytest.fixture(scope="module")
+def twins(setup):
+    """The setup's backbone shape in float32, and its float64 twin holding the same weights cast up."""
+    backbone, _, _ = setup
+    fast = freeze(live_backbone(replace(backbone.config, dtype="float32"), backbone.vocab, 5))
+    exact = freeze(BackboneModel(backbone.config, backbone.vocab,
+                                 {k: w.astype(np.float64) for k, w in fast.weights.items()}))
+    return fast, exact
 
 
 def test_unfrozen_backbone_rejected(setup):
@@ -83,7 +95,7 @@ def test_both_training_loops_check_every_sequence_before_the_first_step(setup, m
         assert steps == []
 
 
-def test_every_entry_point_holds_a_prompt_to_the_backbone_by_one_rule(setup, tmp_path):
+def test_every_entry_point_holds_a_prompt_to_the_backbone_by_one_rule(setup, twins, tmp_path):
     backbone, _, dataset = setup
     max_seq = backbone.config.max_seq
     narrow = init_params("ss_np", backbone, t=2, d_e=6, seed=0)
@@ -94,6 +106,7 @@ def test_every_entry_point_holds_a_prompt_to_the_backbone_by_one_rule(setup, tmp
         lambda: init_params("ss_np", backbone, t=max_seq, d_e=6, seed=0),
         lambda: init_params("ss_np", backbone, t=0, d_e=6, seed=0),
         lambda: train(other, None, dataset, narrow, steps=1, lr=1e-3, seed=0),
+        lambda: train(twins[0], None, dataset, narrow, steps=1, lr=1e-3, seed=0),  # float64 params
         lambda: load_params(tmp_path / "p.ckpt", other),
         lambda: forward_logits(backbone, np.zeros((backbone.d + 1, 2)), [4]),
         lambda: forward_logits(backbone, np.zeros((backbone.d, max_seq)), [4]),
@@ -246,15 +259,19 @@ def test_both_training_loops_reject_a_bad_schedule(setup, steps, batch_size, lr)
         train(backbone, embedder, dataset, init_params("ss_np", backbone, t=2, d_e=6, seed=0), **schedule)
 
 
-def test_ss_mc_training_peak_memory_at_desk_shape(tiny_folds, tiny_vocab):
+@pytest.mark.parametrize("dtype, bound", [("float64", 30e6), ("float32", 13e6)], ids=["float64", "float32"])
+def test_ss_mc_training_peak_memory_at_desk_shape(tiny_folds, tiny_vocab, dtype, bound):
     # desk shapes: backbone d64/L4, embedder d32 with d_e 32, t=16 columns of
-    # 128x3 MLPs (about 3.7 MB per copy of the parameters), batch 8. The loop
-    # holds a working copy, two Adam moments and one generation of gradients
-    # (about 20.5 MB traced). A second generation of gradients and of Adam
-    # updates alive at once, with a backward cache that keeps what no
-    # requested gradient reads, took about 36 MB
+    # 128x3 MLPs (about 3.7 MB per copy of float64 parameters), batch 8. The
+    # loop holds a working copy, two Adam moments and one generation of
+    # gradients (20.48 MB traced on a float64 backbone). A second generation
+    # of gradients and of Adam updates alive at once, with a backward cache
+    # that keeps what no requested gradient reads, took about 36 MB. On a
+    # float32 backbone the prompt arrays take its dtype and the run reads
+    # 10.41 MB; float64 prompt arrays against it read 16.40 MB
     vocab = tiny_vocab
-    backbone = freeze(init_backbone(BackboneConfig(d=64, n_layers=4, n_heads=4, ffn_dim=256), vocab, 1))
+    backbone_cfg = BackboneConfig(d=64, n_layers=4, n_heads=4, ffn_dim=256, dtype=dtype)
+    backbone = freeze(init_backbone(backbone_cfg, vocab, 1))
     embedder = freeze(init_backbone(BackboneConfig(d=32, n_layers=2, n_heads=2, ffn_dim=128), vocab, 2))
     dataset = [vocab.encode(ex.question) for ex in tiny_folds[0]]
     params = init_params("ss_mc", backbone, t=16, d_e=32, seed=3)
@@ -264,17 +281,21 @@ def test_ss_mc_training_peak_memory_at_desk_shape(tiny_folds, tiny_vocab):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 30e6, peak
+    assert peak < bound, peak
 
 
-def test_ss_mc_training_with_inline_params_keeps_one_copy_of_the_prompt(tiny_folds, tiny_vocab):
+@pytest.mark.parametrize("dtype, bound", [("float64", 22e6), ("float32", 11.3e6)], ids=["float64", "float32"])
+def test_ss_mc_training_with_inline_params_keeps_one_copy_of_the_prompt(tiny_folds, tiny_vocab, dtype, bound):
     # the desk shapes above, with init_params(...) passed inline as the
     # pipeline does and traced from before it runs: train drops its
-    # reference to the input once its working copy exists, so the input's
-    # 3.7 MB is freed before the first step. This read 20.5 MB; a caller
-    # that keeps the input alive reads 24.2 MB, so the bound sits between
+    # reference to the input once its working copy exists, so the input is
+    # freed before the first step. float64 read 20.47 MB and 24.2 MB for a
+    # caller that keeps the input alive; float32 read 10.41 MB and 12.27 MB
+    # kept alive, and 16.40 MB with float64 prompt arrays. Each bound sits
+    # below both of its failures
     vocab = tiny_vocab
-    backbone = freeze(init_backbone(BackboneConfig(d=64, n_layers=4, n_heads=4, ffn_dim=256), vocab, 1))
+    backbone_cfg = BackboneConfig(d=64, n_layers=4, n_heads=4, ffn_dim=256, dtype=dtype)
+    backbone = freeze(init_backbone(backbone_cfg, vocab, 1))
     embedder = freeze(init_backbone(BackboneConfig(d=32, n_layers=2, n_heads=2, ffn_dim=128), vocab, 2))
     dataset = [vocab.encode(ex.question) for ex in tiny_folds[0]]
     tracemalloc.start()
@@ -284,7 +305,7 @@ def test_ss_mc_training_with_inline_params_keeps_one_copy_of_the_prompt(tiny_fol
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 22e6, peak
+    assert peak < bound, peak
 
 
 def test_trace_records_each_steps_loss_and_pre_clip_gradient_norm(setup):
@@ -325,6 +346,74 @@ def test_one_stack_gradient_dict_feeds_the_clip_and_adam(setup, monkeypatch, var
     assert len(stepped) == 3 and trace.grad_norms == norms
     assert all(c is s for c, s in zip(clipped, stepped))
     assert all(list(grads) == [name for name, _ in param_stacks(params)] for grads in stepped)
+
+
+# the test below measured, for ss_np / ss_mp / ss_mc, the worst per-step
+# loss at 5.2e-8 / 3.9e-8 / 3.6e-8 relative and the final prompts at
+# 1.8e-7 / 1.5e-7 / 1.9e-7 norm-wise; each bound leaves a factor of 20 or more
+ORACLE_LOSS_RTOL = 1e-6
+ORACLE_PROMPT_RTOL = 1e-5
+
+
+@pytest.mark.parametrize("variant", ["ss_np", "ss_mp", "ss_mc"])
+def test_float32_prompt_training_matches_its_float64_twin(setup, twins, variant):
+    # the oracle for a prompt that trains in its backbone's float32: the
+    # same steps on the float64 twin, from the float32 starting values cast
+    # up, with the same data and seed
+    _, embedder, dataset = setup
+    fast, exact = twins
+    narrow = init_params(variant, fast, t=3, d_e=6, seed=7, k=2, mlp_hidden=4)
+    wide = zero_params(**{**params_meta(narrow), "dtype": "float64"})
+    for (_, a), (_, b) in zip(param_stacks(wide), param_stacks(narrow)):
+        a[...] = b
+    (got, got_trace), (want, want_trace) = (
+        train(model, embedder, dataset, params, steps=8, lr=1e-2, seed=3, batch_size=2)
+        for model, params in ((fast, narrow), (exact, wide)))
+    np.testing.assert_allclose(got_trace.losses, want_trace.losses, rtol=ORACLE_LOSS_RTOL)
+    z = np.stack([embed_sequence(embedder, ids, 6) for ids in dataset])
+    got_prompts, want_prompts = materialize(got, z), materialize(want, z)
+    assert (got_prompts.dtype, want_prompts.dtype) == (np.float32, np.float64)
+    err = np.linalg.norm(got_prompts - want_prompts) / np.linalg.norm(want_prompts)
+    assert err <= ORACLE_PROMPT_RTOL, err
+
+
+@pytest.mark.parametrize("variant", ["ss_np", "ss_mp", "ss_mc"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_prompt_training_keeps_its_backbones_dtype(setup, twins, monkeypatch, variant, dtype):
+    # every prompt-sized array of a step holds the backbone's dtype; a numpy
+    # float64 scalar in the chain, as np.sqrt(dh) once was in _backward,
+    # would promote a float32 one
+    _, embedder, dataset = setup
+    backbone = twins[0] if dtype == "float32" else twins[1]
+    seen: dict[str, np.ndarray] = {}
+
+    def materialize_spy(params, z, acts):
+        seen["prompts"] = materialize(params, z, acts)
+        return seen["prompts"]
+
+    def clip_spy(grads, max_norm):
+        seen.update((f"clip.{k}", g) for k, g in grads.items())
+        return clip_global_norm(grads, max_norm)
+
+    def adam_spy(state, stacks, grads, lr):
+        adam_step(state, stacks, grads, lr)
+        seen.update((f"adam.{k}", g) for k, g in grads.items())
+        seen.update((f"m.{k}", m) for k, m in state.m.items())
+        seen.update((f"v.{k}", v) for k, v in state.v.items())
+
+    monkeypatch.setattr(softsrv.training, "materialize", materialize_spy)
+    monkeypatch.setattr(softsrv.training, "clip_global_norm", clip_spy)
+    monkeypatch.setattr(softsrv.training, "adam_step", adam_spy)
+    trained, _ = train(backbone, embedder, dataset, init_params(variant, backbone, t=3, d_e=6, seed=7, k=2,
+                                                                mlp_hidden=4),
+                       steps=1, lr=1e-3, seed=3, batch_size=2)
+    names = [name for name, _ in param_stacks(trained)]
+    seen.update((f"param.{name}", a) for name, a in param_stacks(trained))
+    z = np.stack([embed_sequence(embedder, ids, 6) for ids in dataset])
+    seen["materialized"] = materialize(trained, z)
+    assert sorted(seen) == sorted(["prompts", "materialized"] + [f"{kind}.{name}" for name in names
+                                                                 for kind in ("clip", "adam", "m", "v", "param")])
+    assert {name: a.dtype.name for name, a in seen.items() if a.dtype != dtype} == {}
 
 
 def test_full_weight_trace_records_a_norm_per_step(setup):
@@ -450,11 +539,17 @@ _DROP = object()
     ("ss_np", None),  # meta is not an object at all
     # "param." keys patch the tensors: each must be exactly the one the meta declares
     ("ss_np", {"param.prompt": np.zeros((5, 3))}),
+    # a tensor of another dtype than the meta's
     ("ss_np", {"param.prompt": np.zeros((8, 2), dtype=np.float32)}),
     ("ss_np", {"param.extra": np.zeros(2)}),
     ("ss_np", {"param.prompt": _DROP}),
     # the first layer does not take d_e=6 inputs, and its tensors agree with the meta
     ("ss_mc", {"layer_sizes": [[4, 5], [4, 4], [8, 4]], "param.w0": np.zeros((2, 4, 5))}),
+    # the meta's dtype is missing or not one a backbone computes in, or its tensors are not of it
+    ("ss_np", {"dtype": _DROP}),
+    ("ss_np", {"dtype": "float16"}),
+    ("ss_np", {"dtype": ["float64"]}),
+    ("ss_mc", {"dtype": "float32"}),
 ])
 def test_malformed_params_meta_rejected(setup, tmp_path, variant, patch):
     backbone, _, _ = setup
@@ -484,6 +579,22 @@ def test_well_formed_params_meta_rewritten_still_loads(setup, tmp_path, variant)
     save_params(path, init_params(variant, backbone, t=2, d_e=6, seed=14, k=2, mlp_hidden=4))
     write_checkpoint(path, *read_checkpoint(path))
     assert load_params(path, backbone).variant == variant
+
+
+def test_params_of_another_dtype_than_the_backbone_rejected_on_load(twins, tmp_path):
+    # each twin loads its own params and rejects the other's, so a float64
+    # params.ckpt left in a run directory whose backbone is float32 fails
+    # its train stage until it is rebuilt
+    path = tmp_path / "p.ckpt"
+    for model, other in (twins, twins[::-1]):
+        params = init_params("ss_mc", model, t=2, d_e=6, seed=14, mlp_hidden=4)
+        save_params(path, params)
+        loaded = load_params(path, model)
+        for (_, a), (_, b) in zip(param_stacks(params), param_stacks(loaded)):
+            assert a.dtype == b.dtype == model.config.dtype
+            np.testing.assert_array_equal(a, b)
+        with pytest.raises(CheckpointFormatError, match=f"params are {model.config.dtype}"):
+            load_params(path, other)
 
 
 def test_truncated_params_checkpoint_rejected(setup, tmp_path):
