@@ -42,9 +42,10 @@ the core through _build_streams, which checks its longest stream against
 max_seq (CapacityError) and its ids. The single-sequence ops also check
 their prefix and ids up front, decode checks its whole length before the
 first token, and both training loops, train_full_weights and
-training.train, check every sequence before the first step. load_backbone checks a
-checkpoint's config and vocabulary, then holds its tensors to the one
-weight table, _weight_shapes, which init_backbone also draws from.
+training.train, check every sequence before the first step. load_backbone
+checks a checkpoint's config and vocabulary, then declares its weights
+from the one weight table, _weight_shapes, which init_backbone also draws
+from; read_checkpoint holds the file's tensors to them.
 
 Precision. A model computes in its config's dtype, float64 or float32:
 weights, activations, logits and gradients all stay in it, and every scalar
@@ -80,7 +81,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import vocab as V
-from .checkpoint import check_tensors, read_checkpoint, write_checkpoint
+from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import CapacityError, CheckpointFormatError, TrainingDivergedError, ValidationError
 from .optim import CLIP_NORM, LossTrace, adam_step, batch_schedule, check_schedule, clip_global_norm, init_adam
 from .vocab import Vocabulary
@@ -194,21 +195,24 @@ def save_backbone(path, model: BackboneModel) -> None:
 
 def load_backbone(path) -> BackboneModel:
     """Read a backbone; raises CheckpointFormatError unless meta and tensors match."""
-    _, meta, tensors = read_checkpoint(path, expect_kind="backbone")
-    if not isinstance(meta, dict):
-        raise CheckpointFormatError(f"backbone meta is a {type(meta).__name__}, not an object")
-    raw, tokens = meta.get("config"), meta.get("tokens")
-    if not isinstance(raw, dict) or set(raw) != {f.name for f in fields(BackboneConfig)}:
-        raise CheckpointFormatError(f"backbone meta config must hold the BackboneConfig fields: {raw!r}")
-    if not isinstance(tokens, list) or not all(isinstance(tok, str) for tok in tokens):
-        raise CheckpointFormatError("backbone meta tokens must be a list of strings")
-    try:
-        config, vocabulary = BackboneConfig(**raw), Vocabulary(tokens)
-    except ValidationError as exc:
-        raise CheckpointFormatError(f"bad backbone meta: {exc}") from exc
-    check_tensors(tensors, _weight_shapes(config, len(vocabulary)), config.dtype)
-    model = BackboneModel(config=config, vocab=vocabulary, weights=tensors)
-    if meta.get("frozen"):
+    def layout(meta):
+        if not isinstance(meta, dict):
+            raise CheckpointFormatError(f"backbone meta is a {type(meta).__name__}, not an object")
+        raw, tokens = meta.get("config"), meta.get("tokens")
+        if not isinstance(raw, dict) or set(raw) != {f.name for f in fields(BackboneConfig)}:
+            raise CheckpointFormatError(f"backbone meta config must hold the BackboneConfig fields: {raw!r}")
+        if not isinstance(tokens, list) or not all(isinstance(tok, str) for tok in tokens):
+            raise CheckpointFormatError("backbone meta tokens must be a list of strings")
+        try:
+            config, vocabulary = BackboneConfig(**raw), Vocabulary(tokens)
+        except ValidationError as exc:
+            raise CheckpointFormatError(f"bad backbone meta: {exc}") from exc
+        weights = {name: np.empty(shape, config.dtype)
+                   for name, shape in _weight_shapes(config, len(vocabulary)).items()}
+        return (BackboneModel(config=config, vocab=vocabulary, weights=weights), meta.get("frozen")), weights
+
+    model, frozen = read_checkpoint(path, "backbone", layout)
+    if frozen:
         freeze(model)
     return model
 

@@ -7,13 +7,11 @@ written are a pure function of the payload, so identical state produces
 identical files; npz would embed zip timestamps. Both sides stream: the
 writer writes each tensor from its own memory, and the reader reads each
 one from the file straight into an array, so neither holds the whole file
-in memory. CheckpointReader is the one header parser: it checks the header
-and every payload's length against the file's size before any payload is
-read. read_checkpoint reads every tensor into a fresh array; a loader that
-owns its destination arrays checks the header's entries against them and
-reads each payload into its place. check_tensors holds what a reader got,
-arrays or entries, to the exact names, shapes and dtype that its format
-declares.
+in memory. read_checkpoint is the one reader. It checks the header and
+every payload's length against the file's size, asks the loader's layout
+for the arrays the meta declares, holds the header's tensors to exactly
+their names, shapes and dtypes, and only then reads each payload into its
+array.
 """
 
 from __future__ import annotations
@@ -23,16 +21,18 @@ import math
 import os
 import struct
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, TypeVar
 
 import numpy as np
 
-from .errors import CheckpointFormatError, ValidationError
+from .errors import CheckpointFormatError
 
 _MAGIC = b"SSRVCKPT1\n"
 
 # dtype tags stored in headers; little-endian on disk regardless of host.
-_DTYPES = {"float64": "<f8", "float32": "<f4", "int64": "<i8"}
+_DTYPES = {"float64": "<f8", "float32": "<f4"}
+
+_Value = TypeVar("_Value")
 
 
 def write_checkpoint(path: str | Path, kind: str, meta: dict, tensors: dict[str, np.ndarray]) -> None:
@@ -62,122 +62,85 @@ def write_checkpoint(path: str | Path, kind: str, meta: dict, tensors: dict[str,
             fh.write(np.ascontiguousarray(arr, dtype=_DTYPES[str(arr.dtype)]).data)
 
 
-class TensorEntry(NamedTuple):
-    """One header entry: a payload's dtype, its shape and where it starts."""
+def _read_header(fh, kind: str) -> tuple[object, dict[str, tuple[str, tuple[int, ...]]]]:
+    """The meta of an open file and its tensors' (dtype, shape) by name, in header order, all checked.
 
-    dtype: str
-    shape: tuple[int, ...]
-    offset: int
-
-
-class CheckpointReader:
-    """An open checkpoint whose header is read and checked, and no payload yet.
-
-    Opening reads the magic and the header, checks every tensor entry and
-    each payload's length against the file's size, and raises
-    CheckpointFormatError on any malformation; entries maps each tensor's
-    name to its TensorEntry in header order. read_into then copies one
-    payload from the file straight into an array the caller owns.
+    Raises CheckpointFormatError on any malformation of the magic, the
+    header or its entries, a kind other than kind, or a file whose size is
+    not the header's end plus every payload's length.
     """
-
-    def __init__(self, path: str | Path, expect_kind: str | None = None):
-        try:
-            self._fh = open(path, "rb")
-        except OSError as exc:
-            raise CheckpointFormatError(f"cannot read checkpoint: {exc}") from exc
-        try:
-            self.kind, self.meta, self.entries = self._read_header(expect_kind)
-        except BaseException:
-            self._fh.close()
-            raise
-
-    def _read_header(self, expect_kind: str | None) -> tuple[str, dict, dict[str, TensorEntry]]:
-        fh = self._fh
-        size = os.fstat(fh.fileno()).st_size
-        if fh.read(len(_MAGIC)) != _MAGIC:
-            raise CheckpointFormatError("bad magic: not a checkpoint file")
-        off = len(_MAGIC)
-        if size < off + 8:
-            raise CheckpointFormatError("truncated header length")
-        (hlen,) = struct.unpack(">Q", fh.read(8))
-        off += 8
-        if size < off + hlen:
-            raise CheckpointFormatError("truncated header")
-        try:
-            header = json.loads(fh.read(hlen).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CheckpointFormatError(f"unparseable header: {exc}") from exc
-        off += hlen
-        if not isinstance(header, dict):
-            raise CheckpointFormatError("header is not a JSON object")
-        kind = header.get("kind")
-        if expect_kind is not None and kind != expect_kind:
-            raise CheckpointFormatError(f"expected kind {expect_kind!r}, found {kind!r}")
-        raw = header.get("tensors", [])
-        if not isinstance(raw, list):
-            raise CheckpointFormatError("header tensors is not a list")
-        entries: dict[str, TensorEntry] = {}
-        for entry in raw:
-            if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
-                raise CheckpointFormatError(f"malformed tensor entry {entry!r}")
-            name, dtype, shape = entry["name"], entry.get("dtype"), entry.get("shape")
-            if name in entries:
-                raise CheckpointFormatError(f"duplicate tensor name {name!r}")
-            if not isinstance(dtype, str) or dtype not in _DTYPES:
-                raise CheckpointFormatError(f"unsupported dtype {dtype} for tensor {name!r}")
-            # bool is a subclass of int; a dim must be a plain non-negative int
-            if not isinstance(shape, list) or not all(type(dim) is int and dim >= 0 for dim in shape):
-                raise CheckpointFormatError(f"malformed shape {shape!r} for tensor {name!r}")
-            nbytes = math.prod(shape) * np.dtype(_DTYPES[dtype]).itemsize  # Python ints cannot wrap around
-            if size < off + nbytes:
-                raise CheckpointFormatError(f"truncated tensor payload for {name!r}")
-            entries[name] = TensorEntry(dtype, tuple(shape), off)
-            off += nbytes
-        if off != size:
-            raise CheckpointFormatError("trailing bytes after last tensor")
-        return kind, header.get("meta", {}), entries
-
-    def read_into(self, name: str, out: np.ndarray) -> None:
-        """Fill out, a writable C-contiguous array of the entry's dtype and shape, from the file."""
-        entry = self.entries[name]
-        if out.dtype != entry.dtype or out.shape != entry.shape or not out.flags.c_contiguous:
-            raise ValidationError(f"tensor {name!r} is {entry.dtype} {entry.shape}, "
-                                  f"not a C-contiguous {out.dtype} {out.shape} array")
-        self._fh.seek(entry.offset)
-        if self._fh.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
+    size = os.fstat(fh.fileno()).st_size
+    if fh.read(len(_MAGIC)) != _MAGIC:
+        raise CheckpointFormatError("bad magic: not a checkpoint file")
+    off = len(_MAGIC)
+    if size < off + 8:
+        raise CheckpointFormatError("truncated header length")
+    (hlen,) = struct.unpack(">Q", fh.read(8))
+    off += 8
+    if size < off + hlen:
+        raise CheckpointFormatError("truncated header")
+    try:
+        header = json.loads(fh.read(hlen).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CheckpointFormatError(f"unparseable header: {exc}") from exc
+    off += hlen
+    if not isinstance(header, dict):
+        raise CheckpointFormatError("header is not a JSON object")
+    if header.get("kind") != kind:
+        raise CheckpointFormatError(f"expected kind {kind!r}, found {header.get('kind')!r}")
+    raw = header.get("tensors", [])
+    if not isinstance(raw, list):
+        raise CheckpointFormatError("header tensors is not a list")
+    entries: dict[str, tuple[str, tuple[int, ...]]] = {}
+    for entry in raw:
+        if not isinstance(entry, dict) or not isinstance(entry.get("name"), str):
+            raise CheckpointFormatError(f"malformed tensor entry {entry!r}")
+        name, dtype, shape = entry["name"], entry.get("dtype"), entry.get("shape")
+        if name in entries:
+            raise CheckpointFormatError(f"duplicate tensor name {name!r}")
+        if not isinstance(dtype, str) or dtype not in _DTYPES:
+            raise CheckpointFormatError(f"unsupported dtype {dtype} for tensor {name!r}")
+        # bool is a subclass of int; a dim must be a plain non-negative int
+        if not isinstance(shape, list) or not all(type(dim) is int and dim >= 0 for dim in shape):
+            raise CheckpointFormatError(f"malformed shape {shape!r} for tensor {name!r}")
+        off += math.prod(shape) * np.dtype(_DTYPES[dtype]).itemsize  # Python ints cannot wrap around
+        if size < off:
             raise CheckpointFormatError(f"truncated tensor payload for {name!r}")
-        if not np.dtype(_DTYPES[entry.dtype]).isnative:  # the file is little-endian
-            out.byteswap(inplace=True)
-
-    def __enter__(self) -> "CheckpointReader":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self._fh.close()
+        entries[name] = dtype, tuple(shape)
+    if off != size:
+        raise CheckpointFormatError("trailing bytes after last tensor")
+    return header.get("meta", {}), entries
 
 
-def read_checkpoint(path: str | Path, expect_kind: str | None = None) -> tuple[str, dict, dict[str, np.ndarray]]:
-    """Read a container; raises CheckpointFormatError on any malformation.
+def read_checkpoint(path: str | Path, kind: str,
+                    layout: Callable[[object], tuple[_Value, dict[str, np.ndarray]]]) -> _Value:
+    """Read a container of kind into the arrays that layout declares; raises CheckpointFormatError.
 
-    Each tensor is read straight from the file into a fresh array of its
-    dtype, so a read holds no whole-file buffer.
+    layout(meta) checks the meta and returns (value, arrays): arrays maps
+    each tensor's name to the writable C-contiguous array its payload fills.
+    The header's tensors must be exactly those names, each of its array's
+    shape and dtype, before any payload is read; then each payload goes
+    from the file straight into its array, so a read holds one copy of the
+    tensors, and value is returned.
     """
-    with CheckpointReader(path, expect_kind) as ckpt:
-        tensors = {}
-        for name, entry in ckpt.entries.items():
-            tensors[name] = np.empty(entry.shape, entry.dtype)
-            ckpt.read_into(name, tensors[name])
-        return ckpt.kind, ckpt.meta, tensors
-
-
-def check_tensors(tensors: dict, shapes: dict[str, tuple[int, ...]], dtype: str) -> None:
-    """Raise CheckpointFormatError unless tensors are exactly the named shapes, all of dtype.
-
-    tensors maps names to arrays, or to a reader's TensorEntry values.
-    """
-    if set(tensors) != set(shapes):
-        raise CheckpointFormatError(f"checkpoint tensor set mismatch: {sorted(set(shapes) ^ set(tensors))}")
-    for name, shape in shapes.items():
-        arr = tensors[name]
-        if arr.shape != shape or arr.dtype != dtype:
-            raise CheckpointFormatError(f"tensor {name!r} is {arr.dtype} {arr.shape}, expected {dtype} {shape}")
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise CheckpointFormatError(f"cannot read checkpoint: {exc}") from exc
+    with fh:
+        meta, entries = _read_header(fh, kind)
+        value, arrays = layout(meta)
+        if set(entries) != set(arrays):
+            raise CheckpointFormatError(f"checkpoint tensor set mismatch: {sorted(set(entries) ^ set(arrays))}")
+        for name, (dtype, shape) in entries.items():
+            out = arrays[name]
+            if out.shape != shape or out.dtype != dtype:
+                raise CheckpointFormatError(f"tensor {name!r} is {dtype} {shape}, "
+                                            f"expected {out.dtype} {out.shape}")
+        for name, (dtype, _) in entries.items():  # the payloads follow the header in its order
+            out = arrays[name]
+            if fh.readinto(out.data) != out.nbytes:
+                raise CheckpointFormatError(f"truncated tensor payload for {name!r}")
+            if not np.dtype(_DTYPES[dtype]).isnative:  # the file is little-endian
+                out.byteswap(inplace=True)
+    return value

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields
 
 from .backbone import BackboneConfig
 from .errors import ConfigError, ValidationError
-from .prompts import mlp_layer_sizes, zero_params
+from .prompts import zero_params
 from .vocab import RESERVED
 
 VARIANTS = ("ss_np", "ss_mp", "ss_mc")
@@ -198,8 +198,8 @@ class ExperimentConfig:
                 raise ConfigError(f"softsrv.t + generation.max_new_tokens must be <= backbone.max_seq, got "
                                   f"{s.t} + {self.generation.max_new_tokens} > {self.backbone.max_seq}")
             try:  # the layout init_params will build, checked by its one check
-                zero_params(method, self.backbone.d, s.t, e.d_e, self.backbone.dtype, s.k,
-                            mlp_layer_sizes(e.d_e, self.backbone.d, s.mlp_hidden, s.mlp_layers))
+                zero_params(method, self.backbone.d, s.t, e.d_e, self.backbone.dtype, s.k, s.mlp_hidden,
+                            s.mlp_layers)
             except ValidationError as exc:
                 raise ConfigError(f"[softsrv] {method}: {exc}") from exc
         return self

@@ -110,16 +110,15 @@ def _is_int(value, lo: int) -> bool:
 
 
 def zero_params(variant: str, d: int, t: int, d_e: int, dtype: str, k: int | None = None,
-                layer_sizes=None) -> SoftSRVParams:
+                mlp_hidden: int | None = None, mlp_layers: int | None = None) -> SoftSRVParams:
     """A variant's parameters, all zero: the one declaration and check of their layout.
 
     The arguments are the checkpoint meta fields that params_meta writes. d
     and t are ints >= 1 and d_e an int >= 0; dtype names one a backbone
     computes in, and every array is allocated in it; the mixture's k
-    counts its bases (>= 1); the per-column MLPs' layer_sizes lists each
-    layer as an [out, in] pair, two layers or more, each taking the last
-    one's outputs, d_e in first and d out last. Raises ValidationError
-    otherwise.
+    counts its bases (>= 1); each per-column MLP has mlp_layers >= 2
+    layers, d_e inputs, mlp_hidden >= 1 units in every hidden layer and d
+    outputs. Raises ValidationError otherwise.
     """
     for name, value, lo in (("d", d, 1), ("t", t, 1), ("d_e", d_e, 0)):
         if not _is_int(value, lo):
@@ -134,22 +133,14 @@ def zero_params(variant: str, d: int, t: int, d_e: int, dtype: str, k: int | Non
         return MixtureParams(d=d, t=t, d_e=d_e, bases=np.zeros((k, d, t), dtype),
                              gate_w=np.zeros((k, d_e), dtype), gate_b=np.zeros(k, dtype))
     if variant == "ss_mc":
-        pairs = isinstance(layer_sizes, list) and all(isinstance(pair, list) and len(pair) == 2 and
-                                                      all(_is_int(n, 1) for n in pair) for pair in layer_sizes)
-        if not (pairs and len(layer_sizes) >= 2 and
-                [d_e] + [out for out, _ in layer_sizes] == [n_in for _, n_in in layer_sizes] + [d]):
-            raise ValidationError(f"layer_sizes must be two or more [out, in] int pairs chaining "
-                                  f"d_e={d_e} to d={d}, got {layer_sizes!r}")
+        if not (_is_int(mlp_hidden, 1) and _is_int(mlp_layers, 2)):
+            raise ValidationError(f"the per-column MLPs need an int mlp_hidden >= 1 and an int mlp_layers >= 2, "
+                                  f"got {mlp_hidden!r} and {mlp_layers!r}")
+        sizes = [d_e] + [mlp_hidden] * (mlp_layers - 1) + [d]
         return MlpConcatParams(d=d, t=t, d_e=d_e,
-                               weights=[np.zeros((t, out, n_in), dtype) for out, n_in in layer_sizes],
-                               biases=[np.zeros((t, out), dtype) for out, _ in layer_sizes])
+                               weights=[np.zeros((t, out, n_in), dtype) for n_in, out in zip(sizes, sizes[1:])],
+                               biases=[np.zeros((t, out), dtype) for out in sizes[1:]])
     raise ValidationError(f"unknown variant {variant!r}")
-
-
-def mlp_layer_sizes(d_e: int, d: int, mlp_hidden: int, mlp_layers: int) -> list[list[int]]:
-    """The per-column MLPs' layer_sizes: mlp_layers [out, in] pairs from d_e via mlp_hidden to d."""
-    sizes = [d_e] + [mlp_hidden] * (mlp_layers - 1) + [d]
-    return [[sizes[li + 1], sizes[li]] for li in range(mlp_layers)]
 
 
 def params_meta(params: SoftSRVParams) -> dict:
@@ -159,7 +150,7 @@ def params_meta(params: SoftSRVParams) -> dict:
     if isinstance(params, MixtureParams):
         meta["k"] = params.k
     if isinstance(params, MlpConcatParams):
-        meta["layer_sizes"] = [list(w.shape[1:]) for w in params.weights]
+        meta["mlp_hidden"], meta["mlp_layers"] = params.weights[0].shape[1], len(params.weights)
     return meta
 
 
@@ -190,16 +181,15 @@ def init_params(
     """
     d, dtype = backbone.d, backbone.config.dtype
     check_prompt(backbone, d, t, dtype)
-    layer_sizes = mlp_layer_sizes(d_e, d, mlp_hidden, mlp_layers)
-    params = zero_params(variant, d, t, d_e, dtype, k, layer_sizes)
+    params = zero_params(variant, d, t, d_e, dtype, k, mlp_hidden, mlp_layers)
     rng = np.random.default_rng(seed)
     table = backbone.weights["tok_emb"]
 
     if isinstance(params, MlpConcatParams):
         for j in range(t):  # draws go column by column, layer by layer
-            for li, (out, n_in) in enumerate(layer_sizes[:-1]):
-                bound = 1.0 / np.sqrt(n_in)
-                params.weights[li][j] = rng.uniform(-bound, bound, size=(out, n_in))
+            for w in params.weights[:-1]:
+                bound = 1.0 / np.sqrt(w.shape[2])  # fan-in
+                w[j] = rng.uniform(-bound, bound, size=w.shape[1:])
             params.biases[-1][j] = table[int(rng.integers(0, table.shape[0]))]
     else:  # the prompt, or each basis in turn, is t sampled rows of the table
         for block in params.bases if isinstance(params, MixtureParams) else params.prompt[None]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .backbone import BackboneModel, continue_tokens
-from .errors import ValidationError
+from .errors import CapacityError, ValidationError
 from .generation import generate_answers, record_stream
 from .records import SyntheticRecord
 
@@ -82,6 +82,13 @@ def split_questions(text: str) -> list[str]:
     return parts[:_MAX_SPLIT]
 
 
+def _check_fits(model: BackboneModel, kind: str, context_len: int, max_new: int) -> None:
+    """CapacityError unless a kind-template context of context_len tokens and max_new more fit the model."""
+    if context_len + max_new > model.config.max_seq:
+        raise CapacityError(f"the {kind} template's context of {context_len} tokens plus {max_new} new tokens "
+                            f"exceeds capacity {model.config.max_seq}")
+
+
 def _continuation_text(model: BackboneModel, prompt_text: str, max_new: int, temperature: float, stream) -> str:
     ids = model.vocab.encode(prompt_text)
     return model.vocab.decode(continue_tokens(model, ids, max_new, temperature, stream))
@@ -98,7 +105,12 @@ def pt_generate(
     template_key: str = "question",
     method_tag: str = "PT",
 ) -> list[SyntheticRecord]:
-    """Render/sample/split until n_raw question records exist."""
+    """Render/sample/split until n_raw question records exist.
+
+    Each visit yields at least one record, so the visits render only the
+    first n_raw seeds; every one of them is checked to fit with max_new
+    sampled tokens before the first is sampled.
+    """
     if not seeds:
         raise ValidationError("no seed examples")
     if n_raw < 1:
@@ -106,13 +118,14 @@ def pt_generate(
     if template_key not in templates:
         raise ValidationError(f"missing template {template_key!r}")
     tpl = templates[template_key]
+    contexts = [render(tpl, text) for text in seeds[:n_raw]]
+    _check_fits(backbone, template_key, max(len(backbone.vocab.encode(c)) for c in contexts), max_new)
     records: list[SyntheticRecord] = []
     visit = 0
     while len(records) < n_raw:
         si = visit % len(seeds)
-        prompt_text = render(tpl, seeds[si])
         text = _continuation_text(
-            backbone, prompt_text, max_new, temperature, record_stream(seed, method_tag, visit)
+            backbone, contexts[si], max_new, temperature, record_stream(seed, method_tag, visit)
         )
         candidates = split_questions(text) or ["<unk>"]
         for part in candidates:
@@ -144,12 +157,20 @@ def ptsr_generate(
     max_new: int,
     max_rounds: int = 3,
 ) -> list[SyntheticRecord]:
-    """PT candidates followed by up to max_rounds critique/refine rounds per candidate."""
+    """PT candidates followed by up to max_rounds critique/refine rounds per candidate.
+
+    A question or critique is at most max_new tokens, so a critique context
+    is its template and up to max_new tokens, and a refine context its
+    template and up to 2 * max_new + 2 (the question, "Critique:" and the
+    critique). Both worst cases are checked to fit with max_new sampled
+    tokens before anything is sampled.
+    """
     if max_rounds < 1:
         raise ValidationError("max_rounds must be >= 1")
-    for key in ("critique", "refine"):
+    for key, filled in (("critique", max_new), ("refine", 2 * max_new + 2)):
         if key not in templates:
             raise ValidationError(f"missing template {key!r}")
+        _check_fits(backbone, key, len(backbone.vocab.encode(render(templates[key], ""))) + filled, max_new)
     base = pt_generate(
         backbone, templates, seeds, n_raw,
         temperature=temperature, seed=seed, max_new=max_new, method_tag="PT_SR",
@@ -204,4 +225,5 @@ def pt_generate_answers(
     if "answer" not in templates:
         raise ValidationError("missing template 'answer'")
     prompts = [render(templates["answer"], rec.question) for rec in records]
+    _check_fits(backbone, "answer", max((len(backbone.vocab.encode(p)) for p in prompts), default=0), max_new)
     return generate_answers(backbone, records, temperature, seed, max_new, prompts)

@@ -25,12 +25,13 @@ loops check every sequence before the first step, sampled or not.
 
 A checkpoint's meta is prompts.params_meta, dtype included, and its
 tensors are the arrays that prompts.param_stacks names, each prefixed
-param.: the same arrays the optimizer steps. load_params reads the header
-alone first, rebuilds the layout from the meta through zero_params, which
-checks it, holds the meta's dtype to the backbone's when given one, and
-holds the header's tensors to that layout's names, shapes and dtype; only
-then does it read each payload straight into its place, so a load holds
-one copy of the parameters.
+param.: the same arrays the optimizer steps. load_params reads through
+checkpoint.read_checkpoint, as load_backbone does. Its layout rebuilds the
+parameters from the meta through zero_params, which checks it, holds the
+meta's dtype to the backbone's when given one, and declares the arrays of
+param_stacks as the tensors; read_checkpoint holds the header's tensors to
+their names, shapes and dtype, then reads each payload straight into its
+place, so a load holds one copy of the parameters.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ import numpy as np
 
 from . import vocab as V
 from .backbone import BackboneModel, batch_loss_and_grads, check_prompt
-from .checkpoint import CheckpointReader, check_tensors, write_checkpoint
-from .checkpoint import read_checkpoint  # noqa: F401  perfbench/tracing.py wraps it under this module
+from .checkpoint import read_checkpoint, write_checkpoint
 from .embedder import embed_sequence
 from .errors import CheckpointFormatError, TrainingDivergedError, ValidationError
 from .optim import CLIP_NORM, LossTrace, adam_step, batch_schedule, check_schedule, clip_global_norm, init_adam
@@ -131,13 +131,12 @@ def save_params(path, params: SoftSRVParams) -> None:
 
 def load_params(path, backbone: BackboneModel | None = None) -> SoftSRVParams:
     """Read a params checkpoint; raises CheckpointFormatError unless meta and tensors match."""
-    with CheckpointReader(path, expect_kind="softsrv_params") as ckpt:
-        meta = ckpt.meta
+    def layout(meta):
         if not isinstance(meta, dict):
             raise CheckpointFormatError(f"params meta is a {type(meta).__name__}, not an object")
         try:
             params = zero_params(meta.get("variant"), meta.get("d"), meta.get("t"), meta.get("d_e"),
-                                 meta.get("dtype"), meta.get("k"), meta.get("layer_sizes"))
+                                 meta.get("dtype"), meta.get("k"), meta.get("mlp_hidden"), meta.get("mlp_layers"))
         except ValidationError as exc:
             raise CheckpointFormatError(f"bad params meta: {exc}") from exc
         dtype = params_dtype(params)
@@ -146,8 +145,6 @@ def load_params(path, backbone: BackboneModel | None = None) -> SoftSRVParams:
                 raise CheckpointFormatError(f"the params are {dtype}, but the backbone computes in "
                                             f"{backbone.config.dtype}")
             check_prompt(backbone, params.d, params.t, dtype)
-        views = {f"param.{name}": view for name, view in param_stacks(params)}
-        check_tensors(ckpt.entries, {name: view.shape for name, view in views.items()}, dtype)
-        for name, view in views.items():
-            ckpt.read_into(name, view)
-    return params
+        return params, {f"param.{name}": stack for name, stack in param_stacks(params)}
+
+    return read_checkpoint(path, "softsrv_params", layout)

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,15 +17,26 @@ def _tensors():
     return {
         "weights": np.arange(12, dtype=np.float64).reshape(3, 4),
         "bias": np.array([1.5, -2.5]),
-        "steps": np.array([7], dtype=np.int64),
+        "steps": np.array([7], dtype=np.float32),
     }
+
+
+def _declared(tensors):
+    """A layout declaring an empty array of each written tensor's shape and dtype; reads return (meta, arrays)."""
+    def layout(meta):
+        arrays = {name: np.empty(arr.shape, arr.dtype) for name, arr in tensors.items()}
+        return (meta, arrays), arrays
+    return layout
+
+
+def _read(path, tensors, kind="demo"):
+    return read_checkpoint(path, kind, _declared(tensors))
 
 
 def test_round_trip(tmp_path):
     path = tmp_path / "model.ckpt"
     write_checkpoint(path, "demo", {"note": "x"}, _tensors())
-    kind, meta, tensors = read_checkpoint(path)
-    assert kind == "demo"
+    meta, tensors = _read(path, _tensors())
     assert meta == {"note": "x"}
     for name, arr in _tensors().items():
         np.testing.assert_array_equal(tensors[name], arr)
@@ -50,14 +62,14 @@ def test_kind_mismatch_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     write_checkpoint(path, "demo", {}, _tensors())
     with pytest.raises(CheckpointFormatError):
-        read_checkpoint(path, expect_kind="other")
+        _read(path, _tensors(), kind="other")
 
 
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bogus.ckpt"
     path.write_bytes(b"not a checkpoint at all")
     with pytest.raises(CheckpointFormatError):
-        read_checkpoint(path)
+        _read(path, _tensors())
 
 
 def test_truncated_payload_rejected(tmp_path):
@@ -66,7 +78,7 @@ def test_truncated_payload_rejected(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-9])
     with pytest.raises(CheckpointFormatError):
-        read_checkpoint(path)
+        _read(path, _tensors())
 
 
 def test_trailing_garbage_rejected(tmp_path):
@@ -74,14 +86,14 @@ def test_trailing_garbage_rejected(tmp_path):
     write_checkpoint(path, "demo", {}, _tensors())
     path.write_bytes(path.read_bytes() + b"xx")
     with pytest.raises(CheckpointFormatError):
-        read_checkpoint(path)
+        _read(path, _tensors())
 
 
 def test_noncontiguous_input_round_trips(tmp_path):
     path = tmp_path / "model.ckpt"
     base = np.arange(16, dtype=np.float64).reshape(4, 4)
     write_checkpoint(path, "demo", {}, {"t": base.T})
-    _, _, tensors = read_checkpoint(path)
+    _, tensors = _read(path, {"t": base.T})
     np.testing.assert_array_equal(tensors["t"], base.T)
 
 
@@ -90,7 +102,7 @@ def test_read_arrays_are_writable_and_own_their_data(tmp_path):
     # file's bytes
     path = tmp_path / "model.ckpt"
     write_checkpoint(path, "demo", {}, _tensors())
-    _, _, tensors = read_checkpoint(path)
+    _, tensors = _read(path, _tensors())
     for name, arr in tensors.items():
         assert arr.flags.writeable and arr.flags.owndata, name
         arr += 1
@@ -99,9 +111,10 @@ def test_read_arrays_are_writable_and_own_their_data(tmp_path):
 
 def test_zero_d_tensor_keeps_its_shape(tmp_path):
     path = tmp_path / "scalar.ckpt"
-    write_checkpoint(path, "demo", {}, {"lr": np.array(3.5), "step": np.array(7, dtype=np.int64)})
-    _, _, tensors = read_checkpoint(path)
-    for name, value, dtype in (("lr", 3.5, np.float64), ("step", 7, np.int64)):
+    scalars = {"lr": np.array(3.5), "step": np.array(7, dtype=np.float32)}
+    write_checkpoint(path, "demo", {}, scalars)
+    _, tensors = _read(path, scalars)
+    for name, value, dtype in (("lr", 3.5, np.float64), ("step", 7, np.float32)):
         assert tensors[name].shape == ()
         assert tensors[name].dtype == dtype
         assert tensors[name] == value
@@ -114,6 +127,10 @@ def _raw_checkpoint(header, payload: bytes = b"") -> bytes:
 
 def _entry(name="a", dtype="float64", shape=(1,)):
     return {"name": name, "dtype": dtype, "shape": list(shape)}
+
+
+def _header_never_passes(meta):
+    raise AssertionError("the header was not rejected before its meta reached the layout")
 
 
 @pytest.mark.parametrize("header,payload", [
@@ -144,7 +161,17 @@ def test_malformed_header_rejected(tmp_path, header, payload):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(_raw_checkpoint(header, payload))
     with pytest.raises(CheckpointFormatError):
-        read_checkpoint(path)
+        read_checkpoint(path, "demo", _header_never_passes)
+
+
+def test_int64_entry_rejected_as_an_unsupported_dtype(tmp_path):
+    # nothing in the package stores integers, so the container has no integer dtype
+    path = tmp_path / "int.ckpt"
+    path.write_bytes(_raw_checkpoint({"kind": "demo", "tensors": [_entry(dtype="int64")]}, bytes(8)))
+    with pytest.raises(CheckpointFormatError, match="unsupported dtype int64 for tensor 'a'"):
+        read_checkpoint(path, "demo", _header_never_passes)
+    with pytest.raises(CheckpointFormatError, match="unsupported dtype int64 for tensor 'a'"):
+        write_checkpoint(path, "demo", {}, {"a": np.array([7], dtype=np.int64)})
 
 
 def test_hand_built_header_reads(tmp_path):
@@ -152,8 +179,8 @@ def test_hand_built_header_reads(tmp_path):
     path = tmp_path / "good.ckpt"
     payload = np.array([1.5, -2.0]).astype("<f8").tobytes()
     path.write_bytes(_raw_checkpoint({"kind": "demo", "tensors": [_entry(shape=(2,))]}, payload))
-    kind, meta, tensors = read_checkpoint(path)
-    assert (kind, meta) == ("demo", {})
+    meta, tensors = _read(path, {"a": np.zeros(2)})
+    assert meta == {}
     np.testing.assert_array_equal(tensors["a"], [1.5, -2.0])
 
 
@@ -185,31 +212,35 @@ _BACKBONE_EDITS = {
 
 
 def _saved_backbone(path):
+    """A saved backbone, and the meta and tensors it was saved with, rebuilt from the model."""
     vocab = build_vocab(["alpha beta gamma delta"])
     model = init_backbone(BackboneConfig(d=8, n_layers=1, n_heads=2, ffn_dim=12, max_seq=16), vocab, 3)
     save_backbone(path, model)
-    return model
+    meta = {"config": asdict(model.config), "frozen": model.frozen, "tokens": list(model.vocab.tokens)}
+    return model, meta, dict(model.weights)
 
 
 @pytest.mark.parametrize("edit", sorted(_BACKBONE_EDITS) + ["list-meta"])
 def test_malformed_backbone_checkpoint_rejected(tmp_path, edit):
     path = tmp_path / "b.ckpt"
-    _saved_backbone(path)
-    kind, meta, tensors = read_checkpoint(path)
+    _, meta, tensors = _saved_backbone(path)
     if edit == "list-meta":
         meta = [meta]
     else:
         _BACKBONE_EDITS[edit](meta, tensors)
-    write_checkpoint(path, kind, meta, tensors)
+    write_checkpoint(path, "backbone", meta, tensors)
     with pytest.raises(CheckpointFormatError):
         load_backbone(path)
 
 
 def test_well_formed_backbone_checkpoint_rewritten_still_loads(tmp_path):
-    # the control for the malformed cases above: the same rewrite, no edit
+    # the control for the malformed cases above: the same rewrite, no edit,
+    # writes the saved file's very bytes
     path = tmp_path / "b.ckpt"
-    model = _saved_backbone(path)
-    write_checkpoint(path, *read_checkpoint(path))
+    model, meta, tensors = _saved_backbone(path)
+    saved = path.read_bytes()
+    write_checkpoint(path, "backbone", meta, tensors)
+    assert path.read_bytes() == saved
     loaded = load_backbone(path)
     assert loaded.config == model.config and loaded.vocab.tokens == model.vocab.tokens
     assert sorted(loaded.weights) == sorted(model.weights)

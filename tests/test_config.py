@@ -287,9 +287,9 @@ def test_counts_below_what_their_stage_accepts_rejected(tmp_path, section, key, 
 
 @pytest.mark.parametrize("method, key, value, match", [
     ("ss_mp", "k", "0", "the mixture needs an int k >= 1"),
-    ("ss_mc", "mlp_layers", "1", "layer_sizes must be two or more"),
-    ("ss_mc", "mlp_layers", "0", "layer_sizes must be two or more"),
-    ("ss_mc", "mlp_hidden", "0", "layer_sizes must be two or more"),
+    ("ss_mc", "mlp_layers", "1", "the per-column MLPs need an int mlp_hidden >= 1 and an int mlp_layers >= 2"),
+    ("ss_mc", "mlp_layers", "0", "the per-column MLPs need an int mlp_hidden >= 1 and an int mlp_layers >= 2"),
+    ("ss_mc", "mlp_hidden", "0", "the per-column MLPs need an int mlp_hidden >= 1 and an int mlp_layers >= 2"),
 ])
 def test_soft_prompt_layouts_fail_when_the_config_loads(tmp_path, method, key, value, match):
     # these used to load, then fail in the params stage after both pretrains

@@ -11,7 +11,7 @@ import pytest
 from softsrv import pipeline, templates
 from softsrv.backbone import BackboneModel, checksum
 from softsrv.config import preset_config
-from softsrv.errors import StageError
+from softsrv.errors import CapacityError, StageError
 from softsrv.pipeline import STAGE_EXIT_CODES, STAGE_TABLE, STAGES, Pipeline, run_experiment
 from softsrv.prompts import param_stacks
 from softsrv.records import read_records
@@ -382,6 +382,29 @@ def test_refinement_method_runs_end_to_end(tmp_path):
     records = read_records(out / "questions.jsonl")
     assert all(r.method_tag == "PT_SR" for r in records)
     assert all("rounds" in r.provenance for r in records)
+
+
+@pytest.mark.parametrize("method, kind", [("pt", "question"), ("ptsr", "critique")])
+def test_template_contexts_past_capacity_fail_before_any_decode(tmp_path, monkeypatch, method, kind):
+    # 2 * 47 + 2 <= 96 passes every load-time rule, but a question decodes its
+    # 47 tokens after the rendered template and seed text, and a critique after
+    # its template and a question of up to 47 tokens
+    cfg = mini_config(method)
+    cfg.generation.max_new_tokens = 47
+    calls = []
+    decode = templates.continue_tokens
+
+    def counting(*args):
+        calls.append(args)
+        return decode(*args)
+
+    monkeypatch.setattr(templates, "continue_tokens", counting)
+    with pytest.raises(StageError) as err:
+        run_experiment(cfg, str(tmp_path / method))
+    assert (err.value.stage, STAGE_EXIT_CODES[err.value.stage]) == ("generate", 14)
+    assert isinstance(err.value.cause, CapacityError)
+    assert f"the {kind} template's context" in str(err.value.cause)
+    assert calls == []
 
 
 def test_stage_failures_carry_the_stage_name(tmp_path):

@@ -96,7 +96,7 @@ def test_mixture_gate_starts_uniform(model):
 
 def test_init_params_rejects_one_mlp_layer_and_no_mixture_bases(model):
     # zero_params checks the layout that init_params asks for
-    with pytest.raises(ValidationError, match="layer_sizes"):
+    with pytest.raises(ValidationError, match="mlp_layers >= 2"):
         init_params("ss_mc", model, t=2, d_e=4, seed=4, mlp_layers=1)
     with pytest.raises(ValidationError, match="k >= 1"):
         init_params("ss_mp", model, t=2, d_e=4, seed=4, k=0)

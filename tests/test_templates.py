@@ -2,7 +2,10 @@
 
 import pytest
 
-from softsrv.errors import ValidationError
+import softsrv.generation
+import softsrv.templates
+from softsrv.errors import CapacityError, ValidationError
+from softsrv.records import SyntheticRecord
 from softsrv.templates import (
     PLACEHOLDER,
     STOP_TEXT,
@@ -124,7 +127,7 @@ def test_ptsr_accepts_immediately_on_stop(tiny_backbone, monkeypatch):
 
     monkeypatch.setattr(mod, "_continuation_text", fake_continuation)
     templates = load_builtin_templates("arithmetic")
-    records = ptsr_generate(tiny_backbone, templates, ["seed q"], 2, temperature=2.0, seed=1, max_new=96,
+    records = ptsr_generate(tiny_backbone, templates, ["seed q"], 2, temperature=2.0, seed=1, max_new=12,
                             max_rounds=3)
     for r in records:
         assert r.provenance["rounds"] == 1
@@ -144,7 +147,7 @@ def test_ptsr_never_stop_runs_all_rounds_and_keeps_last_rewrite(tiny_backbone, m
 
     monkeypatch.setattr(mod, "_continuation_text", fake_continuation)
     templates = load_builtin_templates("arithmetic")
-    records = ptsr_generate(tiny_backbone, templates, ["seed q"], 1, temperature=2.0, seed=1, max_new=96,
+    records = ptsr_generate(tiny_backbone, templates, ["seed q"], 1, temperature=2.0, seed=1, max_new=12,
                             max_rounds=3)
     assert records[0].provenance["rounds"] == 3
     assert records[0].provenance["accepted"] is False
@@ -162,3 +165,19 @@ def test_pt_generate_answers_attaches_text(tiny_backbone):
         assert a.question == q.question
         assert a.answer is not None
         assert a.provenance["answer_seed"] == 10
+
+
+def test_template_contexts_past_capacity_fail_before_any_decode(tiny_backbone, monkeypatch):
+    # tiny_backbone holds 96 tokens; each context is checked with its max_new
+    # before the first token is drawn
+    for module in (softsrv.templates, softsrv.generation):
+        monkeypatch.setattr(module, "continue_tokens", lambda *args: pytest.fail("decoded past capacity"))
+    templates = load_builtin_templates("arithmetic")
+    with pytest.raises(CapacityError, match="the question template's context of 121 tokens plus 12 new tokens"):
+        pt_generate(tiny_backbone, templates, ["two apples " * 40], 1, temperature=2.0, seed=1, max_new=12)
+    # worst cases: a critique context of 17 + 30 tokens fits with 30 more, a refine context of 44 + 62 does not
+    with pytest.raises(CapacityError, match="the refine template's context of 106 tokens plus 30 new tokens"):
+        ptsr_generate(tiny_backbone, templates, ["seed q"], 1, temperature=2.0, seed=1, max_new=30)
+    long_question = SyntheticRecord(question="apples " * 80, seed_index=0, method_tag="PT")
+    with pytest.raises(CapacityError, match="the answer template's context of 98 tokens plus 12 new tokens"):
+        pt_generate_answers(tiny_backbone, templates, [long_question], temperature=2.0, seed=1, max_new=12)

@@ -13,7 +13,7 @@ import softsrv.backbone
 import softsrv.training
 from softsrv.backbone import (
     BackboneConfig, BackboneModel, batch_loss_and_grads, checksum, clone_unfrozen, forward_logits, freeze,
-    init_backbone, train_full_weights,
+    init_backbone, load_backbone, save_backbone, train_full_weights,
 )
 from softsrv.checkpoint import read_checkpoint, write_checkpoint
 from softsrv.errors import CheckpointFormatError, ValidationError
@@ -432,23 +432,46 @@ def test_backbone_and_embedder_unchanged_by_training(setup):
     assert (checksum(backbone), checksum(embedder)) == before
 
 
-def test_params_checkpoint_reads_without_a_whole_file_buffer(tiny_vocab, tmp_path):
-    # desk ss_mc shapes: t=16 columns of 128x3 MLPs over d_e=32, about
-    # 3.7 MB of tensors. The reader streams each tensor from the file into
-    # its own array; holding the file's bytes while copying out of them
-    # peaked at about twice the tensor bytes
+def test_backbone_load_reads_without_a_whole_file_buffer(tiny_vocab, tmp_path):
+    # a desk-shape backbone (d64, L4, ffn 256, max_seq 256) in float64,
+    # about 1.7 MB of weights. read_checkpoint streams each tensor from the
+    # file into the array load_backbone declared for it; holding the file's
+    # bytes while copying out of them peaked at about twice the tensor bytes
     backbone = init_backbone(BackboneConfig(d=64, n_layers=4, n_heads=4, ffn_dim=256), tiny_vocab, 1)
-    path = tmp_path / "params.ckpt"
-    save_params(path, init_params("ss_mc", backbone, t=16, d_e=32, seed=3))
+    path = tmp_path / "backbone.ckpt"
+    save_backbone(path, backbone)
     tracemalloc.start()
     try:
-        _, _, tensors = read_checkpoint(path)
+        loaded = load_backbone(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    tensor_bytes = sum(arr.nbytes for arr in tensors.values())
-    assert tensor_bytes > 3e6
+    tensor_bytes = sum(arr.nbytes for arr in loaded.weights.values())
+    assert tensor_bytes > 1.5e6
     assert peak < 1.3 * tensor_bytes, (peak, tensor_bytes)
+    assert checksum(loaded) == checksum(backbone)
+
+
+@pytest.mark.parametrize("module, load", [(softsrv.backbone, "load_backbone"), (softsrv.training, "load_params")],
+                         ids=["load_backbone", "load_params"])
+def test_each_loader_reads_through_read_checkpoint_once(setup, tmp_path, monkeypatch, module, load):
+    # the one reader, looked up in the loader's own module, where the
+    # benchmark's tracer wraps it
+    backbone, _, _ = setup
+    path = tmp_path / "x.ckpt"
+    if load == "load_backbone":
+        save_backbone(path, backbone)
+    else:
+        save_params(path, init_params("ss_mc", backbone, t=2, d_e=6, seed=14, mlp_hidden=4))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return read_checkpoint(*args, **kwargs)
+
+    monkeypatch.setattr(module, "read_checkpoint", counting)
+    getattr(module, load)(path)
+    assert calls == ["backbone" if load == "load_backbone" else "softsrv_params"]
 
 
 def test_params_load_holds_one_copy_of_the_parameters(tiny_vocab, tmp_path):
@@ -494,10 +517,10 @@ def test_checkpoint_tensors_are_the_param_stacks(setup, tmp_path, variant):
     params = init_params(variant, backbone, t=3, d_e=6, seed=11, k=3, mlp_hidden=4)
     path = tmp_path / f"{variant}.ckpt"
     save_params(path, params)
-    _, _, tensors = read_checkpoint(path)
-    stacks = param_stacks(params)
-    assert sorted(tensors) == sorted(f"param.{name}" for name, _ in stacks)
-    for name, arr in stacks:
+    declared = {f"param.{name}": np.empty_like(arr) for name, arr in param_stacks(params)}
+    # read_checkpoint rejects a header whose tensors are not exactly the declared ones
+    tensors = read_checkpoint(path, "softsrv_params", lambda meta: (declared, declared))
+    for name, arr in param_stacks(params):
         np.testing.assert_array_equal(tensors[f"param.{name}"], arr)
 
 
@@ -513,7 +536,15 @@ def test_per_column_checkpoint_rejected(setup, tmp_path):
     with pytest.raises(CheckpointFormatError, match="checkpoint tensor set mismatch"):
         load_params(path, backbone)
 
+
 _DROP = object()
+
+
+def _saved_params(setup, path, variant):
+    """Saved params' meta and tensors, rebuilt from the params saved."""
+    params = init_params(variant, setup[0], t=2, d_e=6, seed=14, k=2, mlp_hidden=4)
+    save_params(path, params)
+    return params_meta(params), {f"param.{name}": arr for name, arr in param_stacks(params)}
 
 
 @pytest.mark.parametrize("variant, patch", [
@@ -530,12 +561,12 @@ _DROP = object()
     ("ss_mp", {"k": 0}),
     ("ss_mp", {"k": "2"}),
     ("ss_mp", {"k": 2.0}),
-    ("ss_mc", {"layer_sizes": _DROP}),
-    ("ss_mc", {"layer_sizes": []}),
-    ("ss_mc", {"layer_sizes": "4x6"}),
-    ("ss_mc", {"layer_sizes": [[4, 6], [4]]}),
-    ("ss_mc", {"layer_sizes": [[4, 6], [4, "4"]]}),
-    ("ss_mc", {"layer_sizes": [[4, 6], 4]}),
+    ("ss_mc", {"mlp_hidden": _DROP}),
+    ("ss_mc", {"mlp_hidden": "4"}),
+    ("ss_mc", {"mlp_hidden": 4.0}),
+    ("ss_mc", {"mlp_hidden": True}),
+    ("ss_mc", {"mlp_hidden": 0}),
+    ("ss_mc", {"mlp_layers": 1}),
     ("ss_np", None),  # meta is not an object at all
     # "param." keys patch the tensors: each must be exactly the one the meta declares
     ("ss_np", {"param.prompt": np.zeros((5, 3))}),
@@ -543,8 +574,9 @@ _DROP = object()
     ("ss_np", {"param.prompt": np.zeros((8, 2), dtype=np.float32)}),
     ("ss_np", {"param.extra": np.zeros(2)}),
     ("ss_np", {"param.prompt": _DROP}),
-    # the first layer does not take d_e=6 inputs, and its tensors agree with the meta
-    ("ss_mc", {"layer_sizes": [[4, 5], [4, 4], [8, 4]], "param.w0": np.zeros((2, 4, 5))}),
+    # one MLP layer, and its tensors agree with the meta
+    ("ss_mc", {"mlp_layers": 1, "param.w0": np.zeros((2, 8, 6)), "param.b0": np.zeros((2, 8)),
+               "param.w1": _DROP, "param.b1": _DROP, "param.w2": _DROP, "param.b2": _DROP}),
     # the meta's dtype is missing or not one a backbone computes in, or its tensors are not of it
     ("ss_np", {"dtype": _DROP}),
     ("ss_np", {"dtype": "float16"}),
@@ -552,10 +584,8 @@ _DROP = object()
     ("ss_mc", {"dtype": "float32"}),
 ])
 def test_malformed_params_meta_rejected(setup, tmp_path, variant, patch):
-    backbone, _, _ = setup
     path = tmp_path / "p.ckpt"
-    save_params(path, init_params(variant, backbone, t=2, d_e=6, seed=14, k=2, mlp_hidden=4))
-    kind, meta, tensors = read_checkpoint(path)
+    meta, tensors = _saved_params(setup, path, variant)
     if patch is None:
         meta = [meta]
     else:
@@ -565,7 +595,7 @@ def test_malformed_params_meta_rejected(setup, tmp_path, variant, patch):
                 del target[key]
             else:
                 target[key] = value
-    write_checkpoint(path, kind, meta, tensors)
+    write_checkpoint(path, "softsrv_params", meta, tensors)
     with pytest.raises(CheckpointFormatError):
         load_params(path)
 
@@ -573,12 +603,13 @@ def test_malformed_params_meta_rejected(setup, tmp_path, variant, patch):
 @pytest.mark.parametrize("variant", ["ss_np", "ss_mp", "ss_mc"])
 def test_well_formed_params_meta_rewritten_still_loads(setup, tmp_path, variant):
     # the control for the malformed metas above: the same rewrite with the
-    # meta left as saved loads
-    backbone, _, _ = setup
+    # meta left as saved writes the saved file's very bytes, and loads
     path = tmp_path / "p.ckpt"
-    save_params(path, init_params(variant, backbone, t=2, d_e=6, seed=14, k=2, mlp_hidden=4))
-    write_checkpoint(path, *read_checkpoint(path))
-    assert load_params(path, backbone).variant == variant
+    meta, tensors = _saved_params(setup, path, variant)
+    saved = path.read_bytes()
+    write_checkpoint(path, "softsrv_params", meta, tensors)
+    assert path.read_bytes() == saved
+    assert load_params(path, setup[0]).variant == variant
 
 
 def test_params_of_another_dtype_than_the_backbone_rejected_on_load(twins, tmp_path):
