@@ -37,15 +37,16 @@ KV-cached engine that replaces _decode.
 
 Each token-sequence rule has one implementation, which every module
 calls: vocab.check_ids holds ids to ints in [0, V), check_prompt a (d, t)
-prompt to the model's d and dtype and 0 < t < max_seq. Every batch enters
-the core through _build_streams, which checks its longest stream against
-max_seq (CapacityError) and its ids. The single-sequence ops also check
-their prefix and ids up front, decode checks its whole length before the
-first token, and both training loops, train_full_weights and
-training.train, check every sequence before the first step. load_backbone
-checks a checkpoint's config and vocabulary, then declares its weights
-from the one weight table, _weight_shapes, which init_backbone also draws
-from; read_checkpoint holds the file's tensors to them.
+prompt to the model's d and dtype and 0 < t < max_seq, and check_capacity
+a stream's rows to max_seq (CapacityError). Every batch enters the core
+through _build_streams, which checks its longest stream and its ids. The
+single-sequence ops also check their prefix and ids up front, decode
+checks its whole length before the first token, and both training loops,
+train_full_weights and training.train, check the ids and length of every
+sequence before the first step. load_backbone checks a checkpoint's config
+and vocabulary, then declares its weights from the one weight table,
+_weight_shapes, which init_backbone also draws from; read_checkpoint holds
+the file's tensors to them.
 
 Precision. A model computes in its config's dtype, float64 or float32:
 weights, activations, logits and gradients all stay in it, and every scalar
@@ -83,7 +84,7 @@ import numpy as np
 from . import vocab as V
 from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import CapacityError, CheckpointFormatError, TrainingDivergedError, ValidationError
-from .optim import CLIP_NORM, LossTrace, adam_step, batch_schedule, check_schedule, clip_global_norm, init_adam
+from .optim import HELPER_BATCH, LossTrace, adam_step, batch_schedule, check_schedule, clip_global_norm, init_adam
 from .vocab import Vocabulary
 
 _RMS_EPS = 1e-5
@@ -245,9 +246,10 @@ def _nonempty_ids(model: BackboneModel, ids) -> list[int]:
     return ids
 
 
-def _check_capacity(model: BackboneModel, total: int) -> None:
-    if total > model.config.max_seq:
-        raise CapacityError(f"sequence length {total} exceeds capacity {model.config.max_seq}")
+def check_capacity(max_seq: int, total: int, what: str = "") -> None:
+    """CapacityError unless total rows fit max_seq; what names them in the message, else their count."""
+    if total > max_seq:
+        raise CapacityError(f"{what or f'sequence length {total}'} exceeds capacity {max_seq}")
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +471,7 @@ def _build_streams(model: BackboneModel, prefixes, token_rows):
     t = 0 if prefixes is None else len(prefixes[0])
     lens = np.fromiter(map(len, token_rows), dtype=np.intp, count=B)
     T = t + int(lens.max())
-    _check_capacity(model, T)
+    check_capacity(cfg.max_seq, T)
     spans = t + lens
     starts = np.cumsum(spans) - spans
     n_real = int(spans.sum())
@@ -599,7 +601,7 @@ def _next_logits(model: BackboneModel, prefixes, ids: list[int]) -> np.ndarray:
 def continuation_logits(model: BackboneModel, ids) -> np.ndarray:
     """Logits for the token following a plain token sequence (no prefix)."""
     ids = _nonempty_ids(model, ids)
-    _check_capacity(model, len(ids) + 1)
+    check_capacity(model.config.max_seq, len(ids) + 1)
     return _next_logits(model, None, ids)
 
 
@@ -625,7 +627,7 @@ def _decode(model: BackboneModel, prefix_rows, ids: list[int], max_new: int, tem
     if temperature < 0:
         raise ValidationError("temperature must be >= 0")
     t = 0 if prefix_rows is None else len(prefix_rows[0])
-    _check_capacity(model, t + len(ids) + max_new)
+    check_capacity(model.config.max_seq, t + len(ids) + max_new)
     rng = np.random.default_rng(seed)
     stream = list(ids)
     while len(stream) - len(ids) < max_new:
@@ -666,25 +668,23 @@ def train_full_weights(
     steps: int,
     lr: float,
     seed: int,
-    batch_size: int = 8,
 ) -> LossTrace:
-    """Next-token training over BOS-wrapped sequences by optim's recipe; modifies the model."""
+    """Next-token training over BOS-wrapped sequences by optim's recipe at HELPER_BATCH; modifies the model."""
     if model.frozen:
         raise ValidationError("model is frozen")
     if not sequences:
         raise ValidationError("empty training corpus")
-    check_schedule(steps, lr, batch_size)
+    check_schedule(steps, lr, HELPER_BATCH)
     wrapped = [[V.BOS] + _nonempty_ids(model, s) + [V.EOS] for s in sequences]
-    for s in wrapped:
-        _check_capacity(model, len(s))
-    schedule = batch_schedule(len(wrapped), steps, batch_size, seed)
+    check_capacity(model.config.max_seq, max(map(len, wrapped)))
+    schedule = batch_schedule(len(wrapped), steps, HELPER_BATCH, seed)
     adam = init_adam(model.weights)
     trace = LossTrace()
     for step, batch in enumerate(schedule):
         loss, _, _, wg = batch_loss_and_grads(model, None, [wrapped[i] for i in batch], want_weight_grads=True)
         if not np.isfinite(loss):
             raise TrainingDivergedError(step, loss)
-        norm = clip_global_norm(wg, CLIP_NORM)
+        norm = clip_global_norm(wg)
         adam_step(adam, model.weights, wg, lr)
         del wg  # applied; no two steps' gradients are alive at once
         trace.record(loss, norm)
@@ -698,13 +698,12 @@ def pretrain_backbone(
     steps: int,
     lr: float,
     seed: int,
-    batch_size: int = 8,
 ) -> tuple[BackboneModel, LossTrace]:
     """Initialize, train on the corpus, and return the model frozen.
 
     With steps=0 the returned weights equal the seeded initialization.
     """
     model = init_backbone(config, vocabulary, seed)
-    trace = train_full_weights(model, corpus, steps, lr, seed, batch_size)
+    trace = train_full_weights(model, corpus, steps, lr, seed)
     freeze(model)
     return model, trace

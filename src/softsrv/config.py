@@ -13,9 +13,11 @@ raise ConfigError, as do a learning rate that is not finite and positive,
 negative steps or seeds, an empty batch, a count below what its stage
 accepts, any model section that BackboneConfig rejects, any soft-prompt
 layout that prompts.zero_params rejects, a soft-prompt question decode
-longer than backbone.max_seq and a student example (BOS, question, answer
-and EOS: 2 * generation.max_new_tokens + 2 tokens) longer than it, so they
-fail before any stage.
+longer than backbone.max_seq, a student example (BOS, question, answer
+and EOS: 2 * generation.max_new_tokens + 2 tokens) longer than it, and a
+pt or ptsr template context whose worst case
+(templates.check_worst_cases) does not fit it, so they fail before any
+stage.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import io
 from dataclasses import dataclass, field, fields
 
 from .backbone import BackboneConfig
-from .errors import ConfigError, ValidationError
+from .errors import CapacityError, ConfigError, ValidationError
 from .prompts import zero_params
 from .vocab import RESERVED
 
@@ -202,6 +204,14 @@ class ExperimentConfig:
                             s.mlp_layers)
             except ValidationError as exc:
                 raise ConfigError(f"[softsrv] {method}: {exc}") from exc
+        else:  # the template methods' worst-case contexts depend only on the built-in templates and m
+            # imported here: templates imports generation, which imports this module
+            from .templates import check_worst_cases, load_builtin_templates
+            kinds = ("critique", "refine", "answer") if method == "ptsr" else ("answer",)
+            try:
+                check_worst_cases(load_builtin_templates(self.corpus.grammar), kinds, self.backbone.max_seq, m)
+            except CapacityError as exc:
+                raise ConfigError(f"[generation] {method}: {exc}") from exc
         return self
 
     def model_config(self, section: str) -> BackboneConfig:

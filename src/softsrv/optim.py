@@ -4,8 +4,9 @@ Every training loop (backbone pretraining, soft-prompt training, student
 fine-tuning) runs Adam at ADAM_BETAS and ADAM_EPS, clips to a global
 norm of CLIP_NORM and draws batch_schedule's batches; its steps, lr,
 seed and batch size are its only settings. Only the soft prompt's lr
-and batch size are configured: the helper models that train_full_weights
-trains (backbone, embedder, student) run at HELPER_LR and HELPER_BATCH.
+and batch size are configured: train_full_weights, which trains the
+helper models (backbone, embedder, student), draws HELPER_BATCH-sized
+batches, and every caller runs it at HELPER_LR.
 adam_step updates the parameters and moments in place, in two scratch
 rows that init_adam allocates in the moments' dtype, so no step
 allocates anything parameter-sized. A key larger than BLOCK elements is
@@ -130,15 +131,15 @@ def batch_schedule(n: int, steps: int, batch_size: int, seed) -> list[list[int]]
     return batches
 
 
-def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients in place so their joint L2 norm is <= max_norm."""
+def clip_global_norm(grads: dict[str, np.ndarray]) -> float:
+    """Scale all gradients in place so their joint L2 norm is <= CLIP_NORM; return the norm before."""
     total = 0.0
     for g in grads.values():  # float64 squares of at most BLOCK elements at once
         parts = [g] if g.size <= BLOCK else np.split(g.reshape(-1), range(BLOCK, g.size, BLOCK))
         total += sum(float(np.sum(np.square(part, dtype=np.float64))) for part in parts)
     norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
+    if norm > CLIP_NORM:
+        scale = CLIP_NORM / norm
         for g in grads.values():
             g *= scale
     return norm

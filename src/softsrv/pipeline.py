@@ -36,7 +36,7 @@ from .embedder import embed_sequence
 from .errors import StageError, ValidationError
 from .generation import ANSWER_TEMPERATURE, QUESTION_TEMPERATURE, generate_answers, generate_questions
 from .mauve import MauveReport, mauve_score
-from .optim import HELPER_BATCH, HELPER_LR, LossTrace
+from .optim import HELPER_LR, LossTrace
 from .postprocess import decontaminate_report, diverse_subsample
 from .prompts import init_params
 from .records import SyntheticRecord, read_records, write_records
@@ -58,8 +58,9 @@ class Stage(NamedTuple):
 
 # Rows follow dependency order; Pipeline._load_<key> and _build_<key> get the
 # artifact paths. A row may declare more config than its stage reads, never
-# less. Stages that encode text use the vocabulary, which the corpus and
-# backbone.vocab_size determine; summary.txt embeds the config.
+# less. The models are built with the vocabulary, which the corpus and
+# backbone.vocab_size determine, and each stage encodes a model's input with
+# the vocabulary that model holds; summary.txt embeds the config.
 STAGE_TABLE = {
     "corpus": Stage("corpus", "corpus.json", "corpus seeds.corpus", ""),
     "backbone": Stage("backbone", "backbone.ckpt backbone_trace.tsv", "backbone seeds.backbone", "corpus"),
@@ -125,7 +126,7 @@ def _read_trace_losses(path: Path) -> list[float]:
     return [float(line.split("\t")[1]) for line in lines[1:]]
 
 
-def _qa_text(ex: CorpusExample) -> str:
+def _qa_text(ex: CorpusExample | SyntheticRecord) -> str:
     return ex.question + " " + ex.answer
 
 
@@ -276,7 +277,7 @@ class Pipeline:
         s = getattr(self.cfg, section)
         model, losses = pretrain_backbone(
             seqs, self.vocabulary(), self.cfg.model_config(section), steps=s.pretrain_steps,
-            lr=HELPER_LR, seed=getattr(self.cfg.seeds, section), batch_size=HELPER_BATCH,
+            lr=HELPER_LR, seed=getattr(self.cfg.seeds, section),
         )
         save_backbone(ckpt, model)
         _write_text(trace, _trace_text(losses))
@@ -311,9 +312,7 @@ class Pipeline:
         s = self.cfg.softsrv
         tr = self.cfg.trainer
         embedder = self.ensure_embedder() if method != "ss_np" else None
-        data = self.ensure_corpus()
-        vocabulary = self.vocabulary()
-        dataset = [vocabulary.encode(ex.question) for ex in data["train"]]
+        dataset = [backbone.vocab.encode(ex.question) for ex in self.ensure_corpus()["train"]]
         # passed inline, so train's working copy is the only one it keeps alive
         trained, losses = train(
             backbone, embedder, dataset,
@@ -336,11 +335,10 @@ class Pipeline:
         g = self.cfg.generation
         backbone = self.ensure_backbone()
         data = self.ensure_corpus()
-        vocabulary = self.vocabulary()
         if g.method in VARIANTS:
             params = self.ensure_params()
             embedder = self.ensure_embedder() if g.method != "ss_np" else None
-            seeds = [vocabulary.encode(ex.question) for ex in data["train"]]
+            seeds = [backbone.vocab.encode(ex.question) for ex in data["train"]]
             records = generate_questions(
                 backbone, embedder, params, seeds, g.n_raw,
                 temperature=QUESTION_TEMPERATURE,
@@ -389,10 +387,7 @@ class Pipeline:
         selected = [answered[i] for i in picked]
         write_records(selected_path, selected)
 
-        candidates = [
-            r.question if r.answer is None else r.question + " " + r.answer
-            for r in selected
-        ]
+        candidates = [_qa_text(r) for r in selected]
         reference = [_qa_text(ex) for ex in data["test"]]
         kept_idx, removed = decontaminate_report(candidates, reference, n=p.decontam_n)
         final = [selected[i] for i in kept_idx]
@@ -415,11 +410,10 @@ class Pipeline:
         if not gen_texts or not ref_texts:
             raise ValidationError("MAUVE needs at least one generated and one reference text")
         embedder = self.ensure_embedder()
-        vocabulary = self.vocabulary()
         d_e = self.cfg.embedder.d_e
 
         def cloud(texts: list[str]) -> np.ndarray:
-            return np.stack([embed_sequence(embedder, vocabulary.encode(t), d_e) for t in texts])
+            return np.stack([embed_sequence(embedder, embedder.vocab.encode(t), d_e) for t in texts])
 
         return mauve_score(cloud(gen_texts), cloud(ref_texts), k=self.cfg.mauve.k, seed=self.cfg.seeds.mauve)
 
@@ -439,14 +433,9 @@ class Pipeline:
         if not final:
             raise ValidationError("no synthetic records survived postprocessing")
         data = self.ensure_corpus()
-        vocabulary = self.vocabulary()
-        test_fold = [vocabulary.encode(_qa_text(ex)) for ex in data["test"]]
-        report = evaluate_student(
-            base, final, test_fold, vocabulary,
-            dataset_tag=data["grammar"],
-            steps=self.cfg.student.finetune_steps, lr=HELPER_LR,
-            batch_size=HELPER_BATCH, seed=self.cfg.seeds.student,
-        )
+        test_fold = [base.vocab.encode(_qa_text(ex)) for ex in data["test"]]
+        report = evaluate_student(base, final, test_fold, data["grammar"], self.cfg.student.finetune_steps,
+                                  self.cfg.seeds.student)
         _write_text(path, report.to_text())
 
     def _load_summary(self, path: Path) -> str:

@@ -2,7 +2,8 @@
 
 The student is a fresh backbone (half the generator's width) pretrained on
 generic text only, never on the target grammar. Fine-tuning is standard
-full-weight causal training on question+answer concatenations; utility is
+full-weight causal training at optim.HELPER_LR on question+answer
+concatenations, encoded with the student's own vocabulary; utility is
 measured as perplexity on the target distribution's held-out fold before
 and after.
 """
@@ -15,9 +16,8 @@ import numpy as np
 
 from .backbone import BackboneModel, batch_loss_and_grads, clone_unfrozen, train_full_weights
 from .errors import ValidationError
-from .optim import LossTrace
+from .optim import HELPER_LR, LossTrace
 from .records import SyntheticRecord
-from .vocab import Vocabulary
 
 
 @dataclass
@@ -26,7 +26,6 @@ class StudentEvalReport:
     tuned_ppl: float
     dataset_tag: str
     steps: int
-    lr: float
     seed: int
 
     @property
@@ -37,7 +36,7 @@ class StudentEvalReport:
         return (
             f"dataset\t{self.dataset_tag}\n"
             f"steps\t{self.steps}\n"
-            f"lr\t{self.lr:.10g}\n"
+            f"lr\t{HELPER_LR:.10g}\n"
             f"seed\t{self.seed}\n"
             f"base_ppl\t{self.base_ppl:.10g}\n"
             f"tuned_ppl\t{self.tuned_ppl:.10g}\n"
@@ -66,45 +65,26 @@ def perplexity(model: BackboneModel, fold: list[list[int]]) -> float:
     return float(np.exp(total_nll / total_tokens))
 
 
-def finetune_student(
-    student: BackboneModel,
-    records: list[SyntheticRecord],
-    vocabulary: Vocabulary,
-    steps: int = 500,
-    lr: float = 1e-3,
-    batch_size: int = 8,
-    seed: int = 0,
-) -> LossTrace:
-    """Full-weight training on question+answer token concatenations."""
-    if student.frozen:
-        raise ValidationError("student must be an unfrozen copy")
-    if not records:
-        raise ValidationError("no records to fine-tune on")
+def finetune_student(student: BackboneModel, records: list[SyntheticRecord], steps: int, seed: int) -> LossTrace:
+    """Full-weight training at HELPER_LR on question+answer concatenations in the student's vocabulary."""
     seqs = []
     for rec in records:
         if rec.answer is None:
             raise ValidationError("fine-tuning records must have answers")
-        seqs.append(vocabulary.encode(rec.question) + vocabulary.encode(rec.answer))
-    return train_full_weights(student, seqs, steps, lr, seed, batch_size)
+        seqs.append(student.vocab.encode(rec.question) + student.vocab.encode(rec.answer))
+    return train_full_weights(student, seqs, steps, HELPER_LR, seed)
 
 
 def evaluate_student(
     base_student: BackboneModel,
     records: list[SyntheticRecord],
     test_fold: list[list[int]],
-    vocabulary: Vocabulary,
     dataset_tag: str,
-    steps: int = 500,
-    lr: float = 1e-3,
-    batch_size: int = 8,
-    seed: int = 0,
+    steps: int,
+    seed: int,
 ) -> StudentEvalReport:
     """Clone, measure, fine-tune, measure again."""
     base_ppl = perplexity(base_student, test_fold)
     tuned = clone_unfrozen(base_student)
-    finetune_student(tuned, records, vocabulary, steps, lr, batch_size, seed)
-    tuned_ppl = perplexity(tuned, test_fold)
-    return StudentEvalReport(
-        base_ppl=base_ppl, tuned_ppl=tuned_ppl,
-        dataset_tag=dataset_tag, steps=steps, lr=lr, seed=seed,
-    )
+    finetune_student(tuned, records, steps, seed)
+    return StudentEvalReport(base_ppl, perplexity(tuned, test_fold), dataset_tag, steps, seed)

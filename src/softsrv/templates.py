@@ -11,7 +11,11 @@ template around each question and continue it through
 generation.generate_answers, the loop the soft-prompt methods use. The
 caller sets temperature, seed and length; the pipeline samples questions,
 critiques and refinements at PT_TEMPERATURE and passes its [generation]
-seed and length.
+seed and length. Every context is held to the backbone's capacity before
+the first decode: the rendered question and answer contexts themselves,
+and the critique and refine contexts by their worst cases, which
+check_worst_cases declares for ptsr_generate and, with the answer's, for
+ExperimentConfig.validate.
 """
 
 from __future__ import annotations
@@ -20,10 +24,11 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .backbone import BackboneModel, continue_tokens
-from .errors import CapacityError, ValidationError
+from .backbone import BackboneModel, check_capacity, continue_tokens
+from .errors import ValidationError
 from .generation import generate_answers, record_stream
 from .records import SyntheticRecord
+from .vocab import split_text
 
 PLACEHOLDER = "[[EXAMPLE]]"
 STOP_TEXT = "Stop"  # what every refine template tells the model to say; declared nowhere else
@@ -82,11 +87,27 @@ def split_questions(text: str) -> list[str]:
     return parts[:_MAX_SPLIT]
 
 
-def _check_fits(model: BackboneModel, kind: str, context_len: int, max_new: int) -> None:
-    """CapacityError unless a kind-template context of context_len tokens and max_new more fit the model."""
-    if context_len + max_new > model.config.max_seq:
-        raise CapacityError(f"the {kind} template's context of {context_len} tokens plus {max_new} new tokens "
-                            f"exceeds capacity {model.config.max_seq}")
+def _check_fits(max_seq: int, kind: str, context_len: int, max_new: int) -> None:
+    """CapacityError unless a kind-template context of context_len tokens and max_new more fit max_seq."""
+    check_capacity(max_seq, context_len + max_new,
+                   f"the {kind} template's context of {context_len} tokens plus {max_new} new tokens")
+
+
+def check_worst_cases(templates: dict[str, PromptTemplate], kinds: tuple[str, ...], max_seq: int,
+                      max_new: int) -> None:
+    """CapacityError unless each kind's longest context and max_new more fit max_seq.
+
+    Every decode is at most max_new tokens, so a question or a critique
+    is too: the critique and answer templates hold one question, and the
+    refine template a question, "Critique:" and a critique (2 * max_new +
+    2). A rendered template has the same token count in any vocabulary,
+    so the bounds depend only on the templates and max_new.
+    """
+    for kind in kinds:
+        if kind not in templates:
+            raise ValidationError(f"missing template {kind!r}")
+        filled = 2 * max_new + 2 if kind == "refine" else max_new
+        _check_fits(max_seq, kind, len(split_text(render(templates[kind], ""))) + filled, max_new)
 
 
 def _continuation_text(model: BackboneModel, prompt_text: str, max_new: int, temperature: float, stream) -> str:
@@ -119,7 +140,7 @@ def pt_generate(
         raise ValidationError(f"missing template {template_key!r}")
     tpl = templates[template_key]
     contexts = [render(tpl, text) for text in seeds[:n_raw]]
-    _check_fits(backbone, template_key, max(len(backbone.vocab.encode(c)) for c in contexts), max_new)
+    _check_fits(backbone.config.max_seq, template_key, max(map(len, map(split_text, contexts))), max_new)
     records: list[SyntheticRecord] = []
     visit = 0
     while len(records) < n_raw:
@@ -159,18 +180,12 @@ def ptsr_generate(
 ) -> list[SyntheticRecord]:
     """PT candidates followed by up to max_rounds critique/refine rounds per candidate.
 
-    A question or critique is at most max_new tokens, so a critique context
-    is its template and up to max_new tokens, and a refine context its
-    template and up to 2 * max_new + 2 (the question, "Critique:" and the
-    critique). Both worst cases are checked to fit with max_new sampled
-    tokens before anything is sampled.
+    The critique and refine worst cases (check_worst_cases) are checked
+    before anything is sampled.
     """
     if max_rounds < 1:
         raise ValidationError("max_rounds must be >= 1")
-    for key, filled in (("critique", max_new), ("refine", 2 * max_new + 2)):
-        if key not in templates:
-            raise ValidationError(f"missing template {key!r}")
-        _check_fits(backbone, key, len(backbone.vocab.encode(render(templates[key], ""))) + filled, max_new)
+    check_worst_cases(templates, ("critique", "refine"), backbone.config.max_seq, max_new)
     base = pt_generate(
         backbone, templates, seeds, n_raw,
         temperature=temperature, seed=seed, max_new=max_new, method_tag="PT_SR",
@@ -225,5 +240,5 @@ def pt_generate_answers(
     if "answer" not in templates:
         raise ValidationError("missing template 'answer'")
     prompts = [render(templates["answer"], rec.question) for rec in records]
-    _check_fits(backbone, "answer", max((len(backbone.vocab.encode(p)) for p in prompts), default=0), max_new)
+    _check_fits(backbone.config.max_seq, "answer", max(map(len, map(split_text, prompts)), default=0), max_new)
     return generate_answers(backbone, records, temperature, seed, max_new, prompts)

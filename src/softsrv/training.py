@@ -17,11 +17,12 @@ are frozen and their checksums must not change.
 train works on a copy and drops its reference to the input as soon as the
 copy exists. A caller that passes init_params(...) inline keeps no
 reference either, so only one copy of the prompt lives through training.
-Its schedule arguments are backbone.train_full_weights' (steps, lr, seed,
-batch_size), and both loops take the rest of the recipe from optim:
+Its schedule arguments are backbone.train_full_weights' (steps, lr, seed)
+and a batch size, and both loops take the rest of the recipe from optim:
 check_schedule, batch_schedule, Adam at ADAM_BETAS and ADAM_EPS and
-clipping to CLIP_NORM. Each step records its loss and pre-clip gradient norm. Both
-loops check every sequence before the first step, sampled or not.
+clipping to CLIP_NORM. Each step records its loss and pre-clip gradient
+norm. Both loops check the ids and length of every sequence before the
+first step, sampled or not: here t + len(target) of each, EOS included.
 
 A checkpoint's meta is prompts.params_meta, dtype included, and its
 tensors are the arrays that prompts.param_stacks names, each prefixed
@@ -41,11 +42,11 @@ import copy
 import numpy as np
 
 from . import vocab as V
-from .backbone import BackboneModel, batch_loss_and_grads, check_prompt
+from .backbone import BackboneModel, batch_loss_and_grads, check_capacity, check_prompt
 from .checkpoint import read_checkpoint, write_checkpoint
 from .embedder import embed_sequence
 from .errors import CheckpointFormatError, TrainingDivergedError, ValidationError
-from .optim import CLIP_NORM, LossTrace, adam_step, batch_schedule, check_schedule, clip_global_norm, init_adam
+from .optim import LossTrace, adam_step, batch_schedule, check_schedule, clip_global_norm, init_adam
 from .prompts import (
     NonContextualParams,
     SoftSRVParams,
@@ -86,6 +87,7 @@ def train(
     targets = [V.check_ids(ids, backbone.vocab_size).tolist() + [V.EOS] for ids in dataset]
     if min(map(len, targets)) == 1:
         raise ValidationError("empty sequence in dataset")
+    check_capacity(backbone.config.max_seq, params.t + max(map(len, targets)))
     if contextual:  # embed_sequence rejects an embedder that is not frozen
         contexts = np.stack([embed_sequence(embedder, ids, params.d_e) for ids in dataset])
     else:
@@ -113,7 +115,7 @@ def train(
             raise TrainingDivergedError(step, loss)
 
         grads = dict(param_stacks(param_grad(work, z, prefix_grads.transpose(0, 2, 1) / len(batch), acts)))
-        norm = clip_global_norm(grads, CLIP_NORM)  # scales grads in place for adam_step
+        norm = clip_global_norm(grads)  # scales grads in place for adam_step
         adam_step(adam, stacks, grads, lr)
         trace.record(loss, norm)
         # one gradient generation: none of this step's arrays outlive it

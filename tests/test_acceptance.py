@@ -25,7 +25,6 @@ from softsrv.config import preset_config, save_config
 from softsrv.embedder import embed_sequence
 from softsrv.generation import ANSWER_TEMPERATURE, QUESTION_TEMPERATURE, generate_answers, generate_questions
 from softsrv.mauve import DEFAULT_GRID, QuantizedPair, _LAM_EDGE, divergence_curve, mauve_score
-from softsrv.optim import HELPER_BATCH, HELPER_LR
 from softsrv.pipeline import Pipeline
 from softsrv.postprocess import ClusterAssignment, decontaminate, dedup_exact, round_robin_subsample
 from softsrv.prompts import init_params, materialize, param_grad, param_stacks
@@ -308,10 +307,7 @@ def test_criterion_08_student_improves_on_synthetic_data(
     eval_ids = [desk_vocab.encode(ex.question + " " + ex.answer) for ex in test_fold]
     ratios = []
     for ft_seed in (cfg.seeds.student, cfg.seeds.student + 100, cfg.seeds.student + 200):
-        result = evaluate_student(
-            desk_student_base, records, eval_ids, desk_vocab, dataset_tag="ss_mc",
-            steps=s.finetune_steps, lr=HELPER_LR, batch_size=HELPER_BATCH, seed=ft_seed,
-        )
+        result = evaluate_student(desk_student_base, records, eval_ids, "ss_mc", s.finetune_steps, ft_seed)
         ratios.append(result.ratio)
     elapsed = time.perf_counter() - started
     passes = sum(r <= 0.8 for r in ratios)

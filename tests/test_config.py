@@ -331,14 +331,42 @@ def test_a_question_decode_must_fit_the_backbone_when_the_config_loads(tmp_path,
 def test_a_student_example_must_fit_the_backbone_when_the_config_loads(tmp_path, method):
     # the student fine-tunes on BOS + question + answer + EOS, each text up to
     # max_new_tokens long; one token more used to run every stage and fail in
-    # the last, or in answers once an answer decode outgrew max_seq
+    # the last, or in answers once an answer decode outgrew max_seq. At 127 a
+    # template method's worst-case answer context (18 + 127 tokens, then 127
+    # new) already fails to load; at 128 the student rule, checked first, does
     path = tmp_path / "fit.ini"
     path.write_text(f"[generation]\nmethod = {method}\nmax_new_tokens = 127\n", encoding="utf-8")
-    assert load_config(str(path)).generation.max_new_tokens == 127
+    if method in VARIANTS:
+        assert load_config(str(path)).generation.max_new_tokens == 127
+    else:
+        with pytest.raises(ConfigError, match="template's context of .* exceeds capacity 256"):
+            load_config(str(path))
     path.write_text(f"[generation]\nmethod = {method}\nmax_new_tokens = 128\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=re.escape("2 * generation.max_new_tokens + 2 must be <= "
                                                     "backbone.max_seq, got 2 * 128 + 2 > 256")):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("method, grammar, fits, message", [
+    ("pt", "arithmetic", 119, "the answer template's context of 138 tokens plus 120 new tokens"),
+    ("pt", "truefalse", 121, "the answer template's context of 136 tokens plus 122 new tokens"),
+    ("ptsr", "arithmetic", 70, "the refine template's context of 188 tokens plus 71 new tokens"),
+    ("ptsr", "truefalse", 67, "the refine template's context of 189 tokens plus 68 new tokens"),
+], ids=["pt-arithmetic", "pt-truefalse", "ptsr-arithmetic", "ptsr-truefalse"])
+def test_template_worst_cases_fail_when_the_config_loads(tmp_path, method, grammar, fits, message):
+    # an answer context holds a question of up to max_new_tokens, a refine
+    # context a question, "Critique:" and a critique; neither depends on the
+    # corpus, so one token more used to pass both pretrains and fail in
+    # generate or answers
+    path = tmp_path / "fit.ini"
+    for max_new in (fits, fits + 1):
+        path.write_text(f"[corpus]\ngrammar = {grammar}\n[generation]\nmethod = {method}\n"
+                        f"max_new_tokens = {max_new}\n", encoding="utf-8")
+        if max_new == fits:
+            assert load_config(str(path)).generation.max_new_tokens == fits
+        else:
+            with pytest.raises(ConfigError, match=re.escape(f"[generation] {method}: {message} exceeds capacity 256")):
+                load_config(str(path))
 
 
 @pytest.mark.parametrize("preset", ["desk", "paper"])

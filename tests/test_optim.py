@@ -49,7 +49,7 @@ def test_adam_rejects_mismatched_keys():
 
 def test_clip_rescales_exactly_to_bound():
     grads = {"a": np.array([3.0]), "b": np.array([4.0])}
-    norm = clip_global_norm(grads, 1.0)
+    norm = clip_global_norm(grads)
     assert norm == pytest.approx(5.0)
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     assert total == pytest.approx(1.0)
@@ -59,7 +59,7 @@ def test_clip_rescales_exactly_to_bound():
 
 def test_clip_leaves_small_gradients_alone():
     grads = {"a": np.array([0.3, 0.4])}
-    norm = clip_global_norm(grads, 1.0)
+    norm = clip_global_norm(grads)
     assert norm == pytest.approx(0.5)
     np.testing.assert_allclose(grads["a"], [0.3, 0.4])
 
@@ -72,7 +72,7 @@ def test_clip_of_a_stack_allocates_nothing_stack_sized():
     want = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
     tracemalloc.start()
     try:
-        norm = clip_global_norm(grads, 1.0)
+        norm = clip_global_norm(grads)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -267,6 +267,7 @@ def test_raisers_finds_what_it_should():
 TOKEN_SEQUENCE_RULES = {
     "vocab.py: check_ids": r"out of vocabulary range|out of range|\bnot an int\b",
     "backbone.py: check_prompt": r"\bwidth\b|does not fit the backbone|does not match backbone|backbone capacity",
+    "backbone.py: check_capacity": r"exceeds capacity",
 }
 
 

@@ -11,7 +11,7 @@ import pytest
 from softsrv import pipeline, templates
 from softsrv.backbone import BackboneModel, checksum
 from softsrv.config import preset_config
-from softsrv.errors import CapacityError, StageError
+from softsrv.errors import CapacityError, ConfigError, StageError
 from softsrv.pipeline import STAGE_EXIT_CODES, STAGE_TABLE, STAGES, Pipeline, run_experiment
 from softsrv.prompts import param_stacks
 from softsrv.records import read_records
@@ -384,13 +384,19 @@ def test_refinement_method_runs_end_to_end(tmp_path):
     assert all("rounds" in r.provenance for r in records)
 
 
-@pytest.mark.parametrize("method, kind", [("pt", "question"), ("ptsr", "critique")])
-def test_template_contexts_past_capacity_fail_before_any_decode(tmp_path, monkeypatch, method, kind):
-    # 2 * 47 + 2 <= 96 passes every load-time rule, but a question decodes its
-    # 47 tokens after the rendered template and seed text, and a critique after
-    # its template and a question of up to 47 tokens
+@pytest.mark.parametrize("method, kind, max_new", [
+    pytest.param("pt", "question", 39, id="pt-question"),
+    pytest.param("ptsr", "critique", 47, id="ptsr-critique"),
+])
+def test_template_contexts_past_capacity_fail_before_any_decode(tmp_path, monkeypatch, method, kind, max_new):
+    # both pass the student-example rule, 2 * max_new + 2 <= 96. A question
+    # decodes its max_new tokens after the rendered template and seed text
+    # (up to 60 tokens in the first n_raw seeds), so the pt case fails in
+    # generate, though the answer template's worst case, 18 + 2 * 39, fits.
+    # A critique decodes after its 17-token template and a question of up to
+    # max_new tokens, which no corpus changes, so the config fails to load
     cfg = mini_config(method)
-    cfg.generation.max_new_tokens = 47
+    cfg.generation.max_new_tokens = max_new
     calls = []
     decode = templates.continue_tokens
 
@@ -399,11 +405,18 @@ def test_template_contexts_past_capacity_fail_before_any_decode(tmp_path, monkey
         return decode(*args)
 
     monkeypatch.setattr(templates, "continue_tokens", counting)
-    with pytest.raises(StageError) as err:
-        run_experiment(cfg, str(tmp_path / method))
-    assert (err.value.stage, STAGE_EXIT_CODES[err.value.stage]) == ("generate", 14)
-    assert isinstance(err.value.cause, CapacityError)
-    assert f"the {kind} template's context" in str(err.value.cause)
+    if method == "pt":
+        with pytest.raises(StageError) as err:
+            run_experiment(cfg, str(tmp_path / method))
+        assert (err.value.stage, STAGE_EXIT_CODES[err.value.stage]) == ("generate", 14)
+        assert isinstance(err.value.cause, CapacityError)
+        message = str(err.value.cause)
+    else:
+        with pytest.raises(ConfigError) as err:
+            run_experiment(cfg, str(tmp_path / method))
+        assert not (tmp_path / method).exists()
+        message = str(err.value)
+    assert f"the {kind} template's context" in message
     assert calls == []
 
 
@@ -524,10 +537,11 @@ def test_undiversified_pt_template_renders_its_own_question_template(tmp_path, m
         rendered.append(template.body)
         return render(template, text)
 
-    monkeypatch.setattr(templates, "render", spy)
     cfg = mini_config("pt")
     cfg.generation.pt_template = "undiversified"
-    Pipeline(cfg, tmp_path / "pt").ensure_questions()
+    pipe = Pipeline(cfg, tmp_path / "pt")  # its config check renders the answer template
+    monkeypatch.setattr(templates, "render", spy)
+    pipe.ensure_questions()
     builtin = templates.load_builtin_templates(cfg.corpus.grammar)
     assert rendered and set(rendered) == {builtin["question_undiversified"].body}
 

@@ -11,6 +11,7 @@ from softsrv.backbone import (
     init_backbone,
 )
 from softsrv.errors import ValidationError
+from softsrv.optim import HELPER_LR
 from softsrv.records import SyntheticRecord
 from softsrv.student import StudentEvalReport, evaluate_student, finetune_student, perplexity
 from softsrv.vocab import build_vocab
@@ -69,10 +70,7 @@ def test_finetuning_on_the_test_material_drops_perplexity(tiny_folds, tiny_vocab
     train_fold, _, _, _ = tiny_folds
     records = make_records(train_fold, 12)
     eval_fold = [tiny_vocab.encode(r.question) + tiny_vocab.encode(r.answer) for r in records]
-    report = evaluate_student(
-        tiny_backbone, records, eval_fold, tiny_vocab,
-        dataset_tag="tiny", steps=40, lr=5e-3, batch_size=4, seed=7,
-    )
+    report = evaluate_student(tiny_backbone, records, eval_fold, dataset_tag="tiny", steps=40, seed=7)
     assert report.tuned_ppl < report.base_ppl
     assert report.ratio < 1.0
     assert np.isfinite(report.base_ppl) and report.base_ppl > 0
@@ -83,10 +81,7 @@ def test_evaluation_leaves_the_base_student_untouched(tiny_folds, tiny_vocab, ti
     records = make_records(train_fold, 4)
     eval_fold = [tiny_vocab.encode(r.question) for r in records]
     before = checksum(tiny_backbone)
-    evaluate_student(
-        tiny_backbone, records, eval_fold, tiny_vocab,
-        dataset_tag="tiny", steps=3, lr=1e-3, batch_size=2, seed=8,
-    )
+    evaluate_student(tiny_backbone, records, eval_fold, dataset_tag="tiny", steps=3, seed=8)
     assert checksum(tiny_backbone) == before
 
 
@@ -94,29 +89,29 @@ def test_evaluation_is_deterministic(tiny_folds, tiny_vocab, tiny_backbone):
     train_fold, _, _, _ = tiny_folds
     records = make_records(train_fold, 6)
     eval_fold = [tiny_vocab.encode(r.question) for r in records]
-    kwargs = dict(dataset_tag="tiny", steps=5, lr=1e-3, batch_size=2, seed=9)
-    a = evaluate_student(tiny_backbone, records, eval_fold, tiny_vocab, **kwargs)
-    b = evaluate_student(tiny_backbone, records, eval_fold, tiny_vocab, **kwargs)
+    kwargs = dict(dataset_tag="tiny", steps=5, seed=9)
+    a = evaluate_student(tiny_backbone, records, eval_fold, **kwargs)
+    b = evaluate_student(tiny_backbone, records, eval_fold, **kwargs)
     assert a.tuned_ppl == b.tuned_ppl
     assert a.base_ppl == b.base_ppl
 
 
-def test_finetune_rejects_frozen_or_empty(tiny_folds, tiny_vocab, tiny_backbone):
+def test_finetune_rejects_frozen_or_empty(tiny_folds, tiny_backbone):
     train_fold, _, _, _ = tiny_folds
     records = make_records(train_fold, 3)
-    with pytest.raises(ValidationError):
-        finetune_student(tiny_backbone, records, tiny_vocab, steps=1)
+    with pytest.raises(ValidationError, match="model is frozen"):
+        finetune_student(tiny_backbone, records, steps=1, seed=0)
     student = clone_unfrozen(tiny_backbone)
-    with pytest.raises(ValidationError):
-        finetune_student(student, [], tiny_vocab, steps=1)
+    with pytest.raises(ValidationError, match="empty training corpus"):
+        finetune_student(student, [], steps=1, seed=0)
     unanswered = [SyntheticRecord(question="q?", seed_index=0, method_tag="SS_NP")]
-    with pytest.raises(ValidationError):
-        finetune_student(student, unanswered, tiny_vocab, steps=1)
+    with pytest.raises(ValidationError, match="must have answers"):
+        finetune_student(student, unanswered, steps=1, seed=0)
 
 
 def test_report_text_is_parseable():
     report = StudentEvalReport(
-        base_ppl=12.5, tuned_ppl=5.0, dataset_tag="demo", steps=10, lr=1e-3, seed=3,
+        base_ppl=12.5, tuned_ppl=5.0, dataset_tag="demo", steps=10, seed=3,
     )
     lines = dict(line.split("\t") for line in report.to_text().strip().splitlines())
     assert float(lines["base_ppl"]) == 12.5
@@ -124,3 +119,4 @@ def test_report_text_is_parseable():
     assert float(lines["ratio"]) == pytest.approx(0.4)
     assert lines["dataset"] == "demo"
     assert int(lines["steps"]) == 10
+    assert float(lines["lr"]) == HELPER_LR

@@ -16,8 +16,8 @@ from softsrv.backbone import (
     init_backbone, load_backbone, save_backbone, train_full_weights,
 )
 from softsrv.checkpoint import read_checkpoint, write_checkpoint
-from softsrv.errors import CheckpointFormatError, ValidationError
-from softsrv.optim import CLIP_NORM, adam_step, batch_schedule, clip_global_norm, init_adam
+from softsrv.errors import CapacityError, CheckpointFormatError, ValidationError
+from softsrv.optim import HELPER_BATCH, adam_step, batch_schedule, clip_global_norm, init_adam
 from softsrv.embedder import embed_sequence
 from softsrv.prompts import init_params, materialize, param_grad, param_stacks, params_meta, zero_params
 from softsrv.training import load_params, save_params, train
@@ -77,20 +77,26 @@ def _count_steps(monkeypatch, module) -> list:
     return calls
 
 
-@pytest.mark.parametrize("bad", [-1, 10**3, 2**70], ids=["-1", "1000", "2**70"])
-def test_both_training_loops_check_every_sequence_before_the_first_step(setup, monkeypatch, bad):
-    # the bad sequence is one that the one-step, one-example schedule never samples
+@pytest.mark.parametrize("bad, error, match", [
+    ([4, -1, 5], ValidationError, "token id -1 out of vocabulary range"),
+    ([4, 10**3, 5], ValidationError, "token id 1000 out of vocabulary range"),
+    ([4, 2**70, 5], ValidationError, rf"token id {2**70} out of vocabulary range"),
+    # 47 tokens: 2 prompt columns + 47 + EOS, or BOS + 47 + EOS, rows past 48
+    ([4] * 47, CapacityError, r"sequence length (50|49) exceeds capacity 48"),
+], ids=["-1", "1000", "2**70", "capacity"])
+def test_both_training_loops_check_every_sequence_before_the_first_step(setup, monkeypatch, bad, error, match):
+    # the bad sequence is one that a one-step schedule of HELPER_BATCH examples
+    # never samples, so the dataset holds more than HELPER_BATCH sequences
     backbone, _, dataset = setup
-    data = dataset + [[4, bad, 5]]
-    seed = next(s for s in range(100) if len(data) - 1 not in batch_schedule(len(data), 1, 1, s)[0])
+    data = (dataset * 3)[:HELPER_BATCH + 1] + [bad]
+    seed = next(s for s in range(100) if len(data) - 1 not in batch_schedule(len(data), 1, HELPER_BATCH, s)[0])
     for module, run in (
         (softsrv.training, lambda: train(backbone, None, data, init_params("ss_np", backbone, t=2, d_e=6, seed=0),
-                                         steps=1, lr=1e-3, seed=seed, batch_size=1)),
-        (softsrv.backbone, lambda: train_full_weights(clone_unfrozen(backbone), data, steps=1, lr=1e-3,
-                                                      seed=seed, batch_size=1)),
+                                         steps=1, lr=1e-3, seed=seed, batch_size=HELPER_BATCH)),
+        (softsrv.backbone, lambda: train_full_weights(clone_unfrozen(backbone), data, steps=1, lr=1e-3, seed=seed)),
     ):
         steps = _count_steps(monkeypatch, module)
-        with pytest.raises(ValidationError, match=f"token id {bad} out of vocabulary range"):
+        with pytest.raises(error, match=match):
             run()
         assert steps == []
 
@@ -151,7 +157,7 @@ def test_first_step_is_exactly_one_adam_update(setup):
     for bi in range(2):
         g = param_grad(params, None, pg[bi].T)
         acc_arrays["prompt"] += g.prompt / 2
-    clip_global_norm(acc_arrays, 1.0)
+    clip_global_norm(acc_arrays)
     adam = init_adam(acc_arrays)
     delta = {"prompt": np.zeros_like(params.prompt)}  # the update, added to zeros
     adam_step(adam, delta, acc_arrays, 0.05)
@@ -210,7 +216,7 @@ def test_backbone_pretraining_peak_memory_at_desk_shape(tiny_folds, tiny_vocab, 
     sequences = [vocab.encode(ex.question + " " + ex.answer) for ex in tiny_folds[0]]
     tracemalloc.start()
     try:
-        train_full_weights(model, sequences, steps=30, lr=1e-3, seed=2, batch_size=8)
+        train_full_weights(model, sequences, steps=30, lr=1e-3, seed=2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -233,7 +239,7 @@ def test_full_weight_training_keeps_one_gradient_generation(setup, monkeypatch):
         return out
 
     monkeypatch.setattr(softsrv.backbone, "batch_loss_and_grads", tracked)
-    train_full_weights(model, dataset, steps=5, lr=1e-3, seed=1, batch_size=2)
+    train_full_weights(model, dataset, steps=5, lr=1e-3, seed=1)
     assert len(refs) == 5 * len(model.weights)
 
 
@@ -251,12 +257,14 @@ def test_both_training_loops_reject_a_bad_schedule(setup, steps, batch_size, lr)
     # a zero batch used to fail mid-step on an empty reduction, negative
     # steps trained nothing and returned as if done, and an infinite lr left
     # non-finite parameters after the first step
+    # (train_full_weights draws HELPER_BATCH, so only train takes a batch size)
     backbone, embedder, dataset = setup
-    schedule = {"steps": steps, "lr": lr, "seed": 1, "batch_size": batch_size}
+    if batch_size == HELPER_BATCH:
+        with pytest.raises(ValidationError, match="steps >= 0, batch_size >= 1 and lr > 0"):
+            train_full_weights(clone_unfrozen(backbone), dataset, steps=steps, lr=lr, seed=1)
     with pytest.raises(ValidationError, match="steps >= 0, batch_size >= 1 and lr > 0"):
-        train_full_weights(clone_unfrozen(backbone), dataset, **schedule)
-    with pytest.raises(ValidationError, match="steps >= 0, batch_size >= 1 and lr > 0"):
-        train(backbone, embedder, dataset, init_params("ss_np", backbone, t=2, d_e=6, seed=0), **schedule)
+        train(backbone, embedder, dataset, init_params("ss_np", backbone, t=2, d_e=6, seed=0),
+              steps=steps, lr=lr, seed=1, batch_size=batch_size)
 
 
 @pytest.mark.parametrize("dtype, bound", [("float64", 30e6), ("float32", 13e6)], ids=["float64", "float32"])
@@ -320,7 +328,7 @@ def test_trace_records_each_steps_loss_and_pre_clip_gradient_norm(setup):
         backbone, prompts.transpose(0, 2, 1), [dataset[i] + [EOS] for i in batch], want_prefix_grads=True)
     grads = param_grad(params, z, prefix_grads.transpose(0, 2, 1) / len(batch))
     assert trace.losses == [loss]
-    assert trace.grad_norms == [clip_global_norm(dict(param_stacks(grads)), CLIP_NORM)]
+    assert trace.grad_norms == [clip_global_norm(dict(param_stacks(grads)))]
 
 
 @pytest.mark.parametrize("variant", ["ss_mp", "ss_mc"])
@@ -331,9 +339,9 @@ def test_one_stack_gradient_dict_feeds_the_clip_and_adam(setup, monkeypatch, var
     params = init_params(variant, backbone, t=2, d_e=6, seed=7, k=2, mlp_hidden=4)
     clipped, norms, stepped = [], [], []
 
-    def clip_spy(grads, max_norm):
+    def clip_spy(grads):
         clipped.append(grads)
-        norms.append(clip_global_norm(grads, max_norm))
+        norms.append(clip_global_norm(grads))
         return norms[-1]
 
     def adam_spy(state, stacks, grads, lr):
@@ -391,9 +399,9 @@ def test_prompt_training_keeps_its_backbones_dtype(setup, twins, monkeypatch, va
         seen["prompts"] = materialize(params, z, acts)
         return seen["prompts"]
 
-    def clip_spy(grads, max_norm):
+    def clip_spy(grads):
         seen.update((f"clip.{k}", g) for k, g in grads.items())
-        return clip_global_norm(grads, max_norm)
+        return clip_global_norm(grads)
 
     def adam_spy(state, stacks, grads, lr):
         adam_step(state, stacks, grads, lr)
@@ -419,7 +427,7 @@ def test_prompt_training_keeps_its_backbones_dtype(setup, twins, monkeypatch, va
 def test_full_weight_trace_records_a_norm_per_step(setup):
     backbone, _, dataset = setup
     model = clone_unfrozen(backbone)
-    trace = train_full_weights(model, dataset, steps=5, lr=1e-3, seed=2, batch_size=2)
+    trace = train_full_weights(model, dataset, steps=5, lr=1e-3, seed=2)
     assert len(trace.losses) == len(trace.grad_norms) == 5
     assert all(np.isfinite(n) and n > 0 for n in trace.grad_norms)
 
